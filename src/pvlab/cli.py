@@ -8,21 +8,10 @@ import logging
 import sys
 
 from . import harness
-from .detection import DEFAULT_C1, error_rates, plugin_rho
+from .detection import DEFAULT_C1, error_rates, plugin_rho, recover, sample_observation
 from .lowdeg import advantage
-from .model_gen import (
-    SeedSpec,
-    dump_instance,
-    sample_detection_pair,
-    sample_rotated_instance,
-    sample_orthonormal_instance,
-)
-from .spectral import (
-    estimate_direction,
-    recover_gaussian_rule,
-    recover_orthonormal_rule,
-    score,
-)
+from .model_gen import SeedSpec, dump_instance
+from .spectral import estimate_direction
 
 CONFIG_ERROR_EXIT = 2
 
@@ -35,20 +24,9 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stream", type=int, default=0, help="stream index (trial number)")
 
 
-def _sample_observation(args, model: str):
-    seed = SeedSpec(args.seed, args.stream)
-    if model == "gaussian":
-        return sample_rotated_instance(args.N, args.n, args.rho, seed)
-    if model == "orth":
-        return sample_orthonormal_instance(args.N, args.n, args.rho, seed)
-    if model == "null":
-        return sample_detection_pair(args.N, args.n, args.rho, seed, "null")
-    raise ValueError(f"unknown model {model!r}")
-
-
 def _cmd_gen(args) -> int:
-    obs = _sample_observation(args, args.model)
     seed = SeedSpec(args.seed, args.stream)
+    obs = sample_observation(args.model, args.N, args.n, args.rho, seed)
     if args.out:
         with open(args.out, "w") as f:
             dump_instance(obs, args.rho, seed, f)
@@ -58,13 +36,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    obs = _sample_observation(args, args.model)
+    seed = SeedSpec(args.seed, args.stream)
+    obs = sample_observation(args.model, args.N, args.n, args.rho, seed)
     result = estimate_direction(obs, centered=not args.uncentered)
-    if args.model == "orth":
-        recovery = recover_orthonormal_rule(result.raw_estimate)
-    else:
-        recovery = recover_gaussian_rule(result.raw_estimate, args.rho)
-    report = score(result.raw_estimate, obs.truth, recovery)
+    report = recover(args.model, result, obs.truth, args.rho)
     print(
         f"lambda={result.leading_value:.6e} gap={result.gap:.6e} "
         f"l2_error={report.l2_error:.6e} "
@@ -80,7 +55,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_detect(args) -> int:
     rho = args.rho
     if args.plugin_rho:
-        probe = sample_detection_pair(args.N, args.n, rho, SeedSpec(args.seed), "planted")
+        probe = sample_observation("gaussian", args.N, args.n, rho, SeedSpec(args.seed))
         est = estimate_direction(probe)
         rho = max(plugin_rho(est.raw_estimate), 1.0 / args.N)
         print(f"# plug-in rho estimate: {rho:.6g}", file=sys.stderr)

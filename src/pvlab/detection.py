@@ -5,6 +5,10 @@ spectral norm of the centered degree-4 statistic) at c1/(6*N*rho).  The
 l1/l2 test declares a planted vector when a candidate direction's l1-to-l2
 ratio deviates from the Gaussian value sqrt(2N/pi) by at least c1*sqrt(N)/4;
 fed with the spectral estimate it turns any good estimator into a detector.
+
+This module also holds the one model -> sampler -> rule dispatch
+(`sample_observation`, `recover`, `decide`) that the CLI, the sweep harness
+and `error_rates` all go through.
 """
 
 from __future__ import annotations
@@ -13,8 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_gen import SeedSpec, BasisMatrix, sample_detection_pair
-from .spectral import build_statistic, estimate_direction, recover_orthonormal_rule
+from .model_gen import (
+    SeedSpec,
+    BasisMatrix,
+    PlantedVector,
+    sample_detection_pair,
+    sample_orthonormal_instance,
+    sample_rotated_instance,
+)
+from .spectral import (
+    ErrorReport,
+    SpectralResult,
+    build_statistic,
+    estimate_direction,
+    recover_gaussian_rule,
+    recover_orthonormal_rule,
+    score,
+)
 
 __all__ = [
     "DetectionOutcome",
@@ -25,6 +44,9 @@ __all__ = [
     "spectral_norm_test",
     "l1l2_test",
     "detect_via_estimation",
+    "sample_observation",
+    "recover",
+    "decide",
     "error_rates",
     "plugin_rho",
 ]
@@ -50,12 +72,14 @@ class ErrorRateReport:
     type_I: float
     type_II: float
     trials: int
-    params: tuple[int, int, float, float]  # (N, n, rho, c1)
 
 
 def spectral_norm_statistic(Y_obs: BasisMatrix | np.ndarray) -> float:
     """Spectral norm of the centered statistic built from the observation."""
-    M = build_statistic(Y_obs, centered=True).matrix
+    return _spectral_norm(build_statistic(Y_obs, centered=True).matrix)
+
+
+def _spectral_norm(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(M))))
 
 
@@ -102,11 +126,41 @@ def detect_via_estimation(
     return l1l2_test(result.raw_estimate, c1=c1)
 
 
-def _run_test(Y_obs: BasisMatrix, rho: float, c1: float, test_kind: str) -> DetectionOutcome:
+def sample_observation(
+    model: str, N: int, n: int, rho: float, seed: SeedSpec | int
+) -> BasisMatrix:
+    """One observation: "gaussian" (rotated Gaussian basis, also the planted
+    detection instance), "orth" (orthonormal basis) or "null" (pure noise)."""
+    if model == "gaussian":
+        return sample_rotated_instance(N, n, rho, seed)
+    if model == "orth":
+        return sample_orthonormal_instance(N, n, rho, seed)
+    if model == "null":
+        return sample_detection_pair(N, n, rho, seed, "null")
+    raise ValueError(f"unknown model {model!r}")
+
+
+def recover(
+    model: str, result: SpectralResult, truth: PlantedVector, rho: float
+) -> ErrorReport:
+    """Threshold the raw estimate with the model's rule (the orthonormal rule
+    ignores rho) and score it against the planted vector."""
+    raw = result.raw_estimate
+    rule = recover_orthonormal_rule(raw) if model == "orth" else recover_gaussian_rule(raw, rho)
+    return score(raw, truth, rule)
+
+
+def decide(
+    test_kind: str, result: SpectralResult, rho: float, c1: float = DEFAULT_C1
+) -> DetectionOutcome:
+    """Run a detection test on one instance's spectral result: "spectral"
+    thresholds the norm of its statistic M, "l1l2" (alias "reduction") tests
+    its raw estimate."""
     if test_kind in ("spectral", "spectral_norm"):
-        return spectral_norm_test(Y_obs, rho, c1)
+        N = result.raw_estimate.size
+        return spectral_norm_outcome(_spectral_norm(result.statistic.matrix), N, rho, c1)
     if test_kind in ("l1l2", "reduction"):
-        return detect_via_estimation(Y_obs, c1)
+        return l1l2_test(result.raw_estimate, c1)
     raise ValueError(f"unknown test kind {test_kind!r}")
 
 
@@ -128,17 +182,16 @@ def error_rates(
     missed = 0
     for t in range(trials):
         trial_seed = SeedSpec(spec.master_seed, spec.stream_index + t)
-        null_obs = sample_detection_pair(N, n, rho, trial_seed, "null")
-        if _run_test(null_obs, rho, c1, test_kind).decision == "planted":
+        null = estimate_direction(sample_observation("null", N, n, rho, trial_seed))
+        if decide(test_kind, null, rho, c1).decision == "planted":
             false_planted += 1
-        planted_obs = sample_detection_pair(N, n, rho, trial_seed, "planted")
-        if _run_test(planted_obs, rho, c1, test_kind).decision == "null":
+        planted = estimate_direction(sample_observation("gaussian", N, n, rho, trial_seed))
+        if decide(test_kind, planted, rho, c1).decision == "null":
             missed += 1
     return ErrorRateReport(
         type_I=false_planted / trials,
         type_II=missed / trials,
         trials=trials,
-        params=(N, n, rho, c1),
     )
 
 

@@ -4,10 +4,15 @@ Each (cell, trial) unit draws its randomness from a stream index derived by a
 stable 64-bit hash of (N, n, rho, trial), so editing the grid never reshuffles
 the randomness of unrelated cells, and records come out in deterministic cell
 order no matter how many workers ran them.
+
+A unit samples each distinct instance once (the gaussian `recover` instance is
+also the detection tests' planted instance) and keeps only its spectral result
+and truth; the deterministic advantage is computed once per cell.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -16,20 +21,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .model_gen import (
-    DegenerateDrawError,
-    SeedSpec,
-    sample_detection_pair,
-    sample_rotated_instance,
-    sample_orthonormal_instance,
-)
-from .spectral import (
-    estimate_direction,
-    recover_gaussian_rule,
-    recover_orthonormal_rule,
-    score,
-)
-from .detection import detect_via_estimation, spectral_norm_test
+from .model_gen import SeedSpec
+from .spectral import estimate_direction
+from .detection import decide, recover, sample_observation
 from .lowdeg import advantage
 
 __all__ = [
@@ -141,24 +135,68 @@ def stream_for_cell(N: int, n: int, rho: float, trial: int) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
-def _run_unit(args: tuple) -> list[SweepRecord]:
-    """Execute all tasks for one (cell, trial) unit; never raises."""
-    config, N, n, rho, trial = args
+def _run_cell(args: tuple) -> list[SweepRecord]:
+    """Execute every trial of one cell, sharing the cell's advantage."""
+    config, N, n, rho = args
+    cell_advantage = functools.cache(lambda: advantage(N, n, rho, config.D))
+    return [
+        record
+        for trial in range(config.trials)
+        for record in _run_unit(config, N, n, rho, trial, cell_advantage)
+    ]
+
+
+def _run_unit(
+    config: SweepConfig, N: int, n: int, rho: float, trial: int, cell_advantage
+) -> list[SweepRecord]:
+    """Execute all tasks for one (cell, trial) unit; never raises.
+
+    Shared work is done by the first task that needs it and is charged to that
+    task's elapsed_ms, so a unit's rows sum to its wall time.
+    """
     seed = SeedSpec(config.seed, stream_for_cell(N, n, rho, trial))
+
+    @functools.cache
+    def estimate(model: str):
+        obs = sample_observation(model, N, n, rho, seed)
+        return estimate_direction(obs), obs.truth  # the N x n matrix is dropped
+
+    def run_task(task: str) -> dict:
+        if task == "recover":
+            result, truth = estimate(config.model)
+            report = recover(config.model, result, truth, rho)
+            return dict(
+                success=bool(report.exact_match),
+                l2_error=report.l2_error,
+                entrywise_max_weighted=report.entrywise_max_weighted,
+                statistic_value=result.leading_value,
+            )
+        if task == "advantage":
+            return dict(success=True, adv=cell_advantage().adv)
+        null_out, planted_out = (  # task is "detect_" + the test kind
+            decide(task.removeprefix("detect_"), estimate(model)[0], rho, config.c1)
+            for model in ("null", "gaussian")
+        )
+        return dict(
+            success=(null_out.decision == "null" and planted_out.decision == "planted"),
+            statistic_value=planted_out.statistic_value,
+        )
+
     records = []
     for task in config.tasks:
         start = time.perf_counter()
         try:
-            records.append(_run_task(config, N, n, rho, trial, task, seed, start))
-        except (DegenerateDrawError, ValueError) as exc:
+            fields = run_task(task)
+        except Exception as exc:
             log.warning(
-                "cell N=%d n=%d rho=%g trial=%d task=%s failed: %s",
-                N, n, rho, trial, task, exc,
+                "cell N=%d n=%d rho=%g trial=%d task=%s failed: %s: %s",
+                N, n, rho, trial, task, type(exc).__name__, exc,
+                exc_info=not isinstance(exc, ValueError),
             )
-            records.append(
-                SweepRecord(N, n, rho, trial, task, success=False,
-                            elapsed_ms=_elapsed(config, start))
-            )
+            fields = dict(success=False)
+        records.append(
+            SweepRecord(N, n, rho, trial, task, **fields, elapsed_ms=_elapsed(config, start))
+        )
     return records
 
 
@@ -168,110 +206,37 @@ def _elapsed(config: SweepConfig, start: float) -> float | None:
     return (time.perf_counter() - start) * 1000.0
 
 
-def _run_task(
-    config: SweepConfig,
-    N: int,
-    n: int,
-    rho: float,
-    trial: int,
-    task: str,
-    seed: SeedSpec,
-    start: float,
-) -> SweepRecord:
-    if task == "recover":
-        if config.model == "orth":
-            obs = sample_orthonormal_instance(N, n, rho, seed)
-        else:
-            obs = sample_rotated_instance(N, n, rho, seed)
-        result = estimate_direction(obs)
-        if config.model == "orth":
-            recovery = recover_orthonormal_rule(result.raw_estimate)
-        else:
-            recovery = recover_gaussian_rule(result.raw_estimate, rho)
-        report = score(result.raw_estimate, obs.truth, recovery)
-        return SweepRecord(
-            N, n, rho, trial, task,
-            success=bool(report.exact_match),
-            l2_error=report.l2_error,
-            entrywise_max_weighted=report.entrywise_max_weighted,
-            statistic_value=result.leading_value,
-            elapsed_ms=_elapsed(config, start),
-        )
-    if task in ("detect_spectral", "detect_l1l2"):
-        null_obs = sample_detection_pair(N, n, rho, seed, "null")
-        planted_obs = sample_detection_pair(N, n, rho, seed, "planted")
-        if task == "detect_spectral":
-            null_out = spectral_norm_test(null_obs, rho, config.c1)
-            planted_out = spectral_norm_test(planted_obs, rho, config.c1)
-        else:
-            null_out = detect_via_estimation(null_obs, config.c1)
-            planted_out = detect_via_estimation(planted_obs, config.c1)
-        return SweepRecord(
-            N, n, rho, trial, task,
-            success=(null_out.decision == "null" and planted_out.decision == "planted"),
-            statistic_value=planted_out.statistic_value,
-            elapsed_ms=_elapsed(config, start),
-        )
-    if task == "advantage":
-        breakdown = advantage(N, n, rho, config.D)
-        return SweepRecord(
-            N, n, rho, trial, task,
-            success=True,
-            adv=breakdown.adv,
-            elapsed_ms=_elapsed(config, start),
-        )
-    raise ValueError(f"unknown task {task!r}")
-
-
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     """Run every (cell, trial, task) unit and return records in deterministic
-    cell order, independent of worker count.
+    cell order, independent of worker count.  A cell is the unit of work for
+    the serial path and the pool alike.
 
-    Per-unit failures (e.g. degenerate draws) are logged and recorded with
-    success=False; they never abort the sweep.
+    Per-unit failures (degenerate draws, or any other exception) are logged
+    and recorded with success=False and empty values; they never abort the
+    sweep.
     """
-    units = [
-        (config, N, n, rho, trial)
-        for (N, n, rho) in config.cells()
-        for trial in range(config.trials)
-    ]
+    cells = [(config, N, n, rho) for (N, n, rho) in config.cells()]
     if workers <= 1:
-        batches = [_run_unit(u) for u in units]
+        batches = [_run_cell(c) for c in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_unit, units, chunksize=8))
+            batches = list(pool.map(_run_cell, cells))
     return [record for batch in batches for record in batch]
 
 
 def _format_value(x: float | None) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
-        return repr(x)
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
     """Render records under the fixed header; None fields are left empty."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.N),
-                    str(r.n),
-                    repr(float(r.rho)),
-                    str(r.trial),
-                    r.task,
-                    "1" if r.success else "0",
-                    _format_value(r.l2_error),
-                    _format_value(r.entrywise_max_weighted),
-                    _format_value(r.statistic_value),
-                    _format_value(r.adv),
-                    _format_value(r.elapsed_ms),
-                ]
-            )
-        )
+        values = (r.l2_error, r.entrywise_max_weighted, r.statistic_value, r.adv, r.elapsed_ms)
+        fields = [str(r.N), str(r.n), repr(float(r.rho)), str(r.trial), r.task]
+        fields.append("1" if r.success else "0")
+        fields += [_format_value(x) for x in values]
+        lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
 
 
@@ -306,16 +271,10 @@ def summarize(records: list[SweepRecord]) -> list[CellSummary]:
     if not records:
         raise ValueError("no records to summarize")
     groups: dict[tuple, list[SweepRecord]] = {}
-    order = []
     for r in records:
-        key = (r.N, r.n, r.rho, r.task)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
+        groups.setdefault((r.N, r.n, r.rho, r.task), []).append(r)
     out = []
-    for key in order:
-        rows = groups[key]
+    for key, rows in groups.items():
         total = len(rows)
         wins = sum(1 for r in rows if r.success)
         low, high = _wilson(wins, total)

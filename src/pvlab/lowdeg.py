@@ -69,12 +69,16 @@ class HermiteEvaluator:
         self.max_degree = max_degree
         self._sqrt = np.sqrt(np.arange(max_degree + 2, dtype=float))
 
-    def all_values(self, z: float, upto: int | None = None) -> np.ndarray:
-        """h_0(z), ..., h_upto(z) in one recurrence pass."""
+    def _scaled_values(
+        self, z: float, upto: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """h_0(z), ..., h_upto(z) in one recurrence pass, as mantissas and
+        power-of-two exponents: h_k(z) = ldexp(mantissa[k], exponent[k])."""
         k_max = self.max_degree if upto is None else upto
         if not 0 <= k_max <= self.max_degree:
             raise ValueError(f"degree {k_max} beyond configured max {self.max_degree}")
         out = np.empty(k_max + 1)
+        exponents = np.zeros(k_max + 1, dtype=int)
         prev, cur = 0.0, 1.0
         scale_exp = 0
         out[0] = 1.0
@@ -84,13 +88,17 @@ class HermiteEvaluator:
                 prev = math.ldexp(prev, -512)
                 cur = math.ldexp(cur, -512)
                 scale_exp += 512
-            out[k + 1] = math.ldexp(cur, scale_exp) if scale_exp else cur
-        return out
+            out[k + 1] = cur
+            exponents[k + 1] = scale_exp
+        return out, exponents
+
+    def all_values(self, z: float, upto: int | None = None) -> np.ndarray:
+        """h_0(z), ..., h_upto(z); raises OverflowError beyond double range."""
+        mantissas, exponents = self._scaled_values(z, upto)
+        return np.array([math.ldexp(m, int(e)) for m, e in zip(mantissas, exponents)])
 
     def eval(self, k: int, z: float) -> float:
         """Value of h_k at z."""
-        if not 0 <= k <= self.max_degree:
-            raise ValueError(f"degree {k} beyond configured max {self.max_degree}")
         return float(self.all_values(z, upto=k)[k])
 
     @staticmethod
@@ -198,6 +206,14 @@ def sphere_moment(n: int, d: int) -> float:
     return math.exp(log_sphere_moment(n, d))
 
 
+def _exp(x: float) -> float:
+    """exp(x), saturating to inf where the result leaves double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _logsumexp(values: list[float]) -> float:
     top = max(values, default=-math.inf)
     if top == -math.inf:
@@ -212,14 +228,17 @@ def _log_binomial(N: int, m: int) -> float:
 
 
 def _log_squared_moments(rho: float, D: int) -> list[float]:
-    """log (E[h_k(x)])^2 for k = 0..D, x Bernoulli-Rademacher(rho)."""
+    """log (E[h_k(x)])^2 for k = 0..D, x Bernoulli-Rademacher(rho).
+
+    Each moment is summed at the atom's power-of-two scale, so an h_k beyond
+    double range still has an exact log."""
     ev = HermiteEvaluator(max(D, 1))
-    at_zero = ev.all_values(0.0, upto=D)
-    at_atom = ev.all_values(1.0 / math.sqrt(rho), upto=D)
-    moments = (1.0 - rho) * at_zero + rho * at_atom
+    at_zero = ev.all_values(0.0, upto=D)  # |h_k(0)| <= 1, never rescaled
+    at_atom, exponents = ev._scaled_values(1.0 / math.sqrt(rho), upto=D)
+    moments = (1.0 - rho) * np.ldexp(at_zero, -exponents) + rho * at_atom
     moments[1::2] = 0.0
     with np.errstate(divide="ignore"):
-        return (2.0 * np.log(np.abs(moments))).tolist()
+        return (2.0 * (np.log(np.abs(moments)) + exponents * math.log(2.0))).tolist()
 
 
 def _log_composition_sum(log_sq: list[float], d: int, m: int) -> float:
@@ -253,7 +272,7 @@ def composition_sum(d: int, m: int, rho: float) -> float:
     if d % 2 or d < 4 * m:
         return 0.0
     log_sq = _log_squared_moments(rho, d)
-    return math.exp(_log_composition_sum(log_sq, d, m))
+    return _exp(_log_composition_sum(log_sq, d, m))
 
 
 @dataclass(frozen=True)
@@ -277,6 +296,7 @@ class AdvantageBreakdown:
     log_adv_squared: float
     log_space: bool = True
     underflowed: bool = False
+    overflowed: bool = False
 
 
 def advantage(N: int, n: int, rho: float, D: int) -> AdvantageBreakdown:
@@ -285,8 +305,10 @@ def advantage(N: int, n: int, rho: float, D: int) -> AdvantageBreakdown:
 
     adv^2 = 1 + sum over even d in [4, D] of
         E[<u,u'>^d] * sum_m C(N, m) * g(d, m),
-    accumulated in log space.  A per-degree contribution whose log is finite
-    but flushes to zero on exponentiation sets the underflow flag.
+    accumulated in log space.  The log fields are authoritative: a per-degree
+    contribution whose log is finite but flushes to zero on exponentiation
+    sets the underflow flag, and a linear field that leaves double range
+    saturates to inf and sets the overflow flag.
     """
     if N < 1 or n < 1 or D < 0:
         raise ValueError(f"need N, n >= 1 and D >= 0, got N={N}, n={n}, D={D}")
@@ -305,30 +327,26 @@ def advantage(N: int, n: int, rho: float, D: int) -> AdvantageBreakdown:
             ]
         )
         log_contrib = log_sphere + log_alpha
-        contrib = math.exp(log_contrib) if log_contrib > -math.inf else 0.0
+        contrib = _exp(log_contrib)
         if contrib == 0.0 and log_contrib > -math.inf:
             underflowed = True
         per_degree.append(
-            DegreeContribution(
-                d,
-                math.exp(log_sphere),
-                math.exp(log_alpha) if log_alpha > -math.inf else 0.0,
-                contrib,
-                log_contrib,
-            )
+            DegreeContribution(d, math.exp(log_sphere), _exp(log_alpha), contrib, log_contrib)
         )
         log_contribs.append(log_contrib)
     log_adv_sq = _logsumexp(log_contribs)
+    adv_squared = _exp(log_adv_sq)
     return AdvantageBreakdown(
         N=N,
         n=n,
         rho=rho,
         D=D,
         per_degree=per_degree,
-        adv_squared=math.exp(log_adv_sq),
-        adv=math.exp(0.5 * log_adv_sq),
+        adv_squared=adv_squared,
+        adv=_exp(0.5 * log_adv_sq),
         log_adv_squared=log_adv_sq,
         underflowed=underflowed,
+        overflowed=math.isinf(adv_squared) or any(math.isinf(r.alpha_sum) for r in per_degree),
     )
 
 

@@ -41,11 +41,6 @@ class SpectralStatistic:
 
     matrix: np.ndarray
     centered: bool
-    source_kind: str
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,6 @@ class RecoveryOutput:
     """Thresholded recovery of the planted vector from a raw estimate."""
 
     recovered: np.ndarray
-    threshold_used: float
-    sign_convention: int = 1
 
 
 @dataclass(frozen=True)
@@ -78,10 +71,10 @@ class ErrorReport:
     sign_used: int
 
 
-def _as_matrix(Y_obs: BasisMatrix | np.ndarray) -> tuple[np.ndarray, str]:
+def _as_matrix(Y_obs: BasisMatrix | np.ndarray) -> np.ndarray:
     if isinstance(Y_obs, BasisMatrix):
-        return Y_obs.data, Y_obs.kind
-    return np.asarray(Y_obs, dtype=float), "array"
+        return Y_obs.data
+    return np.asarray(Y_obs, dtype=float)
 
 
 def build_statistic(
@@ -92,14 +85,14 @@ def build_statistic(
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
     """
-    Y, kind = _as_matrix(Y_obs)
+    Y = _as_matrix(Y_obs)
     N, n = Y.shape
     weights = np.einsum("ij,ij->i", Y, Y) - (n - 1) / N
     M = (Y * weights[:, None]).T @ Y
     if centered:
         M -= (3.0 / N) * np.eye(n)
     M = 0.5 * (M + M.T)
-    return SpectralStatistic(M, centered=centered, source_kind=kind)
+    return SpectralStatistic(M, centered=centered)
 
 
 def leading_eigenpair(
@@ -137,39 +130,30 @@ def estimate_direction(
     eigenvector back to observation space via Y_obs @ u."""
     stat = build_statistic(Y_obs, centered=centered)
     lam, u, gap = leading_eigenpair(stat)
-    Y, _ = _as_matrix(Y_obs)
-    return SpectralResult(stat, lam, u, Y @ u, gap)
+    return SpectralResult(stat, lam, u, _as_matrix(Y_obs) @ u, gap)
 
 
-def recover_gaussian_rule(
-    raw: np.ndarray, rho: float, sign: int = 1, threshold: float | None = None
-) -> RecoveryOutput:
+def recover_gaussian_rule(raw: np.ndarray, rho: float) -> RecoveryOutput:
     """Threshold at 0.5/sqrt(N*rho) and snap surviving entries to
     +-1/sqrt(N*rho).  Needs the sparsity rho."""
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    raw = sign * np.asarray(raw, dtype=float)
-    N = raw.size
-    magnitude = 1.0 / np.sqrt(N * rho)
-    if threshold is None:
-        threshold = 0.5 * magnitude
-    recovered = np.where(np.abs(raw) >= threshold, np.sign(raw) * magnitude, 0.0)
-    return RecoveryOutput(recovered, threshold_used=threshold, sign_convention=sign)
+    raw = np.asarray(raw, dtype=float)
+    magnitude = 1.0 / np.sqrt(raw.size * rho)
+    recovered = np.where(np.abs(raw) >= 0.5 * magnitude, np.sign(raw) * magnitude, 0.0)
+    return RecoveryOutput(recovered)
 
 
-def recover_orthonormal_rule(
-    raw: np.ndarray, sign: int = 1, threshold_fraction: float = 0.5
-) -> RecoveryOutput:
+def recover_orthonormal_rule(raw: np.ndarray) -> RecoveryOutput:
     """Keep entries within a factor 0.5 of the largest |entry|, take their
     signs, and normalize.  Does not use the sparsity rho."""
-    raw = sign * np.asarray(raw, dtype=float)
+    raw = np.asarray(raw, dtype=float)
     peak = float(np.max(np.abs(raw)))
     if peak == 0.0:
         raise ValueError("cannot threshold an all-zero estimate")
-    threshold = threshold_fraction * peak
-    vhat = np.sign(raw) * (np.abs(raw) >= threshold)
+    vhat = np.sign(raw) * (np.abs(raw) >= 0.5 * peak)
     vhat /= np.linalg.norm(vhat)
-    return RecoveryOutput(vhat, threshold_used=threshold, sign_convention=sign)
+    return RecoveryOutput(vhat)
 
 
 def signs_match(recovered: np.ndarray, truth: np.ndarray) -> bool:

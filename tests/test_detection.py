@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from pvlab.detection import (
+    decide,
     detect_via_estimation,
     error_rates,
     l1l2_test,
     plugin_rho,
+    sample_observation,
     spectral_norm_outcome,
     spectral_norm_statistic,
     spectral_norm_test,
@@ -19,6 +21,7 @@ from pvlab.model_gen import (
     sample_detection_pair,
     sample_haar_rotation,
 )
+from pvlab.spectral import estimate_direction
 
 
 class TestSpectralNormTest:
@@ -173,11 +176,30 @@ class TestErrorRates:
             error_rates(100, 5, 0.1, 0.05, 1, "oracle", SeedSpec(14))
 
 
+class TestDispatch:
+    @pytest.mark.parametrize("which", ["null", "planted"])
+    def test_decide_matches_the_standalone_tests(self, which):
+        obs = sample_detection_pair(2000, 10, 0.05, SeedSpec(16), which)
+        result = estimate_direction(obs)
+        assert decide("spectral", result, 0.05) == spectral_norm_test(obs, 0.05)
+        assert decide("l1l2", result, 0.05) == detect_via_estimation(obs)
+
+    def test_planted_model_is_the_detection_planted_draw(self):
+        a = sample_observation("gaussian", 300, 5, 0.1, SeedSpec(17))
+        b = sample_detection_pair(300, 5, 0.1, SeedSpec(17), "planted")
+        assert np.array_equal(a.data, b.data)
+
+    def test_unknown_names_rejected(self):
+        with pytest.raises(ValueError, match="model"):
+            sample_observation("fourier", 10, 2, 0.5, SeedSpec(18))
+        obs = sample_observation("null", 10, 2, 0.5, SeedSpec(18))
+        with pytest.raises(ValueError, match="test kind"):
+            decide("oracle", estimate_direction(obs), 0.5)
+
+
 class TestPluginRho:
     def test_recovers_order_of_magnitude(self):
         obs = sample_detection_pair(4000, 20, 0.02, SeedSpec(15), "planted")
-        from pvlab.spectral import estimate_direction
-
         est = estimate_direction(obs).raw_estimate
         rho_hat = plugin_rho(est)
         assert 0.01 <= rho_hat <= 0.04

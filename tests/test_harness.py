@@ -1,16 +1,33 @@
 """Tests for the sweep harness: determinism, record bookkeeping, summaries."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from pvlab import cli, detection, harness, lowdeg, model_gen, spectral
+from pvlab.detection import detect_via_estimation, spectral_norm_test
 from pvlab.harness import (
     CSV_HEADER,
     SweepConfig,
+    SweepRecord,
     records_to_csv,
     run_sweep,
     stream_for_cell,
     summarize,
+)
+from pvlab.lowdeg import advantage
+from pvlab.model_gen import (
+    SeedSpec,
+    sample_detection_pair,
+    sample_orthonormal_instance,
+    sample_rotated_instance,
+)
+from pvlab.spectral import (
+    estimate_direction,
+    recover_gaussian_rule,
+    recover_orthonormal_rule,
+    score,
 )
 
 
@@ -138,6 +155,110 @@ class TestRunSweep:
         cfg = small_config(trials=1, collect_timing=True)
         rec = run_sweep(cfg)[0]
         assert rec.elapsed_ms is not None and rec.elapsed_ms >= 0.0
+
+
+def task_by_task(cfg):
+    """The sweep's records rebuilt one task at a time from the public calls,
+    sampling every instance afresh for each task."""
+    records = []
+    for N, n, rho in cfg.cells():
+        for trial in range(cfg.trials):
+            seed = SeedSpec(cfg.seed, stream_for_cell(N, n, rho, trial))
+            for task in cfg.tasks:
+                head = (N, n, rho, trial, task)
+                if task == "recover":
+                    if cfg.model == "orth":
+                        obs = sample_orthonormal_instance(N, n, rho, seed)
+                    else:
+                        obs = sample_rotated_instance(N, n, rho, seed)
+                    result = estimate_direction(obs)
+                    if cfg.model == "orth":
+                        rule = recover_orthonormal_rule(result.raw_estimate)
+                    else:
+                        rule = recover_gaussian_rule(result.raw_estimate, rho)
+                    report = score(result.raw_estimate, obs.truth, rule)
+                    records.append(SweepRecord(
+                        *head, success=bool(report.exact_match),
+                        l2_error=report.l2_error,
+                        entrywise_max_weighted=report.entrywise_max_weighted,
+                        statistic_value=result.leading_value,
+                    ))
+                elif task == "advantage":
+                    records.append(
+                        SweepRecord(*head, success=True, adv=advantage(N, n, rho, cfg.D).adv)
+                    )
+                else:
+                    null = sample_detection_pair(N, n, rho, seed, "null")
+                    planted = sample_detection_pair(N, n, rho, seed, "planted")
+                    if task == "detect_spectral":
+                        outs = [spectral_norm_test(obs, rho, cfg.c1) for obs in (null, planted)]
+                    else:
+                        outs = [detect_via_estimation(obs, cfg.c1) for obs in (null, planted)]
+                    records.append(SweepRecord(
+                        *head,
+                        success=outs[0].decision == "null" and outs[1].decision == "planted",
+                        statistic_value=outs[1].statistic_value,
+                    ))
+    return records
+
+
+ALL_TASKS = ("recover", "detect_spectral", "detect_l1l2", "advantage")
+
+
+class TestSharedPipeline:
+    @pytest.mark.parametrize("model", ["gaussian", "orth"])
+    def test_byte_identical_to_task_by_task(self, model):
+        cfg = small_config(
+            Ns=[300, 2000], ns=[4, 12], rhos=[0.02, 0.3], trials=2,
+            model=model, tasks=ALL_TASKS,
+        )
+        text = records_to_csv(run_sweep(cfg))
+        assert text == records_to_csv(task_by_task(cfg))
+        # both outcomes occur, so the comparison covers both branches
+        assert {line.split(",")[5] for line in text.splitlines()[1:]} == {"0", "1"}
+
+    def test_each_instance_sampled_and_estimated_once(self, monkeypatch):
+        calls = Counter()
+
+        def count(fn, name_of):
+            def counted(*args, **kwargs):
+                calls[name_of(args, kwargs)] += 1
+                return fn(*args, **kwargs)
+
+            # callers import names directly: replace every reference
+            for module in (cli, detection, harness, lowdeg, model_gen, spectral):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+
+        count(sample_rotated_instance, lambda a, k: "planted")
+        count(sample_detection_pair, lambda a, k: f"detection_pair.{a[4]}")
+        count(spectral.build_statistic, lambda a, k: "build_statistic")
+        count(advantage, lambda a, k: "advantage")
+
+        cfg = small_config(Ns=[200, 300], trials=3, tasks=ALL_TASKS)
+        records = run_sweep(cfg)
+        units, cells = 2 * 3, 2
+        assert len(records) == units * len(ALL_TASKS)
+        assert calls == Counter(
+            {"planted": units, "detection_pair.null": units,
+             "build_statistic": 2 * units, "advantage": cells}
+        )
+
+    def test_exception_in_a_task_becomes_an_error_row(self, monkeypatch, caplog):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "advantage", broken)
+        cfg = small_config(Ns=[200, 300], trials=2, tasks=("recover", "advantage"))
+        with caplog.at_level("WARNING", logger="pvlab"):
+            records = run_sweep(cfg)
+        errors = [r for r in records if r.task == "advantage"]
+        assert len(errors) == 4 and not any(r.success for r in errors)
+        assert all(r.adv is None and r.statistic_value is None for r in errors)
+        assert all(r.l2_error is not None for r in records if r.task == "recover")
+        assert records_to_csv(errors).splitlines()[1].endswith(",advantage,0,,,,,")
+        assert sum("RuntimeError: boom" in m for m in caplog.messages) == 4
 
 
 class TestSummarize:

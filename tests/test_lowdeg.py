@@ -2,6 +2,7 @@
 dynamic program, and the advantage computation against its brute-force oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +222,37 @@ class TestAdvantage:
         b = advantage(10**4, 20, 0.01, 24)
         assert math.isfinite(b.log_adv_squared)
         assert b.adv >= 1.0
+        assert not b.overflowed
+
+    def test_overflow_saturates_linear_fields(self):
+        # adv^2 ~ e^1353 leaves double range: the log fields stay finite and
+        # authoritative, the linear fields beyond range read inf
+        b = advantage(10**4, 20, 1e-6, 128)
+        assert b.overflowed and not b.underflowed
+        assert math.isfinite(b.log_adv_squared) and b.adv_squared == math.inf
+        assert b.adv == pytest.approx(math.exp(0.5 * b.log_adv_squared), rel=1e-12)
+        top = b.per_degree[-1]
+        assert top.contribution == math.inf and math.isfinite(top.log_contribution)
+        assert b.log_adv_squared >= max(r.log_contribution for r in b.per_degree)
+
+    def test_hermite_moment_beyond_double_range_has_exact_log(self):
+        # h_160(1000) ~ 1e338 leaves double range.  With N = 1 the only
+        # admissible multi-index at degree d is (d,), so the top
+        # log_contribution is log E<u,u'>^d + 2 log|E h_d(x)|, checked here
+        # in exact integer arithmetic with the atom at 1/sqrt(rho) = 1000
+        d, rho = 160, 1e-6
+        b = advantage(1, 5, rho, d)
+        monic = HermiteEvaluator.monic_coefficients(d)
+        at_atom = sum(c * 1000**r for r, c in enumerate(monic))
+        moment = Fraction(10**6 - 1, 10**6) * monic[0] + Fraction(1, 10**6) * at_atom
+        log_moment = (
+            math.log(abs(moment.numerator)) - math.log(moment.denominator)
+            - 0.5 * math.lgamma(d + 1)
+        )
+        expected = log_sphere_moment(5, d) + 2.0 * log_moment
+        assert b.per_degree[-1].d == d
+        assert b.per_degree[-1].log_contribution == pytest.approx(expected, rel=1e-12)
+        assert b.overflowed
 
 
 class TestAdmissibleCount:
