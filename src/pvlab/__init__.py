@@ -10,7 +10,6 @@ from .model_gen import (
     DegenerateDrawError,
     PlantedVector,
     RankDeficientError,
-    RotationMatrix,
     SeedSpec,
     apply_rotation,
     orthonormalize,
@@ -23,9 +22,7 @@ from .model_gen import (
 )
 from .spectral import (
     ErrorReport,
-    RecoveryOutput,
     SpectralResult,
-    SpectralStatistic,
     build_statistic,
     estimate_direction,
     leading_eigenpair,

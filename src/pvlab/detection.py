@@ -61,7 +61,6 @@ class DetectionOutcome:
     statistic_value: float
     threshold: float
     decision: str  # "null" or "planted"
-    test_kind: str  # "spectral_norm" or "l1l2"
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class ErrorRateReport:
 
 def spectral_norm_statistic(Y_obs: BasisMatrix | np.ndarray) -> float:
     """Spectral norm of the centered statistic built from the observation."""
-    return _spectral_norm(build_statistic(Y_obs, centered=True).matrix)
+    return _spectral_norm(build_statistic(Y_obs, centered=True))
 
 
 def _spectral_norm(M: np.ndarray) -> float:
@@ -89,7 +88,7 @@ def spectral_norm_outcome(
     """Decision rule: planted iff the statistic exceeds c1/(6*N*rho)."""
     threshold = c1 / (6.0 * N * rho)
     decision = "planted" if stat_value > threshold else "null"
-    return DetectionOutcome(stat_value, threshold, decision, "spectral_norm")
+    return DetectionOutcome(stat_value, threshold, decision)
 
 
 def spectral_norm_test(
@@ -114,7 +113,7 @@ def l1l2_test(candidate: np.ndarray, c1: float = DEFAULT_C1) -> DetectionOutcome
     deviation = abs(float(np.abs(v).sum()) / l2 - np.sqrt(2.0 * N / np.pi))
     threshold = c1 * np.sqrt(N) / 4.0
     decision = "planted" if deviation >= threshold else "null"
-    return DetectionOutcome(deviation, threshold, decision, "l1l2")
+    return DetectionOutcome(deviation, threshold, decision)
 
 
 def detect_via_estimation(
@@ -127,7 +126,7 @@ def detect_via_estimation(
 
 
 def sample_observation(
-    model: str, N: int, n: int, rho: float, seed: SeedSpec | int
+    model: str, N: int, n: int, rho: float, seed: SeedSpec
 ) -> BasisMatrix:
     """One observation: "gaussian" (rotated Gaussian basis, also the planted
     detection instance), "orth" (orthonormal basis) or "null" (pure noise)."""
@@ -158,7 +157,7 @@ def decide(
     its raw estimate."""
     if test_kind in ("spectral", "spectral_norm"):
         N = result.raw_estimate.size
-        return spectral_norm_outcome(_spectral_norm(result.statistic.matrix), N, rho, c1)
+        return spectral_norm_outcome(_spectral_norm(result.statistic), N, rho, c1)
     if test_kind in ("l1l2", "reduction"):
         return l1l2_test(result.raw_estimate, c1)
     raise ValueError(f"unknown test kind {test_kind!r}")
@@ -171,17 +170,16 @@ def error_rates(
     c1: float,
     trials: int,
     test_kind: str,
-    seed: SeedSpec | int,
+    seed: SeedSpec,
 ) -> ErrorRateReport:
     """Empirical error rates over `trials` null and `trials` planted
     instances; trial t uses stream index base+t of the given seed."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    spec = SeedSpec.coerce(seed)
     false_planted = 0
     missed = 0
     for t in range(trials):
-        trial_seed = SeedSpec(spec.master_seed, spec.stream_index + t)
+        trial_seed = SeedSpec(seed.master_seed, seed.stream_index + t)
         null = estimate_direction(sample_observation("null", N, n, rho, trial_seed))
         if decide(test_kind, null, rho, c1).decision == "planted":
             false_planted += 1
@@ -198,5 +196,5 @@ def error_rates(
 def plugin_rho(candidate: np.ndarray) -> float:
     """Exploratory sparsity estimate: support fraction of the candidate after
     the rho-free orthonormal thresholding rule."""
-    recovered = recover_orthonormal_rule(candidate).recovered
+    recovered = recover_orthonormal_rule(candidate)
     return float(np.count_nonzero(recovered)) / candidate.size

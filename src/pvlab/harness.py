@@ -69,8 +69,14 @@ class SweepConfig:
             raise ValueError("grid values must be positive")
         if any(not 0 < r <= 1 for r in self.rhos):
             raise ValueError("rho values must be in (0, 1]")
+        if len({_rho_key(r) for r in self.rhos}) != len(set(self.rhos)):
+            raise ValueError("distinct rho values must differ by more than 1e-9")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.D < 0:
+            raise ValueError(f"D must be >= 0, got {self.D}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model not in ("gaussian", "orth"):
             raise ValueError(f"model must be 'gaussian' or 'orth', got {self.model!r}")
         unknown = set(self.tasks) - set(TASKS)
@@ -124,14 +130,18 @@ class SweepRecord:
     elapsed_ms: float | None = None
 
 
+def _rho_key(rho: float) -> int:
+    """rho in fixed-point nanounits, as it enters the stream hash."""
+    return round(rho * 1_000_000_000)
+
+
 def stream_for_cell(N: int, n: int, rho: float, trial: int) -> int:
     """Stable 64-bit stream index for a (cell, trial) unit.
 
     rho enters as fixed-point nanounits so float formatting cannot shift the
     hash between platforms.
     """
-    rho_fp = round(rho * 1_000_000_000)
-    payload = f"{N},{n},{rho_fp},{trial}".encode()
+    payload = f"{N},{n},{_rho_key(rho)},{trial}".encode()
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 

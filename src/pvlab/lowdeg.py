@@ -294,7 +294,6 @@ class AdvantageBreakdown:
     adv_squared: float
     adv: float
     log_adv_squared: float
-    log_space: bool = True
     underflowed: bool = False
     overflowed: bool = False
 

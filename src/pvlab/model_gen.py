@@ -23,7 +23,6 @@ __all__ = [
     "SeedSpec",
     "PlantedVector",
     "BasisMatrix",
-    "RotationMatrix",
     "sample_br_vector",
     "sample_gaussian_basis",
     "sample_haar_rotation",
@@ -83,14 +82,6 @@ class SeedSpec:
         )
         return np.random.Generator(np.random.Philox(seq))
 
-    @staticmethod
-    def coerce(seed: "SeedSpec | int | tuple[int, int]") -> "SeedSpec":
-        if isinstance(seed, SeedSpec):
-            return seed
-        if isinstance(seed, tuple):
-            return SeedSpec(int(seed[0]), int(seed[1]))
-        return SeedSpec(int(seed))
-
 
 @dataclass(frozen=True)
 class PlantedVector:
@@ -101,7 +92,6 @@ class PlantedVector:
     """
 
     entries: np.ndarray
-    rho: float
     normalized: bool = False
     support_size: int = 0
 
@@ -129,17 +119,6 @@ class BasisMatrix:
         return self.data.shape
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
-    """An n x n real orthogonal matrix."""
-
-    data: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-
 def _br_from_rng(
     rng: np.random.Generator, N: int, rho: float, normalize: bool
 ) -> PlantedVector:
@@ -156,7 +135,7 @@ def _br_from_rng(
                 f"all {N} entries were zero (rho={rho}); retry with another stream"
             )
         entries = entries / norm
-    return PlantedVector(entries, rho, normalized=normalize, support_size=support)
+    return PlantedVector(entries, normalized=normalize, support_size=support)
 
 
 def _basis_from_rng(
@@ -170,18 +149,18 @@ def _basis_from_rng(
     return BasisMatrix(Y, "gaussian_planted", truth=v)
 
 
-def _haar_from_rng(rng: np.random.Generator, n: int) -> RotationMatrix:
+def _haar_from_rng(rng: np.random.Generator, n: int) -> np.ndarray:
     G = rng.normal(size=(n, n))
     Q, R = np.linalg.qr(G)
     signs = np.sign(np.diag(R))
     signs[signs == 0.0] = 1.0
-    return RotationMatrix(Q * signs)
+    return Q * signs
 
 
 def sample_br_vector(
     N: int,
     rho: float,
-    seed: SeedSpec | int,
+    seed: SeedSpec,
     normalize: bool = False,
 ) -> PlantedVector:
     """Draw a Bernoulli-Rademacher vector: each entry independently 0 with
@@ -195,37 +174,37 @@ def sample_br_vector(
         raise ValueError(f"N must be >= 1, got {N}")
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    rng = SeedSpec.coerce(seed).generator()
+    rng = seed.generator()
     return _br_from_rng(rng, N, rho, normalize)
 
 
 def sample_gaussian_basis(
-    v: PlantedVector, n: int, seed: SeedSpec | int
+    v: PlantedVector, n: int, seed: SeedSpec
 ) -> BasisMatrix:
     """Matrix whose first column is v and whose other n-1 columns are i.i.d.
     N(0, I_N / N) vectors."""
     if not 1 <= n <= v.size:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={v.size}")
-    rng = SeedSpec.coerce(seed).generator()
+    rng = seed.generator()
     return _basis_from_rng(rng, v, n)
 
 
-def sample_haar_rotation(n: int, seed: SeedSpec | int) -> RotationMatrix:
-    """Haar-distributed orthogonal matrix via QR of a Gaussian matrix with the
-    diagonal of R forced positive (the sign fix makes the measure exact)."""
+def sample_haar_rotation(n: int, seed: SeedSpec) -> np.ndarray:
+    """Haar-distributed n x n orthogonal matrix via QR of a Gaussian matrix
+    with the diagonal of R forced positive (the sign fix makes the measure exact)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = SeedSpec.coerce(seed).generator()
+    rng = seed.generator()
     return _haar_from_rng(rng, n)
 
 
-def apply_rotation(Y: BasisMatrix, Q: RotationMatrix) -> BasisMatrix:
-    """Right-multiply the basis by Q; the column span is unchanged."""
-    if Y.data.shape[1] != Q.dim:
-        raise ValueError(
-            f"basis has {Y.data.shape[1]} columns but rotation is {Q.dim} x {Q.dim}"
-        )
-    return BasisMatrix(Y.data @ Q.data, "rotated", truth=Y.truth)
+def apply_rotation(Y: BasisMatrix, Q: np.ndarray) -> BasisMatrix:
+    """Right-multiply the basis by the n x n matrix Q; the column span is
+    unchanged when Q is orthogonal."""
+    n = Y.data.shape[1]
+    if Q.shape != (n, n):
+        raise ValueError(f"basis has {n} columns but rotation is {Q.shape}")
+    return BasisMatrix(Y.data @ Q, "rotated", truth=Y.truth)
 
 
 def orthonormalize(Y: BasisMatrix) -> BasisMatrix:
@@ -244,26 +223,30 @@ def orthonormalize(Y: BasisMatrix) -> BasisMatrix:
     return BasisMatrix(Q * signs, "orthonormal", truth=Y.truth)
 
 
-def sample_detection_pair(
-    N: int,
-    n: int,
-    rho: float,
-    seed: SeedSpec | int,
-    which: str,
-) -> BasisMatrix:
-    """One detection instance: "null" gives i.i.d. N(0, 1/N) entries, "planted"
-    gives Y @ Q with v ~ BR(N, rho) and Haar Q (ground truth attached)."""
+def _check_instance_params(N: int, n: int, rho: float) -> None:
+    """Domain of the composite samplers: 1 <= n <= N and rho in (0, 1]."""
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    spec = SeedSpec.coerce(seed)
+
+
+def sample_detection_pair(
+    N: int,
+    n: int,
+    rho: float,
+    seed: SeedSpec,
+    which: str,
+) -> BasisMatrix:
+    """One detection instance: "null" gives i.i.d. N(0, 1/N) entries, "planted"
+    gives Y @ Q with v ~ BR(N, rho) and Haar Q (ground truth attached)."""
+    if which == "planted":
+        return sample_rotated_instance(N, n, rho, seed)
     if which == "null":
-        rng = spec.generator(_LANE_NULL)
+        _check_instance_params(N, n, rho)
+        rng = seed.generator(_LANE_NULL)
         data = rng.normal(scale=1.0 / np.sqrt(N), size=(N, n))
         return BasisMatrix(data, "null", truth=None)
-    if which == "planted":
-        return sample_rotated_instance(N, n, rho, spec)
     raise ValueError(f"which must be 'null' or 'planted', got {which!r}")
 
 
@@ -271,14 +254,14 @@ def sample_rotated_instance(
     N: int,
     n: int,
     rho: float,
-    seed: SeedSpec | int,
+    seed: SeedSpec,
     normalize: bool = False,
 ) -> BasisMatrix:
     """Gaussian-basis observation Y @ Q with v ~ BR(N, rho) and Haar Q."""
-    spec = SeedSpec.coerce(seed)
-    v = _br_from_rng(spec.generator(_LANE_VECTOR), N, rho, normalize)
-    Y = _basis_from_rng(spec.generator(_LANE_BASIS), v, n)
-    Q = _haar_from_rng(spec.generator(_LANE_ROTATION), n)
+    _check_instance_params(N, n, rho)
+    v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize)
+    Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
+    Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
     return apply_rotation(Y, Q)
 
 
@@ -286,7 +269,7 @@ def sample_orthonormal_instance(
     N: int,
     n: int,
     rho: float,
-    seed: SeedSpec | int,
+    seed: SeedSpec,
     extra_rotation: bool = False,
 ) -> BasisMatrix:
     """Orthonormal-basis observation for a unit planted vector v'/||v'||,
@@ -296,13 +279,13 @@ def sample_orthonormal_instance(
     emulate an arbitrary orthonormal basis of the same span; the estimator is
     invariant to this choice.
     """
-    spec = SeedSpec.coerce(seed)
-    v = _br_from_rng(spec.generator(_LANE_VECTOR), N, rho, normalize=True)
-    Y = _basis_from_rng(spec.generator(_LANE_BASIS), v, n)
+    _check_instance_params(N, n, rho)
+    v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=True)
+    Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
     Yhat = orthonormalize(Y)
     if extra_rotation:
-        Q = _haar_from_rng(spec.generator(_LANE_ROTATION), n)
-        Yhat = BasisMatrix(Yhat.data @ Q.data, "orthonormal", truth=v)
+        Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
+        Yhat = BasisMatrix(Yhat.data @ Q, "orthonormal", truth=v)
     return Yhat
 
 

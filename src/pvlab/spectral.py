@@ -20,9 +20,7 @@ import numpy as np
 from .model_gen import BasisMatrix, PlantedVector
 
 __all__ = [
-    "SpectralStatistic",
     "SpectralResult",
-    "RecoveryOutput",
     "ErrorReport",
     "build_statistic",
     "leading_eigenpair",
@@ -36,29 +34,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SpectralStatistic:
-    """The n x n symmetric statistic built from an observed basis."""
-
-    matrix: np.ndarray
-    centered: bool
-
-
-@dataclass(frozen=True)
 class SpectralResult:
-    """Leading eigenpair of the statistic and the induced vector estimate."""
+    """The statistic M, its leading eigenvalue and gap, and the lift Y_obs @ u."""
 
-    statistic: SpectralStatistic
+    statistic: np.ndarray
     leading_value: float
-    leading_vector: np.ndarray
     raw_estimate: np.ndarray
     gap: float
-
-
-@dataclass(frozen=True)
-class RecoveryOutput:
-    """Thresholded recovery of the planted vector from a raw estimate."""
-
-    recovered: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,8 +61,8 @@ def _as_matrix(Y_obs: BasisMatrix | np.ndarray) -> np.ndarray:
 
 def build_statistic(
     Y_obs: BasisMatrix | np.ndarray, centered: bool = True
-) -> SpectralStatistic:
-    """Accumulate the degree-4 statistic from the rows of the observation.
+) -> np.ndarray:
+    """Accumulate the degree-4 statistic M from the rows of the observation.
 
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
@@ -91,13 +73,10 @@ def build_statistic(
     M = (Y * weights[:, None]).T @ Y
     if centered:
         M -= (3.0 / N) * np.eye(n)
-    M = 0.5 * (M + M.T)
-    return SpectralStatistic(M, centered=centered)
+    return 0.5 * (M + M.T)
 
 
-def leading_eigenpair(
-    M: SpectralStatistic | np.ndarray,
-) -> tuple[float, np.ndarray, float]:
+def leading_eigenpair(M: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Eigenpair of largest |eigenvalue| plus the singular-value gap.
 
     Returns (lambda, u, gap) where gap is the difference between the largest
@@ -106,8 +85,7 @@ def leading_eigenpair(
     toward the positive one, and u is canonicalized so its largest-magnitude
     coordinate is positive.
     """
-    A = M.matrix if isinstance(M, SpectralStatistic) else np.asarray(M, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(A)
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(M, dtype=float))
     lo, hi = eigvals[0], eigvals[-1]
     idx = -1 if abs(hi) >= abs(lo) else 0
     lam = float(eigvals[idx])
@@ -128,23 +106,22 @@ def estimate_direction(
 ) -> SpectralResult:
     """Build the statistic, take its leading eigenpair, and lift the
     eigenvector back to observation space via Y_obs @ u."""
-    stat = build_statistic(Y_obs, centered=centered)
-    lam, u, gap = leading_eigenpair(stat)
-    return SpectralResult(stat, lam, u, _as_matrix(Y_obs) @ u, gap)
+    M = build_statistic(Y_obs, centered=centered)
+    lam, u, gap = leading_eigenpair(M)
+    return SpectralResult(M, lam, _as_matrix(Y_obs) @ u, gap)
 
 
-def recover_gaussian_rule(raw: np.ndarray, rho: float) -> RecoveryOutput:
+def recover_gaussian_rule(raw: np.ndarray, rho: float) -> np.ndarray:
     """Threshold at 0.5/sqrt(N*rho) and snap surviving entries to
     +-1/sqrt(N*rho).  Needs the sparsity rho."""
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     raw = np.asarray(raw, dtype=float)
     magnitude = 1.0 / np.sqrt(raw.size * rho)
-    recovered = np.where(np.abs(raw) >= 0.5 * magnitude, np.sign(raw) * magnitude, 0.0)
-    return RecoveryOutput(recovered)
+    return np.where(np.abs(raw) >= 0.5 * magnitude, np.sign(raw) * magnitude, 0.0)
 
 
-def recover_orthonormal_rule(raw: np.ndarray) -> RecoveryOutput:
+def recover_orthonormal_rule(raw: np.ndarray) -> np.ndarray:
     """Keep entries within a factor 0.5 of the largest |entry|, take their
     signs, and normalize.  Does not use the sparsity rho."""
     raw = np.asarray(raw, dtype=float)
@@ -152,8 +129,7 @@ def recover_orthonormal_rule(raw: np.ndarray) -> RecoveryOutput:
     if peak == 0.0:
         raise ValueError("cannot threshold an all-zero estimate")
     vhat = np.sign(raw) * (np.abs(raw) >= 0.5 * peak)
-    vhat /= np.linalg.norm(vhat)
-    return RecoveryOutput(vhat)
+    return vhat / np.linalg.norm(vhat)
 
 
 def signs_match(recovered: np.ndarray, truth: np.ndarray) -> bool:
@@ -168,7 +144,7 @@ def signs_match(recovered: np.ndarray, truth: np.ndarray) -> bool:
 def score(
     estimate: np.ndarray,
     truth: PlantedVector | np.ndarray,
-    recovery: RecoveryOutput | None = None,
+    recovered: np.ndarray | None = None,
 ) -> ErrorReport:
     """Score an estimate against the planted vector.
 
@@ -176,7 +152,8 @@ def score(
     product is broken by canonicalizing the estimate itself, so the report is
     exactly invariant under a sign flip of the estimate).  The entrywise
     metric weights coordinate j by |v_j| + 1/sqrt(N).  exact_match is filled
-    from `recovery` when given, via support-and-sign comparison.
+    from the thresholded vector `recovered` when given, via support-and-sign
+    comparison.
     """
     v = truth.entries if isinstance(truth, PlantedVector) else np.asarray(truth)
     est = np.asarray(estimate, dtype=float)
@@ -194,13 +171,10 @@ def score(
     diff = aligned - v
     N = v.size
     weights = np.abs(v) + 1.0 / np.sqrt(N)
-    exact = None
-    if recovery is not None:
-        exact = signs_match(recovery.recovered, v)
     return ErrorReport(
         l2_error=float(np.linalg.norm(diff)),
         entrywise_max_weighted=float(np.max(np.abs(diff) / weights)),
-        exact_match=exact,
+        exact_match=None if recovered is None else signs_match(recovered, v),
         sign_used=s,
     )
 

@@ -49,7 +49,7 @@ class TestSpectralNormTest:
         out = spectral_norm_test(obs, 0.5)
         from pvlab.spectral import build_statistic
 
-        M = build_statistic(obs).matrix
+        M = build_statistic(obs)
         assert out.statistic_value == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
 
 

@@ -83,6 +83,9 @@ class TestConfig:
             {"trials": 0},
             {"model": "fourier"},
             {"tasks": ("recover", "transmute")},
+            {"seed": -1},
+            {"D": -2},
+            {"rhos": [1e-10, 2e-10]},
         ],
     )
     def test_invalid_values_rejected(self, bad):

@@ -118,16 +118,16 @@ class TestGaussianBasis:
 
 class TestHaarRotation:
     def test_orthogonality(self):
-        Q = sample_haar_rotation(3, SeedSpec(20)).data
+        Q = sample_haar_rotation(3, SeedSpec(20))
         assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-10
 
     def test_determinant_is_unit(self):
         for t in range(5):
-            Q = sample_haar_rotation(4, SeedSpec(21, t)).data
+            Q = sample_haar_rotation(4, SeedSpec(21, t))
             assert abs(abs(np.linalg.det(Q)) - 1.0) <= 1e-8
 
     def test_n_equals_one_is_sign(self):
-        vals = {float(sample_haar_rotation(1, SeedSpec(22, t)).data[0, 0]) for t in range(40)}
+        vals = {float(sample_haar_rotation(1, SeedSpec(22, t))[0, 0]) for t in range(40)}
         assert vals == {1.0, -1.0}
 
     def test_first_column_mean(self):
@@ -135,7 +135,7 @@ class TestHaarRotation:
         n, draws = 3, 10**4
         acc = np.zeros(n)
         for t in range(draws):
-            acc += sample_haar_rotation(n, SeedSpec(23, t)).data[:, 0]
+            acc += sample_haar_rotation(n, SeedSpec(23, t))[:, 0]
         assert np.all(np.abs(acc / draws) <= 4.0 / np.sqrt(draws * n))
 
     def test_rotated_vector_coordinate_variance(self):
@@ -143,7 +143,7 @@ class TestHaarRotation:
         n, draws = 3, 10**4
         first = np.empty(draws)
         for t in range(draws):
-            first[t] = sample_haar_rotation(n, SeedSpec(24, t)).data[0, 0]
+            first[t] = sample_haar_rotation(n, SeedSpec(24, t))[0, 0]
         var = np.var(first)
         # Var(u_1^2) = 3/(n(n+2)) - 1/n^2 for a uniform unit vector
         se = np.sqrt((3.0 / (n * (n + 2)) - 1.0 / n**2) / draws)
@@ -152,11 +152,9 @@ class TestHaarRotation:
 
 class TestApplyRotation:
     def test_identity_rotation(self):
-        from pvlab.model_gen import RotationMatrix
-
         v = sample_br_vector(30, 0.5, SeedSpec(25))
         Y = sample_gaussian_basis(v, 4, SeedSpec(26))
-        out = apply_rotation(Y, RotationMatrix(np.eye(4)))
+        out = apply_rotation(Y, np.eye(4))
         assert np.array_equal(out.data, Y.data)
         assert out.kind == "rotated"
 
@@ -268,6 +266,25 @@ class TestModelInstances:
         P1 = plain.data @ plain.data.T
         P2 = rotated.data @ rotated.data.T
         assert np.max(np.abs(P1 - P2)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            sample_rotated_instance,
+            sample_orthonormal_instance,
+            lambda N, n, rho, seed: sample_detection_pair(N, n, rho, seed, "null"),
+            lambda N, n, rho, seed: sample_detection_pair(N, n, rho, seed, "planted"),
+        ],
+        ids=["rotated", "orthonormal", "null", "planted"],
+    )
+    @pytest.mark.parametrize(
+        "N, n, rho",
+        [(5, 10, 0.5), (5, 0, 0.5), (5, 2, 0.0), (5, 2, 1.5)],
+        ids=["n_above_N", "n_zero", "rho_zero", "rho_above_one"],
+    )
+    def test_rejects_out_of_domain(self, sample, N, n, rho):
+        with pytest.raises(ValueError):
+            sample(N, n, rho, SeedSpec(51))
 
 
 class TestSerialization:

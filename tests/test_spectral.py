@@ -28,30 +28,30 @@ class TestBuildStatistic:
     def test_scalar_hand_value(self):
         # N=1, n=1, Y=[1]: (1 - 0) * 1 - 3/1 = -2
         M = build_statistic(np.array([[1.0]]))
-        assert M.matrix[0, 0] == pytest.approx(-2.0, abs=1e-15)
+        assert M[0, 0] == pytest.approx(-2.0, abs=1e-15)
 
     def test_single_column_is_l4_minus_center(self):
         v = sample_br_vector(50, 0.4, SeedSpec(1), normalize=True)
         M = build_statistic(v.entries[:, None])
         expected = np.sum(v.entries**4) - 3.0 / 50
-        assert M.matrix[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert M[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_centered_vs_uncentered_differ_by_identity(self):
         obs = sample_rotated_instance(300, 6, 0.2, SeedSpec(2))
-        a = build_statistic(obs, centered=True).matrix
-        b = build_statistic(obs, centered=False).matrix
+        a = build_statistic(obs, centered=True)
+        b = build_statistic(obs, centered=False)
         assert np.allclose(b - a, (3.0 / 300) * np.eye(6), atol=1e-15)
 
     def test_symmetry(self):
         obs = sample_rotated_instance(500, 12, 0.1, SeedSpec(3))
-        M = build_statistic(obs).matrix
+        M = build_statistic(obs)
         assert np.max(np.abs(M - M.T)) <= 1e-12
 
     def test_spectrum_rotation_invariance(self):
         obs = sample_rotated_instance(400, 10, 0.1, SeedSpec(4))
         Q = sample_haar_rotation(10, SeedSpec(5))
-        before = np.linalg.eigvalsh(build_statistic(obs).matrix)
-        after = np.linalg.eigvalsh(build_statistic(apply_rotation(obs, Q)).matrix)
+        before = np.linalg.eigvalsh(build_statistic(obs))
+        after = np.linalg.eigvalsh(build_statistic(apply_rotation(obs, Q)))
         assert np.max(np.abs(before - after)) <= 1e-8
 
 
@@ -80,8 +80,8 @@ class TestLeadingEigenpair:
         obs = sample_rotated_instance(1000, 15, 0.05, SeedSpec(6))
         stat = build_statistic(obs)
         lam, u, _ = leading_eigenpair(stat)
-        norm = np.max(np.abs(np.linalg.eigvalsh(stat.matrix)))
-        assert np.linalg.norm(stat.matrix @ u - lam * u) <= 1e-8 * norm
+        norm = np.max(np.abs(np.linalg.eigvalsh(stat)))
+        assert np.linalg.norm(stat @ u - lam * u) <= 1e-8 * norm
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
 
     def test_easy_instance_positive_lambda(self):
@@ -124,29 +124,29 @@ class TestRecoveryRules:
     def test_gaussian_rule_fixed_point(self):
         v = sample_br_vector(100, 0.2, SeedSpec(11))
         out = recover_gaussian_rule(v.entries, 0.2)
-        assert np.array_equal(out.recovered, v.entries)
+        assert np.array_equal(out, v.entries)
 
     def test_gaussian_rule_zero_input(self):
         out = recover_gaussian_rule(np.zeros(10), 0.5)
-        assert np.all(out.recovered == 0)
+        assert np.all(out == 0)
 
     def test_gaussian_rule_tolerates_small_noise(self):
         v = sample_br_vector(200, 0.1, SeedSpec(12))
         a = 1.0 / np.sqrt(200 * 0.1)
         noise = SeedSpec(13).generator().uniform(-0.4 * a, 0.4 * a, size=200)
         out = recover_gaussian_rule(v.entries + noise, 0.1)
-        assert np.array_equal(out.recovered, v.entries)
+        assert np.array_equal(out, v.entries)
 
     def test_orthonormal_rule_small_entries_dropped(self):
         out = recover_orthonormal_rule(np.array([1.0, -1.0, 0.2]))
-        assert np.allclose(out.recovered, np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
+        assert np.allclose(out, np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
 
     def test_orthonormal_rule_scale_invariant(self):
         v = sample_br_vector(100, 0.3, SeedSpec(14), normalize=True)
         for c in (2.0, -0.001, 1e6):
             out = recover_orthonormal_rule(c * v.entries)
-            assert signs_match(out.recovered, v.entries)
-            assert np.linalg.norm(out.recovered) == pytest.approx(1.0)
+            assert signs_match(out, v.entries)
+            assert np.linalg.norm(out) == pytest.approx(1.0)
 
     def test_orthonormal_rule_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ class TestRecoveryRules:
             obs = sample_orthonormal_instance(4000, 20, 0.02, SeedSpec(15, t))
             res = estimate_direction(obs)
             out = recover_orthonormal_rule(res.raw_estimate)
-            hits += signs_match(out.recovered, obs.truth.entries)
+            hits += signs_match(out, obs.truth.entries)
         assert hits >= 18
 
 
