@@ -42,7 +42,6 @@ from .detection import (
 )
 from .lowdeg import (
     AdvantageBreakdown,
-    HermiteEvaluator,
     advantage,
     advantage_bruteforce,
     composition_sum,

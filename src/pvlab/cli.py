@@ -168,7 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # an out-of-domain value, e.g. n > N or rho < 1e-6
+        print(f"error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR_EXIT
 
 
 if __name__ == "__main__":

@@ -17,13 +17,14 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .model_gen import SeedSpec
 from .spectral import estimate_direction
-from .detection import decide, recover, sample_observation
+from .detection import DEFAULT_C1, decide, recover, sample_observation
 from .lowdeg import advantage
 
 __all__ = [
@@ -59,12 +60,19 @@ class SweepConfig:
     D: int = 8
     seed: int = 0
     out: str | None = None
-    c1: float = 0.05
     collect_timing: bool = False
 
     def __post_init__(self):
         if not self.Ns or not self.ns or not self.rhos:
             raise ValueError("Ns, ns, and rhos must all be nonempty")
+        for name in ("trials", "D", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("Ns", "ns"):
+            if not all(_is_int(x) for x in getattr(self, name)):
+                raise ValueError(f"{name} entries must be integers, got {getattr(self, name)!r}")
+        if not all(isinstance(r, numbers.Real) and not isinstance(r, bool) for r in self.rhos):
+            raise ValueError(f"rhos entries must be real numbers, got {self.rhos!r}")
         if any(N < 1 for N in self.Ns) or any(n < 1 for n in self.ns):
             raise ValueError("grid values must be positive")
         if any(not 0 < r <= 1 for r in self.rhos):
@@ -130,6 +138,10 @@ class SweepRecord:
     elapsed_ms: float | None = None
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _rho_key(rho: float) -> int:
     """rho in fixed-point nanounits, as it enters the stream hash."""
     return round(rho * 1_000_000_000)
@@ -184,7 +196,7 @@ def _run_unit(
         if task == "advantage":
             return dict(success=True, adv=cell_advantage().adv)
         null_out, planted_out = (  # task is "detect_" + the test kind
-            decide(task.removeprefix("detect_"), estimate(model)[0], rho, config.c1)
+            decide(task.removeprefix("detect_"), estimate(model)[0], rho, DEFAULT_C1)
             for model in ("null", "gaussian")
         )
         return dict(

@@ -30,10 +30,12 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "HermiteEvaluator",
     "DegreeContribution",
     "AdvantageBreakdown",
+    "hermite_values",
     "hermite_eval",
+    "monic_hermite_coefficients",
+    "gaussian_product_moment",
     "hermite_moment",
     "hermite_moment_br",
     "sphere_moment",
@@ -44,8 +46,6 @@ __all__ = [
     "count_admissible",
 ]
 
-DEFAULT_MAX_DEGREE = 64
-
 # Smallest sparsity the advantage computation accepts; below this the
 # Bernoulli-Rademacher atoms at +-1/sqrt(rho) leave double precision.
 MIN_RHO = 1e-6
@@ -53,89 +53,82 @@ MIN_RHO = 1e-6
 _RESCALE_LIMIT = 1e250
 
 
-class HermiteEvaluator:
-    """Orthonormal Hermite polynomials h_k, normalized so that
-    E[h_j(z) h_k(z)] = delta_jk under z ~ N(0, 1).
+def _hermite_scaled(z: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """h_0(z), ..., h_k_max(z) in one recurrence pass, as mantissas and
+    power-of-two exponents: h_k(z) = ldexp(mantissa[k], exponent[k]).
 
-    h_0(z) = 1, h_1(z) = z, and the normalized three-term recurrence
-    h_{k+1}(z) = (z h_k(z) - sqrt(k) h_{k-1}(z)) / sqrt(k+1).  The running
-    pair is rescaled by powers of two when it approaches overflow, so values
-    stay accurate for large |z| with the magnitude carried in the exponent.
+    h_k are the orthonormal Hermite polynomials, E[h_j(z) h_k(z)] = delta_jk
+    under z ~ N(0, 1): h_0(z) = 1, h_1(z) = z, and the normalized three-term
+    recurrence h_{k+1}(z) = (z h_k(z) - sqrt(k) h_{k-1}(z)) / sqrt(k+1).  The
+    running pair is rescaled by powers of two when it approaches overflow, so
+    values stay accurate for large |z| with the magnitude in the exponent.
     """
+    if k_max < 0:
+        raise ValueError(f"degree must be >= 0, got {k_max}")
+    out = np.empty(k_max + 1)
+    exponents = np.zeros(k_max + 1, dtype=int)
+    prev, cur = 0.0, 1.0
+    scale_exp = 0
+    out[0] = 1.0
+    for k in range(k_max):
+        prev, cur = cur, (z * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
+        if abs(cur) > _RESCALE_LIMIT:
+            prev = math.ldexp(prev, -512)
+            cur = math.ldexp(cur, -512)
+            scale_exp += 512
+        out[k + 1] = cur
+        exponents[k + 1] = scale_exp
+    return out, exponents
 
-    def __init__(self, max_degree: int = DEFAULT_MAX_DEGREE):
-        if max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-        self.max_degree = max_degree
-        self._sqrt = np.sqrt(np.arange(max_degree + 2, dtype=float))
 
-    def _scaled_values(
-        self, z: float, upto: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """h_0(z), ..., h_upto(z) in one recurrence pass, as mantissas and
-        power-of-two exponents: h_k(z) = ldexp(mantissa[k], exponent[k])."""
-        k_max = self.max_degree if upto is None else upto
-        if not 0 <= k_max <= self.max_degree:
-            raise ValueError(f"degree {k_max} beyond configured max {self.max_degree}")
-        out = np.empty(k_max + 1)
-        exponents = np.zeros(k_max + 1, dtype=int)
-        prev, cur = 0.0, 1.0
-        scale_exp = 0
-        out[0] = 1.0
-        for k in range(k_max):
-            prev, cur = cur, (z * cur - self._sqrt[k] * prev) / self._sqrt[k + 1]
-            if abs(cur) > _RESCALE_LIMIT:
-                prev = math.ldexp(prev, -512)
-                cur = math.ldexp(cur, -512)
-                scale_exp += 512
-            out[k + 1] = cur
-            exponents[k + 1] = scale_exp
-        return out, exponents
+def hermite_values(z: float, k_max: int) -> np.ndarray:
+    """h_0(z), ..., h_k_max(z); raises OverflowError beyond double range."""
+    mantissas, exponents = _hermite_scaled(z, k_max)
+    return np.array([math.ldexp(m, int(e)) for m, e in zip(mantissas, exponents)])
 
-    def all_values(self, z: float, upto: int | None = None) -> np.ndarray:
-        """h_0(z), ..., h_upto(z); raises OverflowError beyond double range."""
-        mantissas, exponents = self._scaled_values(z, upto)
-        return np.array([math.ldexp(m, int(e)) for m, e in zip(mantissas, exponents)])
 
-    def eval(self, k: int, z: float) -> float:
-        """Value of h_k at z."""
-        return float(self.all_values(z, upto=k)[k])
+def hermite_eval(k: int, z: float) -> float:
+    """Orthonormal Hermite polynomial h_k at z."""
+    return float(hermite_values(z, k)[k])
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def monic_coefficients(k: int) -> tuple[int, ...]:
-        """Integer coefficients (ascending powers) of the monic Hermite
-        polynomial; h_k is the monic polynomial divided by sqrt(k!)."""
-        if k == 0:
-            return (1,)
-        if k == 1:
-            return (0, 1)
-        prev2 = HermiteEvaluator.monic_coefficients(k - 2)
-        prev1 = HermiteEvaluator.monic_coefficients(k - 1)
-        out = [0] * (k + 1)
-        for power, c in enumerate(prev1):
-            out[power + 1] += c
-        for power, c in enumerate(prev2):
-            out[power] -= (k - 1) * c
-        return tuple(out)
 
-    def gaussian_product_moment(self, j: int, k: int) -> float:
-        """E[h_j(z) h_k(z)] for z ~ N(0,1), by exact integration of the
-        coefficient products against the Gaussian moments (m-1)!!.
+@lru_cache(maxsize=None)
+def monic_hermite_coefficients(k: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending powers) of the monic Hermite
+    polynomial; h_k is the monic polynomial divided by sqrt(k!)."""
+    if k < 0:
+        raise ValueError(f"degree must be >= 0, got {k}")
+    if k == 0:
+        return (1,)
+    if k == 1:
+        return (0, 1)
+    prev2 = monic_hermite_coefficients(k - 2)
+    prev1 = monic_hermite_coefficients(k - 1)
+    out = [0] * (k + 1)
+    for power, c in enumerate(prev1):
+        out[power + 1] += c
+    for power, c in enumerate(prev2):
+        out[power] -= (k - 1) * c
+    return tuple(out)
 
-        Independent of the recurrence evaluation path; equals delta_jk.
-        """
-        cj = self.monic_coefficients(j)
-        ck = self.monic_coefficients(k)
-        total = 0
-        for r, a in enumerate(cj):
-            if a == 0:
+
+def gaussian_product_moment(j: int, k: int) -> float:
+    """E[h_j(z) h_k(z)] for z ~ N(0,1), by exact integration of the
+    coefficient products against the Gaussian moments (m-1)!!.
+
+    Independent of the recurrence evaluation path; equals delta_jk.
+    """
+    cj = monic_hermite_coefficients(j)
+    ck = monic_hermite_coefficients(k)
+    total = 0
+    for r, a in enumerate(cj):
+        if a == 0:
+            continue
+        for s, b in enumerate(ck):
+            if b == 0 or (r + s) % 2:
                 continue
-            for s, b in enumerate(ck):
-                if b == 0 or (r + s) % 2:
-                    continue
-                total += a * b * _double_factorial(r + s - 1)
-        return total / math.sqrt(math.factorial(j) * math.factorial(k))
+            total += a * b * _double_factorial(r + s - 1)
+    return total / math.sqrt(math.factorial(j) * math.factorial(k))
 
 
 def _double_factorial(m: int) -> int:
@@ -147,28 +140,13 @@ def _double_factorial(m: int) -> int:
     return out
 
 
-_default_evaluator = HermiteEvaluator(DEFAULT_MAX_DEGREE)
-
-
-def hermite_eval(k: int, z: float) -> float:
-    """Orthonormal Hermite polynomial h_k at z (k up to the default max)."""
-    return _default_evaluator.eval(k, z)
-
-
-def hermite_moment(
-    k: int,
-    atoms: list[tuple[float, float]],
-    evaluator: HermiteEvaluator | None = None,
-) -> float:
+def hermite_moment(k: int, atoms: list[tuple[float, float]]) -> float:
     """E[h_k(x)] for a finite-support distribution given as (value, prob)
     atoms.  Exact up to the evaluation of h_k at each atom."""
-    ev = evaluator or _default_evaluator
-    return float(sum(p * ev.eval(k, x) for x, p in atoms))
+    return float(sum(p * hermite_eval(k, x) for x, p in atoms))
 
 
-def hermite_moment_br(
-    k: int, rho: float, evaluator: HermiteEvaluator | None = None
-) -> float:
+def hermite_moment_br(k: int, rho: float) -> float:
     """E[h_k(x)] for the three-atom Bernoulli-Rademacher variable with
     P{x = 0} = 1 - rho and P{x = +-1/sqrt(rho)} = rho/2.
 
@@ -178,9 +156,8 @@ def hermite_moment_br(
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     if k % 2:
         return 0.0
-    ev = evaluator or _default_evaluator
     a = 1.0 / math.sqrt(rho)
-    return (1.0 - rho) * ev.eval(k, 0.0) + rho * ev.eval(k, a)
+    return (1.0 - rho) * hermite_eval(k, 0.0) + rho * hermite_eval(k, a)
 
 
 def log_sphere_moment(n: int, d: int) -> float:
@@ -232,9 +209,8 @@ def _log_squared_moments(rho: float, D: int) -> list[float]:
 
     Each moment is summed at the atom's power-of-two scale, so an h_k beyond
     double range still has an exact log."""
-    ev = HermiteEvaluator(max(D, 1))
-    at_zero = ev.all_values(0.0, upto=D)  # |h_k(0)| <= 1, never rescaled
-    at_atom, exponents = ev._scaled_values(1.0 / math.sqrt(rho), upto=D)
+    at_zero = hermite_values(0.0, D)  # |h_k(0)| <= 1, never rescaled
+    at_atom, exponents = _hermite_scaled(1.0 / math.sqrt(rho), D)
     moments = (1.0 - rho) * np.ldexp(at_zero, -exponents) + rho * at_atom
     moments[1::2] = 0.0
     with np.errstate(divide="ignore"):
@@ -358,8 +334,7 @@ def advantage_bruteforce(N: int, n: int, rho: float, D: int) -> float:
         raise ValueError(f"need N, n >= 1 and D >= 0, got N={N}, n={n}, D={D}")
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    ev = HermiteEvaluator(max(D, 1))
-    sq = np.array([hermite_moment_br(k, rho, ev) for k in range(D + 1)]) ** 2
+    sq = np.array([hermite_moment_br(k, rho) for k in range(D + 1)]) ** 2
     sphere = np.array([sphere_moment(n, d) for d in range(D + 1)])
     grids = np.stack(np.meshgrid(*([np.arange(D + 1)] * N), indexing="ij"))
     alphas = grids.reshape(N, -1)
@@ -371,16 +346,8 @@ def advantage_bruteforce(N: int, n: int, rho: float, D: int) -> float:
 
 def count_admissible(N: int, d: int, m: int) -> int:
     """|A(d, m)|: multi-indices in N^N with total degree d, support size m,
-    and every nonzero entry even and >= 4.  Exact integer count."""
-
-    @lru_cache(maxsize=None)
-    def comps(rem: int, parts: int) -> int:
-        if parts == 0:
-            return 1 if rem == 0 else 0
-        return sum(
-            comps(rem - a, parts - 1) for a in range(4, rem - 4 * (parts - 1) + 1, 2)
-        )
-
-    if m > N:
-        return 0
-    return math.comb(N, m) * comps(d, m)
+    and every nonzero entry even and >= 4.  C(N, m) supports times, by stars
+    and bars on a_i/2 - 2 >= 0, C(d/2 - m - 1, m - 1) compositions."""
+    if m < 1 or m > N or d % 2 or d < 4 * m:
+        return int(d == m == 0)  # m = 0 leaves only the all-zero multi-index
+    return math.comb(N, m) * math.comb(d // 2 - m - 1, m - 1)

@@ -139,3 +139,20 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+class TestOutOfDomain:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--N", "5", "--n", "10", "--rho", "0.5"],
+            ["estimate", "--N", "5", "--n", "10", "--rho", "0.5"],
+            ["detect", "--N", "5", "--n", "10", "--rho", "0.5", "--trials", "1"],
+            ["advantage", "--N", "5", "--n", "2", "--rho", "1e-9", "--D", "4"],
+        ],
+    )
+    def test_out_of_domain_value_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

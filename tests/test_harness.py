@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from pvlab import cli, detection, harness, lowdeg, model_gen, spectral
-from pvlab.detection import detect_via_estimation, spectral_norm_test
+from pvlab.detection import DEFAULT_C1, detect_via_estimation, spectral_norm_test
 from pvlab.harness import (
     CSV_HEADER,
     SweepConfig,
@@ -86,6 +86,14 @@ class TestConfig:
             {"seed": -1},
             {"D": -2},
             {"rhos": [1e-10, 2e-10]},
+            {"seed": 1.5},
+            {"seed": True},
+            {"trials": 2.5},
+            {"D": 8.0},
+            {"Ns": [200.0]},
+            {"ns": [4, "4"]},
+            {"rhos": ["0.1"]},
+            {"rhos": [True]},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -194,9 +202,9 @@ def task_by_task(cfg):
                     null = sample_detection_pair(N, n, rho, seed, "null")
                     planted = sample_detection_pair(N, n, rho, seed, "planted")
                     if task == "detect_spectral":
-                        outs = [spectral_norm_test(obs, rho, cfg.c1) for obs in (null, planted)]
+                        outs = [spectral_norm_test(obs, rho, DEFAULT_C1) for obs in (null, planted)]
                     else:
-                        outs = [detect_via_estimation(obs, cfg.c1) for obs in (null, planted)]
+                        outs = [detect_via_estimation(obs, DEFAULT_C1) for obs in (null, planted)]
                     records.append(SweepRecord(
                         *head,
                         success=outs[0].decision == "null" and outs[1].decision == "planted",

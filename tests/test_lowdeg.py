@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from pvlab.lowdeg import (
-    HermiteEvaluator,
     advantage,
     advantage_bruteforce,
     composition_sum,
     count_admissible,
+    gaussian_product_moment,
     hermite_eval,
     hermite_moment,
     hermite_moment_br,
+    hermite_values,
     log_sphere_moment,
+    monic_hermite_coefficients,
     sphere_moment,
 )
 
@@ -30,35 +32,33 @@ class TestHermiteEval:
         assert hermite_eval(4, 0.0) == pytest.approx(3.0 / math.sqrt(24), rel=1e-12)
 
     def test_degree_guard(self):
-        ev = HermiteEvaluator(max_degree=8)
         with pytest.raises(ValueError):
-            ev.eval(9, 0.0)
+            hermite_eval(-1, 0.0)
+        with pytest.raises(ValueError):
+            monic_hermite_coefficients(-1)
 
     def test_recurrence_matches_exact_coefficients(self):
         # the monic coefficients are exact integers; evaluating them in
         # integer arithmetic gives an independent reference
-        ev = HermiteEvaluator(max_degree=64)
         for k in (5, 12, 31, 64):
             for z in (0.5, -3.0, 17.0, 1000.0):
                 monic = sum(
                     c * int(z) ** r if z == int(z) else c * z**r
-                    for r, c in enumerate(HermiteEvaluator.monic_coefficients(k))
+                    for r, c in enumerate(monic_hermite_coefficients(k))
                 )
                 expected = float(monic) / math.sqrt(math.factorial(k))
-                assert ev.eval(k, z) == pytest.approx(expected, rel=1e-9)
+                assert hermite_eval(k, z) == pytest.approx(expected, rel=1e-9)
 
     def test_orthonormality_by_exact_integration(self):
-        ev = HermiteEvaluator()
         for j in range(13):
             for k in range(13):
                 target = 1.0 if j == k else 0.0
-                assert abs(ev.gaussian_product_moment(j, k) - target) <= 1e-8
+                assert abs(gaussian_product_moment(j, k) - target) <= 1e-8
 
     def test_all_values_consistent_with_eval(self):
-        ev = HermiteEvaluator(max_degree=20)
-        vals = ev.all_values(1.3)
+        vals = hermite_values(1.3, 20)
         for k in (0, 7, 20):
-            assert vals[k] == pytest.approx(ev.eval(k, 1.3), rel=1e-14)
+            assert vals[k] == pytest.approx(hermite_eval(k, 1.3), rel=1e-14)
 
 
 class TestHermiteMoments:
@@ -242,7 +242,7 @@ class TestAdvantage:
         # in exact integer arithmetic with the atom at 1/sqrt(rho) = 1000
         d, rho = 160, 1e-6
         b = advantage(1, 5, rho, d)
-        monic = HermiteEvaluator.monic_coefficients(d)
+        monic = monic_hermite_coefficients(d)
         at_atom = sum(c * 1000**r for r, c in enumerate(monic))
         moment = Fraction(10**6 - 1, 10**6) * monic[0] + Fraction(1, 10**6) * at_atom
         log_moment = (
@@ -270,3 +270,16 @@ class TestAdmissibleCount:
             for d in (4, 8, 12):
                 for m in range(1, d // 4 + 1):
                     assert count_admissible(N, d, m) <= N**m * d ** (d / 2)
+
+    def test_matches_exhaustive_enumeration(self):
+        # every alpha in {0..d}^N, counted by total degree and support size
+        # among those whose nonzero entries are all even and >= 4
+        for N in range(1, 5):
+            for d in range(17):
+                grids = np.meshgrid(*([np.arange(d + 1)] * N), indexing="ij")
+                alphas = np.stack(grids).reshape(N, -1)
+                allowed = np.all((alphas == 0) | ((alphas >= 4) & (alphas % 2 == 0)), axis=0)
+                keep = allowed & (alphas.sum(axis=0) == d)
+                support = np.count_nonzero(alphas[:, keep], axis=0)
+                for m in range(N + 2):
+                    assert count_admissible(N, d, m) == int(np.sum(support == m)), (N, d, m)

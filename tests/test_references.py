@@ -1,0 +1,43 @@
+"""Byte identity of default-seed sweeps against the committed references.
+
+The benchmark's `advantage_table` and `gauss_all_tasks` grids are run at the
+reference seed through `python -m pvlab.cli sweep` with one BLAS thread (the
+thread count the references were written with), and the CSV each prints must
+equal its file in `bench/references/` byte for byte.  `orth_recover_large`
+takes several seconds and is checked by the benchmark instead.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("name", ["advantage_table", "gauss_all_tasks"])
+def test_default_seed_sweep_matches_reference(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    config = workload.write_config(tmp_path / f"{name}.json", workloads.DEFAULT_SEED)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pvlab.cli", "sweep", "--config", str(config)],
+        capture_output=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == workload.reference.read_bytes()
