@@ -6,9 +6,7 @@ computation of the low-degree advantage, and a seeded sweep harness.
 """
 
 from .model_gen import (
-    BasisMatrix,
     DegenerateDrawError,
-    PlantedVector,
     RankDeficientError,
     SeedSpec,
     apply_rotation,

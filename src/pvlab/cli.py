@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import sys
@@ -24,55 +25,57 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stream", type=int, default=0, help="stream index (trial number)")
 
 
+def _output(path: str | None):
+    """The file at `path` opened for writing, or stdout (left open) if None."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _cmd_gen(args) -> int:
     seed = SeedSpec(args.seed, args.stream)
-    obs = sample_observation(args.model, args.N, args.n, args.rho, seed)
-    if args.out:
-        with open(args.out, "w") as f:
-            dump_instance(obs, args.rho, seed, f)
-    else:
-        dump_instance(obs, args.rho, seed, sys.stdout)
+    Y, _ = sample_observation(args.model, args.N, args.n, args.rho, seed)
+    with _output(args.out) as f:
+        dump_instance(Y, args.model, args.rho, seed, f)
     return 0
 
 
 def _cmd_estimate(args) -> int:
     seed = SeedSpec(args.seed, args.stream)
-    obs = sample_observation(args.model, args.N, args.n, args.rho, seed)
-    result = estimate_direction(obs, centered=not args.uncentered)
-    report = recover(args.model, result, obs.truth, args.rho)
+    Y, v = sample_observation(args.model, args.N, args.n, args.rho, seed)
+    result = estimate_direction(Y, centered=not args.uncentered)
+    report = recover(args.model, result, v, args.rho)
+    if args.dump_estimate:  # written first, so a bad path prints no result
+        with open(args.dump_estimate, "w") as f:
+            f.write("\n".join(repr(float(x)) for x in result.raw_estimate) + "\n")
     print(
         f"lambda={result.leading_value:.6e} gap={result.gap:.6e} "
         f"l2_error={report.l2_error:.6e} "
         f"entrywise_max_weighted={report.entrywise_max_weighted:.6e} "
         f"exact_match={int(bool(report.exact_match))}"
     )
-    if args.dump_estimate:
-        with open(args.dump_estimate, "w") as f:
-            f.write("\n".join(repr(float(x)) for x in result.raw_estimate) + "\n")
     return 0
 
 
 def _cmd_detect(args) -> int:
     rho = args.rho
     if args.plugin_rho:
-        probe = sample_observation("gaussian", args.N, args.n, rho, SeedSpec(args.seed))
+        probe, _ = sample_observation("gaussian", args.N, args.n, rho, SeedSpec(args.seed))
         est = estimate_direction(probe)
         rho = max(plugin_rho(est.raw_estimate), 1.0 / args.N)
         print(f"# plug-in rho estimate: {rho:.6g}", file=sys.stderr)
     report = error_rates(
         args.N, args.n, rho, args.c1, args.trials, args.test, SeedSpec(args.seed)
     )
-    print(
-        f"N={args.N} n={args.n} rho={args.rho} c1={args.c1} test={args.test} "
-        f"trials={report.trials} type_I={report.type_I:.4f} type_II={report.type_II:.4f}"
-    )
-    if args.csv:
+    if args.csv:  # written first, so a bad path prints no result
         row = (
             f"{args.N},{args.n},{args.rho!r},{args.c1!r},{args.test},"
             f"{report.trials},{report.type_I!r},{report.type_II!r}\n"
         )
         with open(args.csv, "a") as f:
             f.write(row)
+    print(
+        f"N={args.N} n={args.n} rho={args.rho} c1={args.c1} test={args.test} "
+        f"trials={report.trials} type_I={report.type_I:.4f} type_II={report.type_II:.4f}"
+    )
     return 0
 
 
@@ -94,13 +97,9 @@ def _cmd_sweep(args) -> int:
         return CONFIG_ERROR_EXIT
     if args.timing:
         config = dataclasses.replace(config, collect_timing=True)
-    records = harness.run_sweep(config, workers=args.workers)
-    csv_text = harness.records_to_csv(records)
-    if config.out:
-        with open(config.out, "w") as f:
-            f.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    with _output(config.out) as f:  # opened before the first unit runs
+        records = harness.run_sweep(config, workers=args.workers)
+        f.write(harness.records_to_csv(records))
     if args.summary:
         for cell in harness.summarize(records):
             print(
@@ -170,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # an out-of-domain value, e.g. n > N or rho < 1e-6
+    except (ValueError, OSError) as exc:  # e.g. n > N, rho < 1e-6, or an unopenable --out
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR_EXIT
 

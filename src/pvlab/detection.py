@@ -19,8 +19,6 @@ import numpy as np
 
 from .model_gen import (
     SeedSpec,
-    BasisMatrix,
-    PlantedVector,
     sample_detection_pair,
     sample_orthonormal_instance,
     sample_rotated_instance,
@@ -73,7 +71,7 @@ class ErrorRateReport:
     trials: int
 
 
-def spectral_norm_statistic(Y_obs: BasisMatrix | np.ndarray) -> float:
+def spectral_norm_statistic(Y_obs: np.ndarray) -> float:
     """Spectral norm of the centered statistic built from the observation."""
     return _spectral_norm(build_statistic(Y_obs, centered=True))
 
@@ -92,12 +90,11 @@ def spectral_norm_outcome(
 
 
 def spectral_norm_test(
-    Y_obs: BasisMatrix | np.ndarray, rho: float, c1: float = DEFAULT_C1
+    Y_obs: np.ndarray, rho: float, c1: float = DEFAULT_C1
 ) -> DetectionOutcome:
     """Spectral-norm detector; rho must be known (or plugged in by the
     caller, see plugin_rho)."""
-    Y = Y_obs.data if isinstance(Y_obs, BasisMatrix) else np.asarray(Y_obs)
-    return spectral_norm_outcome(spectral_norm_statistic(Y_obs), Y.shape[0], rho, c1)
+    return spectral_norm_outcome(spectral_norm_statistic(Y_obs), len(Y_obs), rho, c1)
 
 
 def l1l2_test(candidate: np.ndarray, c1: float = DEFAULT_C1) -> DetectionOutcome:
@@ -116,9 +113,7 @@ def l1l2_test(candidate: np.ndarray, c1: float = DEFAULT_C1) -> DetectionOutcome
     return DetectionOutcome(deviation, threshold, decision)
 
 
-def detect_via_estimation(
-    Y_obs: BasisMatrix | np.ndarray, c1: float = DEFAULT_C1
-) -> DetectionOutcome:
+def detect_via_estimation(Y_obs: np.ndarray, c1: float = DEFAULT_C1) -> DetectionOutcome:
     """Reduction pipeline: spectral estimate, then the l1/l2 test on the raw
     estimate (which lies in the observed column span by construction)."""
     result = estimate_direction(Y_obs)
@@ -127,9 +122,10 @@ def detect_via_estimation(
 
 def sample_observation(
     model: str, N: int, n: int, rho: float, seed: SeedSpec
-) -> BasisMatrix:
-    """One observation: "gaussian" (rotated Gaussian basis, also the planted
-    detection instance), "orth" (orthonormal basis) or "null" (pure noise)."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One observation and its planted vector (Y, v): "gaussian" (rotated
+    Gaussian basis, also the planted detection instance), "orth" (orthonormal
+    basis) or "null" (pure noise, v = None)."""
     if model == "gaussian":
         return sample_rotated_instance(N, n, rho, seed)
     if model == "orth":
@@ -140,7 +136,7 @@ def sample_observation(
 
 
 def recover(
-    model: str, result: SpectralResult, truth: PlantedVector, rho: float
+    model: str, result: SpectralResult, truth: np.ndarray, rho: float
 ) -> ErrorReport:
     """Threshold the raw estimate with the model's rule (the orthonormal rule
     ignores rho) and score it against the planted vector."""
@@ -180,10 +176,10 @@ def error_rates(
     missed = 0
     for t in range(trials):
         trial_seed = SeedSpec(seed.master_seed, seed.stream_index + t)
-        null = estimate_direction(sample_observation("null", N, n, rho, trial_seed))
+        null = estimate_direction(sample_observation("null", N, n, rho, trial_seed)[0])
         if decide(test_kind, null, rho, c1).decision == "planted":
             false_planted += 1
-        planted = estimate_direction(sample_observation("gaussian", N, n, rho, trial_seed))
+        planted = estimate_direction(sample_observation("gaussian", N, n, rho, trial_seed)[0])
         if decide(test_kind, planted, rho, c1).decision == "null":
             missed += 1
     return ErrorRateReport(

@@ -90,6 +90,10 @@ class SweepConfig:
         unknown = set(self.tasks) - set(TASKS)
         if unknown:
             raise ValueError(f"unknown tasks: {sorted(unknown)}")
+        if not self.tasks or len(set(self.tasks)) != len(self.tasks):
+            raise ValueError(f"tasks must be nonempty and distinct, got {list(self.tasks)}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
 
     @staticmethod
     def from_json(path: str) -> "SweepConfig":
@@ -180,8 +184,8 @@ def _run_unit(
 
     @functools.cache
     def estimate(model: str):
-        obs = sample_observation(model, N, n, rho, seed)
-        return estimate_direction(obs), obs.truth  # the N x n matrix is dropped
+        Y, v = sample_observation(model, N, n, rho, seed)
+        return estimate_direction(Y), v  # the N x n matrix is dropped
 
     def run_task(task: str) -> dict:
         if task == "recover":

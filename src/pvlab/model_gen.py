@@ -8,12 +8,14 @@ null model for detection is an N x n matrix of i.i.d. N(0, 1/N) entries.
 
 All sampling is a pure function of (parameters, SeedSpec): same inputs give
 bit-identical outputs, and distinct stream indices give independent draws.
+Samplers return plain arrays; the composite samplers return the observation
+and its planted vector as (Y, v), with v = None for a null draw.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +23,6 @@ __all__ = [
     "DegenerateDrawError",
     "RankDeficientError",
     "SeedSpec",
-    "PlantedVector",
-    "BasisMatrix",
     "sample_br_vector",
     "sample_gaussian_basis",
     "sample_haar_rotation",
@@ -83,51 +83,14 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class PlantedVector:
-    """A Bernoulli-Rademacher planted vector.
-
-    Unnormalized entries are 0 or exactly +-1/sqrt(N*rho); when `normalized`
-    the entries were divided by the realized l2 norm, so the vector is unit.
-    """
-
-    entries: np.ndarray
-    normalized: bool = False
-    support_size: int = 0
-
-    @property
-    def size(self) -> int:
-        return self.entries.size
-
-
-@dataclass(frozen=True)
-class BasisMatrix:
-    """An N x n observation matrix plus its provenance.
-
-    kind is one of "gaussian_planted" (first column is the planted vector),
-    "rotated" (right-multiplied by an orthogonal matrix), "orthonormal"
-    (columns orthonormal), or "null" (pure Gaussian noise).  `truth` carries
-    the planted vector for harness scoring; it is None for null draws.
-    """
-
-    data: np.ndarray
-    kind: str
-    truth: PlantedVector | None = field(default=None, compare=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-
 def _br_from_rng(
     rng: np.random.Generator, N: int, rho: float, normalize: bool
-) -> PlantedVector:
+) -> np.ndarray:
     u = rng.random(N)
     magnitude = 1.0 / np.sqrt(N * rho)
     entries = np.zeros(N)
     entries[u >= 1.0 - rho / 2.0] = magnitude
     entries[(u >= 1.0 - rho) & (u < 1.0 - rho / 2.0)] = -magnitude
-    support = int(np.count_nonzero(entries))
     if normalize:
         norm = np.linalg.norm(entries)
         if norm == 0.0:
@@ -135,18 +98,16 @@ def _br_from_rng(
                 f"all {N} entries were zero (rho={rho}); retry with another stream"
             )
         entries = entries / norm
-    return PlantedVector(entries, normalized=normalize, support_size=support)
+    return entries
 
 
-def _basis_from_rng(
-    rng: np.random.Generator, v: PlantedVector, n: int
-) -> BasisMatrix:
+def _basis_from_rng(rng: np.random.Generator, v: np.ndarray, n: int) -> np.ndarray:
     N = v.size
     Y = np.empty((N, n))
-    Y[:, 0] = v.entries
+    Y[:, 0] = v
     if n > 1:
         Y[:, 1:] = rng.normal(scale=1.0 / np.sqrt(N), size=(N, n - 1))
-    return BasisMatrix(Y, "gaussian_planted", truth=v)
+    return Y
 
 
 def _haar_from_rng(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -162,7 +123,7 @@ def sample_br_vector(
     rho: float,
     seed: SeedSpec,
     normalize: bool = False,
-) -> PlantedVector:
+) -> np.ndarray:
     """Draw a Bernoulli-Rademacher vector: each entry independently 0 with
     probability 1-rho and +-1/sqrt(N*rho) with probability rho/2 each.
 
@@ -178,11 +139,9 @@ def sample_br_vector(
     return _br_from_rng(rng, N, rho, normalize)
 
 
-def sample_gaussian_basis(
-    v: PlantedVector, n: int, seed: SeedSpec
-) -> BasisMatrix:
-    """Matrix whose first column is v and whose other n-1 columns are i.i.d.
-    N(0, I_N / N) vectors."""
+def sample_gaussian_basis(v: np.ndarray, n: int, seed: SeedSpec) -> np.ndarray:
+    """N x n matrix whose first column is v and whose other n-1 columns are
+    i.i.d. N(0, I_N / N) vectors."""
     if not 1 <= n <= v.size:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={v.size}")
     rng = seed.generator()
@@ -198,29 +157,29 @@ def sample_haar_rotation(n: int, seed: SeedSpec) -> np.ndarray:
     return _haar_from_rng(rng, n)
 
 
-def apply_rotation(Y: BasisMatrix, Q: np.ndarray) -> BasisMatrix:
+def apply_rotation(Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Right-multiply the basis by the n x n matrix Q; the column span is
     unchanged when Q is orthogonal."""
-    n = Y.data.shape[1]
+    n = Y.shape[1]
     if Q.shape != (n, n):
         raise ValueError(f"basis has {n} columns but rotation is {Q.shape}")
-    return BasisMatrix(Y.data @ Q, "rotated", truth=Y.truth)
+    return Y @ Q
 
 
-def orthonormalize(Y: BasisMatrix) -> BasisMatrix:
+def orthonormalize(Y: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of Y, via Householder QR.
 
     Raises RankDeficientError (with the offending column index) when a
     diagonal entry of R falls below the rank tolerance.
     """
-    Q, R = np.linalg.qr(Y.data)
+    Q, R = np.linalg.qr(Y)
     diag = np.abs(np.diag(R))
     small = np.flatnonzero(diag <= RANK_TOL)
     if small.size:
         j = int(small[0])
         raise RankDeficientError(column=j, diag=float(diag[j]))
     signs = np.sign(np.diag(R))
-    return BasisMatrix(Q * signs, "orthonormal", truth=Y.truth)
+    return Q * signs
 
 
 def _check_instance_params(N: int, n: int, rho: float) -> None:
@@ -237,16 +196,15 @@ def sample_detection_pair(
     rho: float,
     seed: SeedSpec,
     which: str,
-) -> BasisMatrix:
-    """One detection instance: "null" gives i.i.d. N(0, 1/N) entries, "planted"
-    gives Y @ Q with v ~ BR(N, rho) and Haar Q (ground truth attached)."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One detection instance (Y, v): "null" gives i.i.d. N(0, 1/N) entries and
+    v = None, "planted" gives Y @ Q with v ~ BR(N, rho) and Haar Q."""
     if which == "planted":
         return sample_rotated_instance(N, n, rho, seed)
     if which == "null":
         _check_instance_params(N, n, rho)
         rng = seed.generator(_LANE_NULL)
-        data = rng.normal(scale=1.0 / np.sqrt(N), size=(N, n))
-        return BasisMatrix(data, "null", truth=None)
+        return rng.normal(scale=1.0 / np.sqrt(N), size=(N, n)), None
     raise ValueError(f"which must be 'null' or 'planted', got {which!r}")
 
 
@@ -256,13 +214,13 @@ def sample_rotated_instance(
     rho: float,
     seed: SeedSpec,
     normalize: bool = False,
-) -> BasisMatrix:
-    """Gaussian-basis observation Y @ Q with v ~ BR(N, rho) and Haar Q."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-basis observation (Y @ Q, v) with v ~ BR(N, rho) and Haar Q."""
     _check_instance_params(N, n, rho)
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
     Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
-    return apply_rotation(Y, Q)
+    return apply_rotation(Y, Q), v
 
 
 def sample_orthonormal_instance(
@@ -271,9 +229,9 @@ def sample_orthonormal_instance(
     rho: float,
     seed: SeedSpec,
     extra_rotation: bool = False,
-) -> BasisMatrix:
-    """Orthonormal-basis observation for a unit planted vector v'/||v'||,
-    v' ~ BR(N, rho).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal-basis observation (Yhat, v) for a unit planted vector
+    v = v'/||v'||, v' ~ BR(N, rho).
 
     `extra_rotation` right-multiplies the QR output by a Haar rotation to
     emulate an arbitrary orthonormal basis of the same span; the estimator is
@@ -284,33 +242,36 @@ def sample_orthonormal_instance(
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
     Yhat = orthonormalize(Y)
     if extra_rotation:
-        Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
-        Yhat = BasisMatrix(Yhat.data @ Q, "orthonormal", truth=v)
-    return Yhat
+        Yhat = Yhat @ _haar_from_rng(seed.generator(_LANE_ROTATION), n)
+    return Yhat, v
 
 
 # --- instance serialization (CLI `gen`) ---
 
 _DUMP_HEADER = "N,n,rho,kind,seed,stream"
+# The dump's `kind` column for each observation model.
+_DUMP_KIND = {"gaussian": "rotated", "orth": "orthonormal", "null": "null"}
 
 
 def dump_instance(
-    basis: BasisMatrix,
+    Y: np.ndarray,
+    model: str,
     rho: float,
     seed: SeedSpec,
     out: io.TextIOBase,
 ) -> None:
-    """Write an instance as CSV: the fixed header line, one metadata line, and
-    the matrix rows in row-major order."""
-    N, n = basis.data.shape
+    """Write an instance of `model` as CSV: the fixed header line, one
+    metadata line, and the matrix rows in row-major order."""
+    N, n = Y.shape
     out.write(_DUMP_HEADER + "\n")
-    out.write(f"{N},{n},{rho!r},{basis.kind},{seed.master_seed},{seed.stream_index}\n")
-    for row in basis.data:
+    out.write(f"{N},{n},{rho!r},{_DUMP_KIND[model]},{seed.master_seed},{seed.stream_index}\n")
+    for row in Y:
         out.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_instance(src: io.TextIOBase) -> tuple[BasisMatrix, float, SeedSpec]:
-    """Inverse of dump_instance (the truth vector is not serialized)."""
+def load_instance(src: io.TextIOBase) -> tuple[np.ndarray, str, float, SeedSpec]:
+    """Inverse of dump_instance: (Y, kind, rho, seed); the planted vector is
+    not serialized."""
     header = src.readline().strip()
     if header != _DUMP_HEADER:
         raise ValueError(f"bad instance header: {header!r}")
@@ -319,7 +280,7 @@ def load_instance(src: io.TextIOBase) -> tuple[BasisMatrix, float, SeedSpec]:
     rho = float(meta[2])
     kind = meta[3]
     seed = SeedSpec(int(meta[4]), int(meta[5]))
-    data = np.loadtxt(src, delimiter=",", ndmin=2)
-    if data.shape != (N, n):
-        raise ValueError(f"expected a {N} x {n} matrix, got {data.shape}")
-    return BasisMatrix(data, kind), rho, seed
+    Y = np.loadtxt(src, delimiter=",", ndmin=2)
+    if Y.shape != (N, n):
+        raise ValueError(f"expected a {N} x {n} matrix, got {Y.shape}")
+    return Y, kind, rho, seed

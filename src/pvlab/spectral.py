@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_gen import BasisMatrix, PlantedVector
-
 __all__ = [
     "SpectralResult",
     "ErrorReport",
@@ -53,21 +51,13 @@ class ErrorReport:
     sign_used: int
 
 
-def _as_matrix(Y_obs: BasisMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(Y_obs, BasisMatrix):
-        return Y_obs.data
-    return np.asarray(Y_obs, dtype=float)
-
-
-def build_statistic(
-    Y_obs: BasisMatrix | np.ndarray, centered: bool = True
-) -> np.ndarray:
+def build_statistic(Y_obs: np.ndarray, centered: bool = True) -> np.ndarray:
     """Accumulate the degree-4 statistic M from the rows of the observation.
 
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
     """
-    Y = _as_matrix(Y_obs)
+    Y = np.asarray(Y_obs, dtype=float)
     N, n = Y.shape
     weights = np.einsum("ij,ij->i", Y, Y) - (n - 1) / N
     M = (Y * weights[:, None]).T @ Y
@@ -101,14 +91,13 @@ def _canonical_sign(u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0 else u
 
 
-def estimate_direction(
-    Y_obs: BasisMatrix | np.ndarray, centered: bool = True
-) -> SpectralResult:
+def estimate_direction(Y_obs: np.ndarray, centered: bool = True) -> SpectralResult:
     """Build the statistic, take its leading eigenpair, and lift the
     eigenvector back to observation space via Y_obs @ u."""
-    M = build_statistic(Y_obs, centered=centered)
+    Y = np.asarray(Y_obs, dtype=float)
+    M = build_statistic(Y, centered=centered)
     lam, u, gap = leading_eigenpair(M)
-    return SpectralResult(M, lam, _as_matrix(Y_obs) @ u, gap)
+    return SpectralResult(M, lam, Y @ u, gap)
 
 
 def recover_gaussian_rule(raw: np.ndarray, rho: float) -> np.ndarray:
@@ -143,7 +132,7 @@ def signs_match(recovered: np.ndarray, truth: np.ndarray) -> bool:
 
 def score(
     estimate: np.ndarray,
-    truth: PlantedVector | np.ndarray,
+    truth: np.ndarray,
     recovered: np.ndarray | None = None,
 ) -> ErrorReport:
     """Score an estimate against the planted vector.
@@ -155,7 +144,7 @@ def score(
     from the thresholded vector `recovered` when given, via support-and-sign
     comparison.
     """
-    v = truth.entries if isinstance(truth, PlantedVector) else np.asarray(truth)
+    v = np.asarray(truth)
     est = np.asarray(estimate, dtype=float)
     if est.shape != v.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {v.shape}")

@@ -50,11 +50,11 @@ def gaussian_recovery_rate(N, n, rho, trials, master, centered=True):
     hits = 0
     negatives = 0
     for t in range(trials):
-        obs = sample_rotated_instance(N, n, rho, SeedSpec(master, t))
+        obs, v = sample_rotated_instance(N, n, rho, SeedSpec(master, t))
         res = estimate_direction(obs, centered=centered)
         negatives += res.leading_value < 0
         recovery = recover_gaussian_rule(res.raw_estimate, rho)
-        hits += signs_match(recovery, obs.truth.entries)
+        hits += signs_match(recovery, v)
     return hits / trials, negatives / trials
 
 
@@ -72,10 +72,10 @@ def test_c01_exact_recovery_gaussian_basis():
 def test_c02_exact_recovery_orthonormal_basis():
     trials, hits = 50, 0
     for t in range(trials):
-        obs = sample_orthonormal_instance(4000, 20, 0.02, SeedSpec(102, t))
+        obs, v = sample_orthonormal_instance(4000, 20, 0.02, SeedSpec(102, t))
         res = estimate_direction(obs)
         recovery = recover_orthonormal_rule(res.raw_estimate)
-        hits += signs_match(recovery, obs.truth.entries)
+        hits += signs_match(recovery, v)
     rate = hits / trials
     report("C2", rate >= 0.85, f"orthonormal-basis exact recovery rate={rate:.2f} "
                                f"(need >= 0.85, rho not used by the rule)")
@@ -245,7 +245,7 @@ def test_c11_invariance_suite():
     # statistic-spectrum rotation invariance (1e-8)
     worst_spec = 0.0
     for t in range(5):
-        obs = sample_rotated_instance(500, 10, 0.1, SeedSpec(108, t))
+        obs, _ = sample_rotated_instance(500, 10, 0.1, SeedSpec(108, t))
         Q = sample_haar_rotation(10, SeedSpec(109, t))
         before = np.linalg.eigvalsh(build_statistic(obs))
         after = np.linalg.eigvalsh(build_statistic(apply_rotation(obs, Q)))
@@ -254,17 +254,17 @@ def test_c11_invariance_suite():
     # estimator basis-invariance up to sign (1e-6)
     worst_basis = 0.0
     for t in range(5):
-        plain = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(110, t))
-        rotated = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(110, t), extra_rotation=True)
+        plain, _ = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(110, t))
+        rotated, _ = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(110, t), extra_rotation=True)
         a = estimate_direction(plain).raw_estimate
         b = estimate_direction(rotated).raw_estimate
         worst_basis = max(worst_basis, min(float(np.max(np.abs(a - b))),
                                            float(np.max(np.abs(a + b)))))
 
     # score sign-invariance (exact)
-    obs = sample_rotated_instance(500, 8, 0.1, SeedSpec(111))
+    obs, v = sample_rotated_instance(500, 8, 0.1, SeedSpec(111))
     est = estimate_direction(obs).raw_estimate
-    ra, rb = score(est, obs.truth), score(-est, obs.truth)
+    ra, rb = score(est, v), score(-est, v)
     sign_exact = (ra.l2_error == rb.l2_error
                   and ra.entrywise_max_weighted == rb.entrywise_max_weighted)
 

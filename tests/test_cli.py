@@ -5,11 +5,53 @@ import json
 import numpy as np
 import pytest
 
+from pvlab import harness
 from pvlab.cli import main
 from pvlab.model_gen import load_instance
 
 
+GEN_DUMPS = {
+    "gaussian": """\
+N,n,rho,kind,seed,stream
+6,2,0.5,rotated,0,0
+0.4812938956652323,-0.33076066354165956
+0.15134396483865958,0.3123907154404311
+-0.41144580047541107,-0.8492697288094445
+0.39140808784921366,-0.516294932063839
+0.6316617285074771,-0.020384792717261502
+0.10827408563463255,0.22348971173788987
+""",
+    "orth": """\
+N,n,rho,kind,seed,stream
+6,2,0.5,orthonormal,0,0
+0.5773502691896257,-0.04173180779120115
+0.0,0.3132760807000041
+0.0,-0.8516766950755024
+0.5773502691896258,-0.2277919101096194
+0.5773502691896258,0.2695237179008206
+0.0,0.2241231173317972
+""",
+    "null": """\
+N,n,rho,kind,seed,stream
+6,2,0.5,null,0,0
+0.5274032825880651,-0.09293378281856511
+0.3551984841019332,-0.4919821210125257
+-0.26671216914734497,0.5026956231944509
+-0.14716820762928565,-0.14855108101100528
+-0.8237424004564616,0.5350216403360346
+-0.19930301685079757,-0.4217366176201134
+""",
+}
+
+
 class TestGen:
+    @pytest.mark.parametrize("model", sorted(GEN_DUMPS))
+    def test_dump_bytes_pinned(self, model, tmp_path):
+        out = tmp_path / "inst.csv"
+        argv = ["gen", "--N", "6", "--n", "2", "--rho", "0.5", "--model", model, "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == GEN_DUMPS[model].encode()
+
     def test_writes_loadable_instance(self, tmp_path):
         out = tmp_path / "inst.csv"
         rc = main(
@@ -17,9 +59,9 @@ class TestGen:
         )
         assert rc == 0
         with open(out) as f:
-            basis, rho, seed = load_instance(f)
-        assert basis.data.shape == (30, 3)
-        assert basis.kind == "rotated"
+            Y, kind, rho, seed = load_instance(f)
+        assert Y.shape == (30, 3)
+        assert kind == "rotated"
         assert rho == 0.5
         assert seed.master_seed == 7
 
@@ -27,9 +69,9 @@ class TestGen:
         out = tmp_path / "inst.csv"
         main(["gen", "--N", "40", "--n", "4", "--rho", "0.5", "--model", "orth", "--out", str(out)])
         with open(out) as f:
-            basis, _, _ = load_instance(f)
-        assert basis.kind == "orthonormal"
-        assert np.max(np.abs(basis.data.T @ basis.data - np.eye(4))) <= 1e-10
+            Y, kind, _, _ = load_instance(f)
+        assert kind == "orthonormal"
+        assert np.max(np.abs(Y.T @ Y - np.eye(4))) <= 1e-10
 
     def test_stdout_default(self, capsys):
         main(["gen", "--N", "4", "--n", "2", "--rho", "1.0", "--model", "null"])
@@ -135,6 +177,20 @@ class TestSweep:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_unopenable_out_fails_before_any_unit(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"Ns": [200], "ns": [3], "rhos": [0.1], "trials": 2,
+                        "out": str(tmp_path / "missing_dir" / "x.csv")})
+        )
+        units = []
+        monkeypatch.setattr(harness, "_run_unit", lambda *args: units.append(args) or [])
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert units == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
@@ -149,9 +205,15 @@ class TestOutOfDomain:
             ["estimate", "--N", "5", "--n", "10", "--rho", "0.5"],
             ["detect", "--N", "5", "--n", "10", "--rho", "0.5", "--trials", "1"],
             ["advantage", "--N", "5", "--n", "2", "--rho", "1e-9", "--D", "4"],
+            ["gen", "--N", "5", "--n", "2", "--rho", "0.5", "--out", "missing_dir/x.csv"],
+            ["estimate", "--N", "50", "--n", "2", "--rho", "0.5",
+             "--dump-estimate", "missing_dir/x.csv"],
+            ["detect", "--N", "50", "--n", "2", "--rho", "0.5", "--trials", "1",
+             "--csv", "missing_dir/x.csv"],
         ],
     )
-    def test_out_of_domain_value_exit_code(self, argv, capsys):
+    def test_out_of_domain_value_exit_code(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # so missing_dir/ is certain not to exist
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

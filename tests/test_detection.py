@@ -33,19 +33,19 @@ class TestSpectralNormTest:
     def test_planted_detected_in_easy_regime(self):
         hits = 0
         for t in range(20):
-            obs = sample_detection_pair(4000, 20, 0.02, SeedSpec(1, t), "planted")
+            obs, _ = sample_detection_pair(4000, 20, 0.02, SeedSpec(1, t), "planted")
             hits += spectral_norm_test(obs, 0.02, 0.05).decision == "planted"
         assert hits == 20
 
     def test_statistic_rotation_invariant(self):
-        obs = sample_detection_pair(500, 10, 0.1, SeedSpec(2), "planted")
+        obs, _ = sample_detection_pair(500, 10, 0.1, SeedSpec(2), "planted")
         Q = sample_haar_rotation(10, SeedSpec(3))
         a = spectral_norm_statistic(obs)
         b = spectral_norm_statistic(apply_rotation(obs, Q))
         assert abs(a - b) <= 1e-8
 
     def test_statistic_value_is_spectral_norm(self):
-        obs = sample_detection_pair(200, 5, 0.5, SeedSpec(4), "null")
+        obs, _ = sample_detection_pair(200, 5, 0.5, SeedSpec(4), "null")
         out = spectral_norm_test(obs, 0.5)
         from pvlab.spectral import build_statistic
 
@@ -112,20 +112,20 @@ class TestDetectViaEstimation:
     def test_planted_easy_regime(self):
         hits = 0
         for t in range(20):
-            obs = sample_detection_pair(4000, 20, 0.02, SeedSpec(7, t), "planted")
+            obs, _ = sample_detection_pair(4000, 20, 0.02, SeedSpec(7, t), "planted")
             hits += detect_via_estimation(obs).decision == "planted"
         assert hits >= 18
 
     def test_null_mostly_passes(self):
         hits = 0
         for t in range(20):
-            obs = sample_detection_pair(4000, 20, 0.02, SeedSpec(8, t), "null")
+            obs, _ = sample_detection_pair(4000, 20, 0.02, SeedSpec(8, t), "null")
             hits += detect_via_estimation(obs).decision == "null"
         assert hits >= 17
 
     def test_exact_single_column(self):
         # n=1: the estimator returns +-v, and a sparse v has a tiny l1/l2 ratio
-        obs = sample_detection_pair(10000, 1, 0.01, SeedSpec(9), "planted")
+        obs, _ = sample_detection_pair(10000, 1, 0.01, SeedSpec(9), "planted")
         assert detect_via_estimation(obs).decision == "planted"
 
 
@@ -155,13 +155,13 @@ class TestErrorRates:
                 seed = SeedSpec(13, t)
                 null_ok = (
                     spectral_norm_test(
-                        sample_detection_pair(N, n, rho, seed, "null"), rho
+                        sample_detection_pair(N, n, rho, seed, "null")[0], rho
                     ).decision
                     == "null"
                 )
                 planted_ok = (
                     spectral_norm_test(
-                        sample_detection_pair(N, n, rho, seed, "planted"), rho
+                        sample_detection_pair(N, n, rho, seed, "planted")[0], rho
                     ).decision
                     == "planted"
                 )
@@ -179,27 +179,27 @@ class TestErrorRates:
 class TestDispatch:
     @pytest.mark.parametrize("which", ["null", "planted"])
     def test_decide_matches_the_standalone_tests(self, which):
-        obs = sample_detection_pair(2000, 10, 0.05, SeedSpec(16), which)
+        obs, _ = sample_detection_pair(2000, 10, 0.05, SeedSpec(16), which)
         result = estimate_direction(obs)
         assert decide("spectral", result, 0.05) == spectral_norm_test(obs, 0.05)
         assert decide("l1l2", result, 0.05) == detect_via_estimation(obs)
 
     def test_planted_model_is_the_detection_planted_draw(self):
-        a = sample_observation("gaussian", 300, 5, 0.1, SeedSpec(17))
-        b = sample_detection_pair(300, 5, 0.1, SeedSpec(17), "planted")
-        assert np.array_equal(a.data, b.data)
+        a, _ = sample_observation("gaussian", 300, 5, 0.1, SeedSpec(17))
+        b, _ = sample_detection_pair(300, 5, 0.1, SeedSpec(17), "planted")
+        assert np.array_equal(a, b)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="model"):
             sample_observation("fourier", 10, 2, 0.5, SeedSpec(18))
-        obs = sample_observation("null", 10, 2, 0.5, SeedSpec(18))
+        obs, _ = sample_observation("null", 10, 2, 0.5, SeedSpec(18))
         with pytest.raises(ValueError, match="test kind"):
             decide("oracle", estimate_direction(obs), 0.5)
 
 
 class TestPluginRho:
     def test_recovers_order_of_magnitude(self):
-        obs = sample_detection_pair(4000, 20, 0.02, SeedSpec(15), "planted")
+        obs, _ = sample_detection_pair(4000, 20, 0.02, SeedSpec(15), "planted")
         est = estimate_direction(obs).raw_estimate
         rho_hat = plugin_rho(est)
         assert 0.01 <= rho_hat <= 0.04

@@ -94,6 +94,10 @@ class TestConfig:
             {"ns": [4, "4"]},
             {"rhos": ["0.1"]},
             {"rhos": [True]},
+            {"out": 7},
+            {"out": 1},
+            {"tasks": ()},
+            {"tasks": ("recover", "recover")},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -179,15 +183,15 @@ def task_by_task(cfg):
                 head = (N, n, rho, trial, task)
                 if task == "recover":
                     if cfg.model == "orth":
-                        obs = sample_orthonormal_instance(N, n, rho, seed)
+                        obs, v = sample_orthonormal_instance(N, n, rho, seed)
                     else:
-                        obs = sample_rotated_instance(N, n, rho, seed)
+                        obs, v = sample_rotated_instance(N, n, rho, seed)
                     result = estimate_direction(obs)
                     if cfg.model == "orth":
                         rule = recover_orthonormal_rule(result.raw_estimate)
                     else:
                         rule = recover_gaussian_rule(result.raw_estimate, rho)
-                    report = score(result.raw_estimate, obs.truth, rule)
+                    report = score(result.raw_estimate, v, rule)
                     records.append(SweepRecord(
                         *head, success=bool(report.exact_match),
                         l2_error=report.l2_error,
@@ -199,8 +203,8 @@ def task_by_task(cfg):
                         SweepRecord(*head, success=True, adv=advantage(N, n, rho, cfg.D).adv)
                     )
                 else:
-                    null = sample_detection_pair(N, n, rho, seed, "null")
-                    planted = sample_detection_pair(N, n, rho, seed, "planted")
+                    null, _ = sample_detection_pair(N, n, rho, seed, "null")
+                    planted, _ = sample_detection_pair(N, n, rho, seed, "planted")
                     if task == "detect_spectral":
                         outs = [spectral_norm_test(obs, rho, DEFAULT_C1) for obs in (null, planted)]
                     else:

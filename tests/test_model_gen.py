@@ -25,18 +25,18 @@ from pvlab.model_gen import (
 class TestSampleBrVector:
     def test_rho_one_forces_magnitude(self):
         v = sample_br_vector(4, 1.0, SeedSpec(1))
-        assert np.all(np.isin(v.entries, [0.5, -0.5]))
-        assert v.support_size == 4
+        assert np.all(np.isin(v, [0.5, -0.5]))
+        assert np.count_nonzero(v) == 4
 
     def test_entries_exact_magnitude(self):
         v = sample_br_vector(500, 0.3, SeedSpec(2))
-        nz = v.entries[v.entries != 0]
+        nz = v[v != 0]
         assert np.all(np.abs(nz) == 1.0 / np.sqrt(500 * 0.3))
 
     def test_support_size_binomial(self):
         # Binomial(1000, 0.1): mean 100, 3 sigma ~ 28.5
         sizes = [
-            sample_br_vector(1000, 0.1, SeedSpec(3, t)).support_size
+            np.count_nonzero(sample_br_vector(1000, 0.1, SeedSpec(3, t)))
             for t in range(40)
         ]
         assert all(50 <= s <= 150 for s in sizes)
@@ -44,8 +44,7 @@ class TestSampleBrVector:
 
     def test_normalize_unit_norm(self):
         v = sample_br_vector(4, 1.0, SeedSpec(4), normalize=True)
-        assert abs(np.linalg.norm(v.entries) - 1.0) <= 1e-12
-        assert v.normalized
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
     def test_degenerate_draw_raises(self):
         # rho small enough that some seed gives an all-zero draw
@@ -61,18 +60,18 @@ class TestSampleBrVector:
     def test_determinism(self):
         a = sample_br_vector(100, 0.5, SeedSpec(6, 7))
         b = sample_br_vector(100, 0.5, SeedSpec(6, 7))
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
         a = sample_br_vector(100, 0.5, SeedSpec(6, 7))
         b = sample_br_vector(100, 0.5, SeedSpec(6, 8))
-        assert not np.array_equal(a.entries, b.entries)
+        assert not np.array_equal(a, b)
 
     def test_l4_concentration(self):
         # ||v||_4^4 = support / (N rho)^2 concentrates around 1/(N rho)
         N, rho, trials = 2000, 0.2, 200
         vals = [
-            np.sum(sample_br_vector(N, rho, SeedSpec(8, t)).entries ** 4)
+            np.sum(sample_br_vector(N, rho, SeedSpec(8, t)) ** 4)
             for t in range(trials)
         ]
         target = 1.0 / (N * rho)
@@ -89,26 +88,25 @@ class TestGaussianBasis:
     def test_first_column_is_v(self):
         v = sample_br_vector(50, 0.5, SeedSpec(10))
         Y = sample_gaussian_basis(v, 5, SeedSpec(11))
-        assert np.array_equal(Y.data[:, 0], v.entries)
-        assert Y.kind == "gaussian_planted"
+        assert np.array_equal(Y[:, 0], v)
 
     def test_single_column(self):
         v = sample_br_vector(8, 1.0, SeedSpec(12))
         Y = sample_gaussian_basis(v, 1, SeedSpec(13))
-        assert Y.data.shape == (8, 1)
-        assert np.array_equal(Y.data[:, 0], v.entries)
+        assert Y.shape == (8, 1)
+        assert np.array_equal(Y[:, 0], v)
 
     def test_column_norms_near_one(self):
         v = sample_br_vector(10000, 0.1, SeedSpec(14))
         Y = sample_gaussian_basis(v, 5, SeedSpec(15))
-        norms = np.linalg.norm(Y.data[:, 1:], axis=0)
+        norms = np.linalg.norm(Y[:, 1:], axis=0)
         assert np.all((0.9 <= norms) & (norms <= 1.1))
 
     def test_determinism(self):
         v = sample_br_vector(100, 0.5, SeedSpec(16))
         a = sample_gaussian_basis(v, 4, SeedSpec(17))
         b = sample_gaussian_basis(v, 4, SeedSpec(17))
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_rejects_n_above_N(self):
         v = sample_br_vector(5, 1.0, SeedSpec(18))
@@ -155,8 +153,7 @@ class TestApplyRotation:
         v = sample_br_vector(30, 0.5, SeedSpec(25))
         Y = sample_gaussian_basis(v, 4, SeedSpec(26))
         out = apply_rotation(Y, np.eye(4))
-        assert np.array_equal(out.data, Y.data)
-        assert out.kind == "rotated"
+        assert np.array_equal(out, Y)
 
     def test_span_preserved(self):
         v = sample_br_vector(200, 0.2, SeedSpec(27))
@@ -164,8 +161,8 @@ class TestApplyRotation:
         Q = sample_haar_rotation(10, SeedSpec(29))
         Yt = apply_rotation(Y, Q)
         # project Y onto span(Yt): residual should vanish
-        Qb, _ = np.linalg.qr(Yt.data)
-        residual = Y.data - Qb @ (Qb.T @ Y.data)
+        Qb, _ = np.linalg.qr(Yt)
+        residual = Y - Qb @ (Qb.T @ Y)
         assert np.max(np.abs(residual)) <= 1e-9
 
     def test_frobenius_invariant(self):
@@ -173,7 +170,7 @@ class TestApplyRotation:
         Y = sample_gaussian_basis(v, 6, SeedSpec(31))
         Q = sample_haar_rotation(6, SeedSpec(32))
         Yt = apply_rotation(Y, Q)
-        assert abs(np.linalg.norm(Yt.data) - np.linalg.norm(Y.data)) <= 1e-9
+        assert abs(np.linalg.norm(Yt) - np.linalg.norm(Y)) <= 1e-9
 
     def test_dimension_mismatch(self):
         v = sample_br_vector(20, 0.5, SeedSpec(33))
@@ -188,38 +185,32 @@ class TestOrthonormalize:
         v = sample_br_vector(200, 0.2, SeedSpec(36))
         Y = sample_gaussian_basis(v, 10, SeedSpec(37))
         Yh = orthonormalize(Y)
-        assert np.max(np.abs(Yh.data.T @ Yh.data - np.eye(10))) <= 1e-10
-        assert Yh.kind == "orthonormal"
+        assert np.max(np.abs(Yh.T @ Yh - np.eye(10))) <= 1e-10
 
     def test_span_preserved(self):
         v = sample_br_vector(200, 0.2, SeedSpec(38))
         Y = sample_gaussian_basis(v, 10, SeedSpec(39))
         Yh = orthonormalize(Y)
-        assert np.max(np.abs(Yh.data @ (Yh.data.T @ Y.data) - Y.data)) <= 1e-8
+        assert np.max(np.abs(Yh @ (Yh.T @ Y) - Y)) <= 1e-8
 
     def test_already_orthonormal_fixed_point(self):
         v = sample_br_vector(100, 0.5, SeedSpec(40))
         Y = sample_gaussian_basis(v, 5, SeedSpec(41))
         Yh = orthonormalize(Y)
         again = orthonormalize(Yh)
-        assert np.allclose(again.data, Yh.data, atol=1e-12)
+        assert np.allclose(again, Yh, atol=1e-12)
 
     def test_single_unit_column(self):
-        from pvlab.model_gen import BasisMatrix
-
         v = sample_br_vector(50, 0.5, SeedSpec(42), normalize=True)
-        Y = BasisMatrix(v.entries[:, None], "gaussian_planted", truth=v)
-        Yh = orthonormalize(Y)
-        assert np.allclose(np.abs(Yh.data[:, 0]), np.abs(v.entries), atol=1e-12)
+        Yh = orthonormalize(v[:, None])
+        assert np.allclose(np.abs(Yh[:, 0]), np.abs(v), atol=1e-12)
 
     def test_rank_deficient_reports_column(self):
-        from pvlab.model_gen import BasisMatrix
-
         rng = np.random.default_rng(0)
         Y = rng.normal(size=(30, 4))
         Y[:, 3] = Y[:, 1]  # exact dependency
         with pytest.raises(RankDeficientError) as exc:
-            orthonormalize(BasisMatrix(Y, "gaussian_planted"))
+            orthonormalize(Y)
         assert exc.value.column == 3
 
 
@@ -227,21 +218,19 @@ class TestDetectionPair:
     def test_null_mean_concentrates(self):
         N, n = 100, 5
         for t in range(5):
-            obs = sample_detection_pair(N, n, 0.1, SeedSpec(43, t), "null")
-            assert abs(obs.data.mean()) <= 5.0 / np.sqrt(N * n * N)
-            assert obs.kind == "null"
-            assert obs.truth is None
+            Y, v = sample_detection_pair(N, n, 0.1, SeedSpec(43, t), "null")
+            assert abs(Y.mean()) <= 5.0 / np.sqrt(N * n * N)
+            assert v is None
 
     def test_planted_rho1_n1_is_signed_v(self):
-        obs = sample_detection_pair(64, 1, 1.0, SeedSpec(44), "planted")
-        v = obs.truth.entries
-        column = obs.data[:, 0]
+        Y, v = sample_detection_pair(64, 1, 1.0, SeedSpec(44), "planted")
+        column = Y[:, 0]
         assert np.allclose(column, v) or np.allclose(column, -v)
 
     def test_null_and_planted_differ(self):
-        null_obs = sample_detection_pair(50, 3, 0.5, SeedSpec(45), "null")
-        planted_obs = sample_detection_pair(50, 3, 0.5, SeedSpec(45), "planted")
-        assert not np.array_equal(null_obs.data, planted_obs.data)
+        null_Y, _ = sample_detection_pair(50, 3, 0.5, SeedSpec(45), "null")
+        planted_Y, _ = sample_detection_pair(50, 3, 0.5, SeedSpec(45), "planted")
+        assert not np.array_equal(null_Y, planted_Y)
 
     def test_rejects_unknown_label(self):
         with pytest.raises(ValueError):
@@ -250,21 +239,20 @@ class TestDetectionPair:
 
 class TestModelInstances:
     def test_model1_span_contains_v(self):
-        obs = sample_rotated_instance(300, 8, 0.1, SeedSpec(47))
-        Qb, _ = np.linalg.qr(obs.data)
-        v = obs.truth.entries
+        Y, v = sample_rotated_instance(300, 8, 0.1, SeedSpec(47))
+        Qb, _ = np.linalg.qr(Y)
         assert np.linalg.norm(v - Qb @ (Qb.T @ v)) <= 1e-9
 
     def test_model2_truth_is_unit(self):
-        obs = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(48))
-        assert abs(np.linalg.norm(obs.truth.entries) - 1.0) <= 1e-12
-        assert np.max(np.abs(obs.data.T @ obs.data - np.eye(8))) <= 1e-10
+        Y, v = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(48))
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        assert np.max(np.abs(Y.T @ Y - np.eye(8))) <= 1e-10
 
     def test_model2_extra_rotation_same_span(self):
-        plain = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(49))
-        rotated = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(49), extra_rotation=True)
-        P1 = plain.data @ plain.data.T
-        P2 = rotated.data @ rotated.data.T
+        plain, _ = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(49))
+        rotated, _ = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(49), extra_rotation=True)
+        P1 = plain @ plain.T
+        P2 = rotated @ rotated.T
         assert np.max(np.abs(P1 - P2)) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -289,20 +277,20 @@ class TestModelInstances:
 
 class TestSerialization:
     def test_round_trip(self):
-        obs = sample_rotated_instance(20, 3, 0.5, SeedSpec(50, 2))
+        Y, _ = sample_rotated_instance(20, 3, 0.5, SeedSpec(50, 2))
         buf = io.StringIO()
-        dump_instance(obs, 0.5, SeedSpec(50, 2), buf)
+        dump_instance(Y, "gaussian", 0.5, SeedSpec(50, 2), buf)
         buf.seek(0)
-        loaded, rho, seed = load_instance(buf)
-        assert np.array_equal(loaded.data, obs.data)
-        assert loaded.kind == obs.kind
+        loaded, kind, rho, seed = load_instance(buf)
+        assert np.array_equal(loaded, Y)
+        assert kind == "rotated"
         assert rho == 0.5
         assert seed == SeedSpec(50, 2)
 
     def test_header_line(self):
-        obs = sample_detection_pair(4, 2, 0.5, SeedSpec(51), "null")
+        Y, _ = sample_detection_pair(4, 2, 0.5, SeedSpec(51), "null")
         buf = io.StringIO()
-        dump_instance(obs, 0.5, SeedSpec(51), buf)
+        dump_instance(Y, "null", 0.5, SeedSpec(51), buf)
         assert buf.getvalue().splitlines()[0] == "N,n,rho,kind,seed,stream"
 
     def test_rejects_bad_header(self):

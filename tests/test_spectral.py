@@ -32,23 +32,23 @@ class TestBuildStatistic:
 
     def test_single_column_is_l4_minus_center(self):
         v = sample_br_vector(50, 0.4, SeedSpec(1), normalize=True)
-        M = build_statistic(v.entries[:, None])
-        expected = np.sum(v.entries**4) - 3.0 / 50
+        M = build_statistic(v[:, None])
+        expected = np.sum(v**4) - 3.0 / 50
         assert M[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_centered_vs_uncentered_differ_by_identity(self):
-        obs = sample_rotated_instance(300, 6, 0.2, SeedSpec(2))
+        obs, _ = sample_rotated_instance(300, 6, 0.2, SeedSpec(2))
         a = build_statistic(obs, centered=True)
         b = build_statistic(obs, centered=False)
         assert np.allclose(b - a, (3.0 / 300) * np.eye(6), atol=1e-15)
 
     def test_symmetry(self):
-        obs = sample_rotated_instance(500, 12, 0.1, SeedSpec(3))
+        obs, _ = sample_rotated_instance(500, 12, 0.1, SeedSpec(3))
         M = build_statistic(obs)
         assert np.max(np.abs(M - M.T)) <= 1e-12
 
     def test_spectrum_rotation_invariance(self):
-        obs = sample_rotated_instance(400, 10, 0.1, SeedSpec(4))
+        obs, _ = sample_rotated_instance(400, 10, 0.1, SeedSpec(4))
         Q = sample_haar_rotation(10, SeedSpec(5))
         before = np.linalg.eigvalsh(build_statistic(obs))
         after = np.linalg.eigvalsh(build_statistic(apply_rotation(obs, Q)))
@@ -77,7 +77,7 @@ class TestLeadingEigenpair:
         assert u[np.argmax(np.abs(u))] > 0
 
     def test_eigenpair_residual(self):
-        obs = sample_rotated_instance(1000, 15, 0.05, SeedSpec(6))
+        obs, _ = sample_rotated_instance(1000, 15, 0.05, SeedSpec(6))
         stat = build_statistic(obs)
         lam, u, _ = leading_eigenpair(stat)
         norm = np.max(np.abs(np.linalg.eigvalsh(stat)))
@@ -88,7 +88,7 @@ class TestLeadingEigenpair:
         # ||v||_4^4 ~ 1/(N rho) > 3/N for rho < 1/3
         hits = 0
         for t in range(10):
-            obs = sample_rotated_instance(4000, 20, 0.02, SeedSpec(7, t))
+            obs, _ = sample_rotated_instance(4000, 20, 0.02, SeedSpec(7, t))
             lam = estimate_direction(obs).leading_value
             hits += lam > 0
         assert hits == 10
@@ -97,23 +97,23 @@ class TestLeadingEigenpair:
 class TestEstimateDirection:
     def test_single_column_estimate_is_signed_v(self):
         v = sample_br_vector(60, 0.5, SeedSpec(8), normalize=True)
-        res = estimate_direction(v.entries[:, None])
-        assert np.allclose(res.raw_estimate, v.entries) or np.allclose(
-            res.raw_estimate, -v.entries
+        res = estimate_direction(v[:, None])
+        assert np.allclose(res.raw_estimate, v) or np.allclose(
+            res.raw_estimate, -v
         )
 
     def test_l2_error_small_in_easy_regime(self):
         hits = 0
         for t in range(20):
-            obs = sample_rotated_instance(4000, 20, 0.02, SeedSpec(9, t), normalize=True)
+            obs, v = sample_rotated_instance(4000, 20, 0.02, SeedSpec(9, t), normalize=True)
             res = estimate_direction(obs)
-            rep = score(res.raw_estimate, obs.truth)
+            rep = score(res.raw_estimate, v)
             hits += rep.l2_error <= 0.1
         assert hits >= 19
 
     def test_basis_invariance_up_to_sign(self):
-        plain = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(10))
-        rotated = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(10), extra_rotation=True)
+        plain, _ = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(10))
+        rotated, _ = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(10), extra_rotation=True)
         a = estimate_direction(plain).raw_estimate
         b = estimate_direction(rotated).raw_estimate
         delta = min(np.max(np.abs(a - b)), np.max(np.abs(a + b)))
@@ -123,8 +123,8 @@ class TestEstimateDirection:
 class TestRecoveryRules:
     def test_gaussian_rule_fixed_point(self):
         v = sample_br_vector(100, 0.2, SeedSpec(11))
-        out = recover_gaussian_rule(v.entries, 0.2)
-        assert np.array_equal(out, v.entries)
+        out = recover_gaussian_rule(v, 0.2)
+        assert np.array_equal(out, v)
 
     def test_gaussian_rule_zero_input(self):
         out = recover_gaussian_rule(np.zeros(10), 0.5)
@@ -134,8 +134,8 @@ class TestRecoveryRules:
         v = sample_br_vector(200, 0.1, SeedSpec(12))
         a = 1.0 / np.sqrt(200 * 0.1)
         noise = SeedSpec(13).generator().uniform(-0.4 * a, 0.4 * a, size=200)
-        out = recover_gaussian_rule(v.entries + noise, 0.1)
-        assert np.array_equal(out, v.entries)
+        out = recover_gaussian_rule(v + noise, 0.1)
+        assert np.array_equal(out, v)
 
     def test_orthonormal_rule_small_entries_dropped(self):
         out = recover_orthonormal_rule(np.array([1.0, -1.0, 0.2]))
@@ -144,8 +144,8 @@ class TestRecoveryRules:
     def test_orthonormal_rule_scale_invariant(self):
         v = sample_br_vector(100, 0.3, SeedSpec(14), normalize=True)
         for c in (2.0, -0.001, 1e6):
-            out = recover_orthonormal_rule(c * v.entries)
-            assert signs_match(out, v.entries)
+            out = recover_orthonormal_rule(c * v)
+            assert signs_match(out, v)
             assert np.linalg.norm(out) == pytest.approx(1.0)
 
     def test_orthonormal_rule_rejects_zero(self):
@@ -155,23 +155,23 @@ class TestRecoveryRules:
     def test_orthonormal_rule_recovers_model2(self):
         hits = 0
         for t in range(20):
-            obs = sample_orthonormal_instance(4000, 20, 0.02, SeedSpec(15, t))
+            obs, v = sample_orthonormal_instance(4000, 20, 0.02, SeedSpec(15, t))
             res = estimate_direction(obs)
             out = recover_orthonormal_rule(res.raw_estimate)
-            hits += signs_match(out, obs.truth.entries)
+            hits += signs_match(out, v)
         assert hits >= 18
 
 
 class TestScore:
     def test_sign_flip_absorbed(self):
         v = sample_br_vector(50, 0.5, SeedSpec(16))
-        rep = score(-v.entries, v)
+        rep = score(-v, v)
         assert rep.l2_error == 0.0
         assert rep.sign_used == -1
 
     def test_known_l2_error(self):
         v = sample_br_vector(50, 0.5, SeedSpec(17))
-        est = v.entries.copy()
+        est = v.copy()
         est[0] += 0.125
         rep = score(est, v)
         assert rep.l2_error == pytest.approx(0.125, rel=1e-9)
@@ -185,17 +185,17 @@ class TestScore:
         assert rep.entrywise_max_weighted <= 1.0 + 1e-12
 
     def test_exact_sign_invariance(self):
-        obs = sample_rotated_instance(500, 8, 0.1, SeedSpec(18))
+        obs, v = sample_rotated_instance(500, 8, 0.1, SeedSpec(18))
         est = estimate_direction(obs).raw_estimate
-        a = score(est, obs.truth)
-        b = score(-est, obs.truth)
+        a = score(est, v)
+        b = score(-est, v)
         assert a.l2_error == b.l2_error
         assert a.entrywise_max_weighted == b.entrywise_max_weighted
 
     def test_exact_match_via_recovery(self):
         v = sample_br_vector(100, 0.2, SeedSpec(19))
-        out = recover_gaussian_rule(-v.entries, 0.2)
-        rep = score(-v.entries, v, out)
+        out = recover_gaussian_rule(-v, 0.2)
+        rep = score(-v, v, out)
         assert rep.exact_match is True
 
     def test_shape_mismatch(self):
@@ -246,9 +246,8 @@ class TestStatisticalBehaviour:
         # |lambda| tracks |‖v‖_4^4 - 3/N| within a factor of 1.5
         hits = 0
         for t in range(20):
-            obs = sample_rotated_instance(4000, 20, 0.02, SeedSpec(21, t), normalize=True)
+            obs, v = sample_rotated_instance(4000, 20, 0.02, SeedSpec(21, t), normalize=True)
             res = estimate_direction(obs)
-            v = obs.truth.entries
             signal = abs(np.sum(v**4) - 3.0 / 4000)
             hits += 0.5 <= abs(res.leading_value) / signal <= 1.5
         assert hits >= 19
@@ -256,6 +255,6 @@ class TestStatisticalBehaviour:
     def test_dense_case_negative_leading_eigenvalue(self):
         hits = 0
         for t in range(10):
-            obs = sample_rotated_instance(10000, 20, 1.0, SeedSpec(22, t))
+            obs, _ = sample_rotated_instance(10000, 20, 1.0, SeedSpec(22, t))
             hits += estimate_direction(obs).leading_value < 0
         assert hits == 10
