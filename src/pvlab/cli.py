@@ -9,7 +9,7 @@ import logging
 import sys
 
 from . import harness
-from .detection import DEFAULT_C1, error_rates, plugin_rho, recover, sample_observation
+from .detection import DEFAULT_C1, error_rates, recover, sample_observation
 from .lowdeg import advantage
 from .model_gen import SeedSpec, dump_instance
 from .spectral import estimate_direction
@@ -56,14 +56,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    rho = args.rho
-    if args.plugin_rho:
-        probe, _ = sample_observation("gaussian", args.N, args.n, rho, SeedSpec(args.seed))
-        est = estimate_direction(probe)
-        rho = max(plugin_rho(est.raw_estimate), 1.0 / args.N)
-        print(f"# plug-in rho estimate: {rho:.6g}", file=sys.stderr)
     report = error_rates(
-        args.N, args.n, rho, args.c1, args.trials, args.test, SeedSpec(args.seed)
+        args.N, args.n, args.rho, args.c1, args.trials, args.test, SeedSpec(args.seed)
     )
     if args.csv:  # written first, so a bad path prints no result
         row = (
@@ -97,17 +91,22 @@ def _cmd_sweep(args) -> int:
         return CONFIG_ERROR_EXIT
     if args.timing:
         config = dataclasses.replace(config, collect_timing=True)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     with _output(config.out) as f:  # opened before the first unit runs
         records = harness.run_sweep(config, workers=args.workers)
         f.write(harness.records_to_csv(records))
     if args.summary:
         for cell in harness.summarize(records):
-            print(
+            line = (
                 f"N={cell.N} n={cell.n} rho={cell.rho} task={cell.task} "
                 f"rate={cell.success_rate:.3f} "
-                f"wilson95=[{cell.wilson_low:.3f},{cell.wilson_high:.3f}]",
-                file=sys.stderr,
+                f"wilson95=[{cell.wilson_low:.3f},{cell.wilson_high:.3f}]"
             )
+            for name in ("mean_l2", "se_l2", "mean_entrywise"):
+                if getattr(cell, name) is not None:
+                    line += f" {name}={getattr(cell, name):.4g}"
+            print(line, file=sys.stderr)
     return 0
 
 
@@ -142,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", choices=["spectral", "l1l2", "reduction"], default="spectral")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None, help="append a result row to this CSV file")
-    p.add_argument("--plugin-rho", action="store_true",
-                   help="exploration only: estimate rho from a probe instance")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("advantage", help="exact degree-D advantage")
@@ -156,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a (N, n, rho) grid sweep from a JSON config")
     p.add_argument("--config", required=True, help="JSON config path")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="threads running cells (>= 1)")
     p.add_argument("--summary", action="store_true", help="print per-cell summary to stderr")
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock per unit (breaks byte-reproducibility)")

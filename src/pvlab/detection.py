@@ -46,7 +46,6 @@ __all__ = [
     "recover",
     "decide",
     "error_rates",
-    "plugin_rho",
 ]
 
 # The decision rules only need c1 in (0, 0.1) with |rho - 1/3| >= c1; a
@@ -92,8 +91,7 @@ def spectral_norm_outcome(
 def spectral_norm_test(
     Y_obs: np.ndarray, rho: float, c1: float = DEFAULT_C1
 ) -> DetectionOutcome:
-    """Spectral-norm detector; rho must be known (or plugged in by the
-    caller, see plugin_rho)."""
+    """Spectral-norm detector; rho must be known."""
     return spectral_norm_outcome(spectral_norm_statistic(Y_obs), len(Y_obs), rho, c1)
 
 
@@ -187,10 +185,3 @@ def error_rates(
         type_II=missed / trials,
         trials=trials,
     )
-
-
-def plugin_rho(candidate: np.ndarray) -> float:
-    """Exploratory sparsity estimate: support fraction of the candidate after
-    the rho-free orthonormal thresholding rule."""
-    recovered = recover_orthonormal_rule(candidate)
-    return float(np.count_nonzero(recovered)) / candidate.size

@@ -3,7 +3,7 @@
 Each (cell, trial) unit draws its randomness from a stream index derived by a
 stable 64-bit hash of (N, n, rho, trial), so editing the grid never reshuffles
 the randomness of unrelated cells, and records come out in deterministic cell
-order no matter how many workers ran them.
+order no matter how many worker threads ran them.
 
 A unit samples each distinct instance once (the gaussian `recover` instance is
 also the detection tests' planted instance) and keeps only its spectral result
@@ -19,7 +19,7 @@ import logging
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .model_gen import SeedSpec
@@ -69,16 +69,19 @@ class SweepConfig:
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("Ns", "ns"):
-            if not all(_is_int(x) for x in getattr(self, name)):
-                raise ValueError(f"{name} entries must be integers, got {getattr(self, name)!r}")
+            values = getattr(self, name)
+            if not all(_is_int(x) for x in values):
+                raise ValueError(f"{name} entries must be integers, got {values!r}")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} entries must be distinct, got {values!r}")
         if not all(isinstance(r, numbers.Real) and not isinstance(r, bool) for r in self.rhos):
             raise ValueError(f"rhos entries must be real numbers, got {self.rhos!r}")
         if any(N < 1 for N in self.Ns) or any(n < 1 for n in self.ns):
             raise ValueError("grid values must be positive")
         if any(not 0 < r <= 1 for r in self.rhos):
             raise ValueError("rho values must be in (0, 1]")
-        if len({_rho_key(r) for r in self.rhos}) != len(set(self.rhos)):
-            raise ValueError("distinct rho values must differ by more than 1e-9")
+        if len({_rho_key(r) for r in self.rhos}) != len(self.rhos):
+            raise ValueError("rhos must be distinct and differ by more than 1e-9")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.D < 0:
@@ -161,9 +164,8 @@ def stream_for_cell(N: int, n: int, rho: float, trial: int) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
-def _run_cell(args: tuple) -> list[SweepRecord]:
+def _run_cell(config: SweepConfig, N: int, n: int, rho: float) -> list[SweepRecord]:
     """Execute every trial of one cell, sharing the cell's advantage."""
-    config, N, n, rho = args
     cell_advantage = functools.cache(lambda: advantage(N, n, rho, config.D))
     return [
         record
@@ -234,19 +236,21 @@ def _elapsed(config: SweepConfig, start: float) -> float | None:
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     """Run every (cell, trial, task) unit and return records in deterministic
-    cell order, independent of worker count.  A cell is the unit of work for
-    the serial path and the pool alike.
+    cell order, independent of worker count.  A cell is the unit of work; with
+    workers >= 2 cells run on that many threads of this process (numpy's
+    generators, BLAS and LAPACK release the GIL, and every unit has its own
+    stream).  workers < 1 raises ValueError.
 
     Per-unit failures (degenerate draws, or any other exception) are logged
     and recorded with success=False and empty values; they never abort the
     sweep.
     """
-    cells = [(config, N, n, rho) for (N, n, rho) in config.cells()]
-    if workers <= 1:
-        batches = [_run_cell(c) for c in cells]
+    cells = config.cells()
+    if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS
+        batches = [_run_cell(config, *cell) for cell in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_cell, cells))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
     return [record for batch in batches for record in batch]
 
 

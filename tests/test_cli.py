@@ -191,6 +191,36 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_fail_before_out_is_opened(
+        self, workers, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "records.csv"
+        out.write_text("kept\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"Ns": [200], "ns": [3], "rhos": [0.1], "trials": 2, "out": str(out)})
+        )
+        units = []
+        monkeypatch.setattr(harness, "_run_unit", lambda *args: units.append(args) or [])
+        assert main(["sweep", "--config", str(cfg), "--workers", workers]) == 2
+        assert units == [] and out.read_text() == "kept\n"
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+
+    def test_summary_prints_mean_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        config = {"Ns": [200], "ns": [3], "rhos": [0.1], "trials": 3,
+                  "tasks": ["recover", "advantage"], "seed": 2, "out": str(tmp_path / "r.csv")}
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg), "--summary"]) == 0
+        recover, adv = capsys.readouterr().err.splitlines()
+        cell = harness.summarize(harness.run_sweep(harness.SweepConfig.from_json(str(cfg))))[0]
+        assert recover.endswith(
+            f" mean_l2={cell.mean_l2:.4g} se_l2={cell.se_l2:.4g}"
+            f" mean_entrywise={cell.mean_entrywise:.4g}"
+        )
+        assert "task=advantage" in adv and "mean_" not in adv
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])

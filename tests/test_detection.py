@@ -9,7 +9,6 @@ from pvlab.detection import (
     detect_via_estimation,
     error_rates,
     l1l2_test,
-    plugin_rho,
     sample_observation,
     spectral_norm_outcome,
     spectral_norm_statistic,
@@ -195,11 +194,3 @@ class TestDispatch:
         obs, _ = sample_observation("null", 10, 2, 0.5, SeedSpec(18))
         with pytest.raises(ValueError, match="test kind"):
             decide("oracle", estimate_direction(obs), 0.5)
-
-
-class TestPluginRho:
-    def test_recovers_order_of_magnitude(self):
-        obs, _ = sample_detection_pair(4000, 20, 0.02, SeedSpec(15), "planted")
-        est = estimate_direction(obs).raw_estimate
-        rho_hat = plugin_rho(est)
-        assert 0.01 <= rho_hat <= 0.04

@@ -1,6 +1,7 @@
 """Tests for the sweep harness: determinism, record bookkeeping, summaries."""
 
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -98,6 +99,9 @@ class TestConfig:
             {"out": 1},
             {"tasks": ()},
             {"tasks": ("recover", "recover")},
+            {"Ns": [200, 200]},
+            {"ns": [4, 4]},
+            {"rhos": [0.1, 0.1]},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -144,10 +148,22 @@ class TestRunSweep:
         assert a == b
 
     def test_worker_count_invariance(self):
-        cfg = small_config(trials=4)
+        cfg = small_config(Ns=[200, 300], ns=[2, 4], rhos=[0.1, 0.3], trials=2, tasks=ALL_TASKS)
         serial = records_to_csv(run_sweep(cfg, workers=1))
-        parallel = records_to_csv(run_sweep(cfg, workers=2))
-        assert serial == parallel
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the cells interleave
+        try:
+            for workers in (2, 8):  # one thread per cell: more threads than cores
+                assert records_to_csv(run_sweep(cfg, workers=workers)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_serial_sweep_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 must run on the calling thread")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        assert len(run_sweep(small_config(), workers=1)) == 3
 
     def test_header(self):
         cfg = small_config(trials=1)
@@ -252,13 +268,15 @@ class TestSharedPipeline:
         count(advantage, lambda a, k: "advantage")
 
         cfg = small_config(Ns=[200, 300], trials=3, tasks=ALL_TASKS)
-        records = run_sweep(cfg)
         units, cells = 2 * 3, 2
-        assert len(records) == units * len(ALL_TASKS)
-        assert calls == Counter(
-            {"planted": units, "detection_pair.null": units,
-             "build_statistic": 2 * units, "advantage": cells}
-        )
+        for workers in (1, 2):  # the counters see only calls made in this process
+            calls.clear()
+            records = run_sweep(cfg, workers=workers)
+            assert len(records) == units * len(ALL_TASKS)
+            assert calls == Counter(
+                {"planted": units, "detection_pair.null": units,
+                 "build_statistic": 2 * units, "advantage": cells}
+            )
 
     def test_exception_in_a_task_becomes_an_error_row(self, monkeypatch, caplog):
         def broken(*args):

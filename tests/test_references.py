@@ -2,9 +2,10 @@
 
 The benchmark's `advantage_table` and `gauss_all_tasks` grids are run at the
 reference seed through `python -m pvlab.cli sweep` with one BLAS thread (the
-thread count the references were written with), and the CSV each prints must
-equal its file in `bench/references/` byte for byte.  `orth_recover_large`
-takes several seconds and is checked by the benchmark instead.
+thread count the references were written with), serially and on two worker
+threads, and the CSV each prints must equal its file in `bench/references/`
+byte for byte.  `orth_recover_large` takes several seconds and is checked by
+the benchmark instead.
 """
 
 import importlib.util
@@ -29,14 +30,22 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-@pytest.mark.parametrize("name", ["advantage_table", "gauss_all_tasks"])
-def test_default_seed_sweep_matches_reference(name, tmp_path):
+@pytest.mark.parametrize(
+    ("name", "workers"),
+    [
+        pytest.param(name, workers, id=name if workers == 1 else f"{name}-workers{workers}")
+        for name in ("advantage_table", "gauss_all_tasks")
+        for workers in (1, 2)
+    ],
+)
+def test_default_seed_sweep_matches_reference(name, workers, tmp_path):
     workload = workloads.WORKLOADS[name]
     config = workload.write_config(tmp_path / f"{name}.json", workloads.DEFAULT_SEED)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", "pvlab.cli", "sweep", "--config", str(config)],
+        [sys.executable, "-m", "pvlab.cli", "sweep", "--config", str(config),
+         "--workers", str(workers)],
         capture_output=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert done.returncode == 0, done.stderr.decode()
