@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +45,9 @@ log = logging.getLogger("pvlab")
 TASKS = ("recover", "detect_spectral", "detect_l1l2", "advantage")
 
 CSV_HEADER = "N,n,rho,trial,task,success,l2_error,entrywise_err,statistic,adv,elapsed_ms"
+
+# Any one of these set to "1" keeps each worker thread's BLAS calls on one core.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -239,7 +243,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     cell order, independent of worker count.  A cell is the unit of work; with
     workers >= 2 cells run on that many threads of this process (numpy's
     generators, BLAS and LAPACK release the GIL, and every unit has its own
-    stream).  workers < 1 raises ValueError.
+    stream).  workers < 1 raises ValueError.  workers >= 2 logs a warning
+    unless one of _BLAS_THREAD_VARS is "1": with a BLAS thread per core the
+    workers oversubscribe the cores and can run slower than serial.
 
     Per-unit failures (degenerate draws, or any other exception) are logged
     and recorded with success=False and empty values; they never abort the
@@ -249,6 +255,12 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS
         batches = [_run_cell(config, *cell) for cell in cells]
     else:
+        if workers >= 2 and not any(os.environ.get(v) == "1" for v in _BLAS_THREAD_VARS):
+            log.warning(
+                "%d workers with multithreaded BLAS oversubscribe the cores; "
+                "set OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1)",
+                workers,
+            )
         with ThreadPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
     return [record for batch in batches for record in batch]

@@ -167,11 +167,47 @@ def apply_rotation(Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize(Y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span of Y, via Householder QR.
+    """Orthonormal basis of the column span of Y: the Q of Y = QR with a
+    positive diagonal of R, via CholeskyQR2 (Fukaya et al., 2014), or via
+    Householder QR where the Gram matrix cannot decide (see _cholesky_qr2).
 
     Raises RankDeficientError (with the offending column index) when a
-    diagonal entry of R falls below the rank tolerance.
+    diagonal entry of R falls below the rank tolerance, and ValueError when
+    Y has a NaN or infinite entry.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = Y.T @ Y
+    if not np.isfinite(G).all():
+        bad = np.flatnonzero(~np.isfinite(Y).all(axis=0))
+        if bad.size:
+            raise ValueError(f"non-finite entry in column {int(bad[0])} of the basis")
+        return _householder_orthonormalize(Y)  # finite Y whose Gram matrix overflows
+    Q = _cholesky_qr2(Y, G)
+    return _householder_orthonormalize(Y) if Q is None else Q
+
+
+def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
+    """Q from two rounds of Gram, Cholesky and triangular inverse, given the
+    finite Gram matrix G = Y^T Y; None when Householder QR must decide."""
+    try:
+        R1 = np.linalg.cholesky(G).T
+    except np.linalg.LinAlgError:
+        return None
+    d = np.diag(R1)
+    # Gram-based R loses about sqrt(eps)*||Y||, so near RANK_TOL only Householder can decide.
+    if d.size == 0 or d.min() <= max(1e-5 * d.max(), 1e3 * RANK_TOL):
+        return None
+    Q1 = Y @ np.linalg.inv(R1)
+    G1 = Q1.T @ Q1
+    # A first pass this far from orthonormal leaves the second pass inexact
+    # (cond(Y) beyond about 1/sqrt(eps), e.g. a Kahan matrix).  Within 0.5 of
+    # I, G1 has eigenvalues >= 0.5, so its Cholesky cannot fail.
+    if np.linalg.norm(G1 - np.eye(d.size)) > 0.5:
+        return None
+    return Q1 @ np.linalg.inv(np.linalg.cholesky(G1).T)
+
+
+def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
     Q, R = np.linalg.qr(Y)
     diag = np.abs(np.diag(R))
     small = np.flatnonzero(diag <= RANK_TOL)

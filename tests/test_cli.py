@@ -1,6 +1,7 @@
 """End-to-end tests of the pvlab command-line interface."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -24,12 +25,12 @@ N,n,rho,kind,seed,stream
     "orth": """\
 N,n,rho,kind,seed,stream
 6,2,0.5,orthonormal,0,0
-0.5773502691896257,-0.04173180779120115
-0.0,0.3132760807000041
-0.0,-0.8516766950755024
+0.5773502691896258,-0.04173180779120115
+0.0,0.31327608070000407
+0.0,-0.8516766950755025
 0.5773502691896258,-0.2277919101096194
 0.5773502691896258,0.2695237179008206
-0.0,0.2241231173317972
+0.0,0.22412311733179724
 """,
     "null": """\
 N,n,rho,kind,seed,stream
@@ -51,6 +52,26 @@ class TestGen:
         argv = ["gen", "--N", "6", "--n", "2", "--rho", "0.5", "--model", model, "--out", str(out)]
         assert main(argv) == 0
         assert out.read_bytes() == GEN_DUMPS[model].encode()
+
+    def test_orth_dump_near_householder_values(self, tmp_path):
+        # The Householder QR that produced the orth dump before CholeskyQR2;
+        # the two factorizations agree up to rounding.
+        householder = np.array(
+            [
+                [0.5773502691896257, -0.04173180779120115],
+                [0.0, 0.3132760807000041],
+                [0.0, -0.8516766950755024],
+                [0.5773502691896258, -0.2277919101096194],
+                [0.5773502691896258, 0.2695237179008206],
+                [0.0, 0.2241231173317972],
+            ]
+        )
+        out = tmp_path / "inst.csv"
+        main(["gen", "--N", "6", "--n", "2", "--rho", "0.5", "--model", "orth", "--out", str(out)])
+        with open(out) as f:
+            Y, _, _, _ = load_instance(f)
+        assert np.max(np.abs(Y - householder)) <= 4e-16
+        assert np.array_equal(Y == 0.0, householder == 0.0)
 
     def test_writes_loadable_instance(self, tmp_path):
         out = tmp_path / "inst.csv"
@@ -206,6 +227,39 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--workers", workers]) == 2
         assert units == [] and out.read_text() == "kept\n"
         assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize(
+        "workers, env, warned",
+        [
+            ("2", {}, True),
+            ("2", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "2"}, True),
+            ("2", {"OPENBLAS_NUM_THREADS": "1"}, False),
+            ("2", {"OMP_NUM_THREADS": "1"}, False),
+            ("2", {"MKL_NUM_THREADS": "1"}, False),
+            ("1", {}, False),
+        ],
+        ids=["unset", "not_one", "openblas", "omp", "mkl", "serial"],
+    )
+    def test_warns_when_workers_oversubscribe_blas(
+        self, workers, env, warned, tmp_path, caplog, monkeypatch
+    ):
+        for var in harness._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        out = tmp_path / "records.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"Ns": [200], "ns": [3], "rhos": [0.1], "trials": 2, "out": str(out)})
+        )
+        with caplog.at_level(logging.WARNING, logger="pvlab"):
+            assert main(["sweep", "--config", str(cfg), "--workers", workers]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        if warned:
+            assert len(warnings) == 1 and "OPENBLAS_NUM_THREADS=1" in warnings[0]
+        else:
+            assert warnings == []
+        assert len(out.read_text().splitlines()) == 3
 
     def test_summary_prints_mean_errors(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

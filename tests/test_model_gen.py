@@ -4,8 +4,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pvlab import model_gen
+from pvlab.detection import recover
 from pvlab.model_gen import (
+    RANK_TOL,
     DegenerateDrawError,
     RankDeficientError,
     SeedSpec,
@@ -20,6 +24,7 @@ from pvlab.model_gen import (
     sample_rotated_instance,
     sample_orthonormal_instance,
 )
+from pvlab.spectral import estimate_direction
 
 
 class TestSampleBrVector:
@@ -180,6 +185,33 @@ class TestApplyRotation:
             apply_rotation(Y, Q)
 
 
+def householder_oracle(Y):
+    """Reference orthonormalization: Householder QR with the R-diagonal sign
+    fix and the RANK_TOL check."""
+    Q, R = np.linalg.qr(Y)
+    diag = np.abs(np.diag(R))
+    small = np.flatnonzero(diag <= RANK_TOL)
+    if small.size:
+        raise RankDeficientError(column=int(small[0]), diag=float(diag[small[0]]))
+    return Q * np.sign(np.diag(R))
+
+
+@st.composite
+def bases(draw):
+    """Gaussian N x n bases at scales 1e-10..1e3, some with one column equal
+    to a combination of earlier columns plus relative noise 1e-14..1e-2."""
+    N = draw(st.integers(2, 299))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-10, 3))
+    Y = rng.normal(size=(N, n)) * scale
+    if n >= 2 and draw(st.booleans()):
+        j = draw(st.integers(1, n - 1))
+        noise = 10.0 ** draw(st.floats(-14, -2))
+        Y[:, j] = Y[:, :j] @ rng.normal(size=j) + noise * scale * rng.normal(size=N)
+    return Y
+
+
 class TestOrthonormalize:
     def test_columns_orthonormal(self):
         v = sample_br_vector(200, 0.2, SeedSpec(36))
@@ -212,6 +244,74 @@ class TestOrthonormalize:
         with pytest.raises(RankDeficientError) as exc:
             orthonormalize(Y)
         assert exc.value.column == 3
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_rejected(self, value):
+        Y = np.random.default_rng(1).normal(size=(30, 4))
+        Y[7, 2] = value
+        with pytest.raises(ValueError, match="column 2") as exc:
+            orthonormalize(Y)
+        assert not isinstance(exc.value, RankDeficientError)
+
+    def test_overflowing_gram_matches_householder(self):
+        # Y^T Y overflows although Y is finite: Householder QR still applies.
+        Y = np.random.default_rng(2).normal(size=(30, 4)) * 1e160
+        Yh = orthonormalize(Y)
+        assert np.max(np.abs(Yh - householder_oracle(Y))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "scale, last_diag",
+        [(1e-4, 5e-6), (1e3, 1e-3)],
+        ids=["absolute", "relative"],
+    )
+    def test_small_r_diagonal_decided_by_householder(self, scale, last_diag):
+        # R[3, 3] is below 1e3 * RANK_TOL, or below 1e-5 of the largest
+        # diagonal: the Gram matrix cannot resolve it, so Householder answers.
+        rng = np.random.default_rng(3)
+        Q0, _ = np.linalg.qr(rng.normal(size=(50, 4)))
+        R = np.triu(rng.normal(size=(4, 4)), 1) + np.diag([2.0, 2.0, 2.0, last_diag / scale])
+        Y = scale * (Q0 @ R)
+        assert np.array_equal(orthonormalize(Y), householder_oracle(Y))
+
+    @pytest.mark.parametrize("n, s", [(40, 0.75), (60, 0.83)])
+    def test_ill_conditioned_kahan_matches_householder(self, n, s):
+        # cond(Y) ~ 1e14 and ~ 1e16 with every diagonal of R above the rank
+        # guard: one CholeskyQR2 round trip is not orthonormal here.
+        c = np.sqrt(1.0 - s * s)
+        K = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        Y = np.vstack([K, np.zeros((10, n))])
+        Yh = orthonormalize(Y)
+        assert np.max(np.abs(Yh.T @ Yh - np.eye(n))) <= 1e-12
+        assert np.array_equal(Yh, householder_oracle(Y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_householder_oracle(self, data):
+        Y = data.draw(bases())
+        try:
+            expected = householder_oracle(Y)
+        except RankDeficientError as oracle_exc:
+            with pytest.raises(RankDeficientError) as exc:
+                orthonormalize(Y)
+            assert (exc.value.column, exc.value.diag) == (oracle_exc.column, oracle_exc.diag)
+            return
+        Yh = orthonormalize(Y)
+        assert Yh.shape == expected.shape
+        assert np.max(np.abs(Yh - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("N, n", [(4000, 20), (2000, 10), (300, 8)])
+    def test_sampled_instances_match_oracle(self, N, n, monkeypatch):
+        inputs = []
+        real = model_gen.orthonormalize
+        monkeypatch.setattr(model_gen, "orthonormalize", lambda Y: inputs.append(Y) or real(Y))
+        rho = 0.05
+        for t in range(4):
+            Yh, v = sample_orthonormal_instance(N, n, rho, SeedSpec(52, t))
+            expected = householder_oracle(inputs[-1])
+            assert np.max(np.abs(Yh - expected)) <= 1e-13
+            got = recover("orth", estimate_direction(Yh), v, rho)
+            want = recover("orth", estimate_direction(expected), v, rho)
+            assert got.exact_match == want.exact_match
 
 
 class TestDetectionPair:
