@@ -46,6 +46,9 @@ _LANE_VECTOR = 1
 _LANE_ROTATION = 2
 _LANE_BASIS = 3
 
+# Rows of the Gaussian columns drawn per rng call by _basis_from_rng.
+_FILL_ROWS = 1024
+
 
 class DegenerateDrawError(ValueError):
     """A sampled vector was identically zero and cannot be normalized."""
@@ -106,7 +109,12 @@ def _basis_from_rng(rng: np.random.Generator, v: np.ndarray, n: int) -> np.ndarr
     Y = np.empty((N, n))
     Y[:, 0] = v
     if n > 1:
-        Y[:, 1:] = rng.normal(scale=1.0 / np.sqrt(N), size=(N, n - 1))
+        # Row blocks draw the same stream in the same C order as one (N, n-1)
+        # call, without an N x (n-1) temporary.
+        scale = 1.0 / np.sqrt(N)
+        for start in range(0, N, _FILL_ROWS):
+            block = Y[start : start + _FILL_ROWS, 1:]
+            block[...] = rng.normal(scale=scale, size=block.shape)
     return Y
 
 
@@ -166,10 +174,15 @@ def apply_rotation(Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return Y @ Q
 
 
-def orthonormalize(Y: np.ndarray) -> np.ndarray:
+def orthonormalize(Y: np.ndarray, *, overwrite_y: bool = False) -> np.ndarray:
     """Orthonormal basis of the column span of Y: the Q of Y = QR with a
     positive diagonal of R, via CholeskyQR2 (Fukaya et al., 2014), or via
     Householder QR where the Gram matrix cannot decide (see _cholesky_qr2).
+
+    With `overwrite_y`, a C-contiguous, writeable float64 Y may be reused as
+    the output buffer (as scipy.linalg's `overwrite_a`): Q is then written
+    into Y and Y is returned.  Q has the same bytes either way, and Y is left
+    unchanged whenever Householder QR or an exception decides.
 
     Raises RankDeficientError (with the offending column index) when a
     diagonal entry of R falls below the rank tolerance, and ValueError when
@@ -182,13 +195,16 @@ def orthonormalize(Y: np.ndarray) -> np.ndarray:
         if bad.size:
             raise ValueError(f"non-finite entry in column {int(bad[0])} of the basis")
         return _householder_orthonormalize(Y)  # finite Y whose Gram matrix overflows
-    Q = _cholesky_qr2(Y, G)
+    reuse = overwrite_y and Y.dtype == np.float64 and Y.flags.c_contiguous and Y.flags.writeable
+    Q = _cholesky_qr2(Y, G, out=Y if reuse else None)
     return _householder_orthonormalize(Y) if Q is None else Q
 
 
-def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
+def _cholesky_qr2(Y: np.ndarray, G: np.ndarray, out: np.ndarray | None) -> np.ndarray | None:
     """Q from two rounds of Gram, Cholesky and triangular inverse, given the
-    finite Gram matrix G = Y^T Y; None when Householder QR must decide."""
+    finite Gram matrix G = Y^T Y; None when Householder QR must decide.  The
+    last product goes into `out` unless it is None; `out` may be Y itself,
+    since it is written only after every check has passed."""
     try:
         R1 = np.linalg.cholesky(G).T
     except np.linalg.LinAlgError:
@@ -204,7 +220,7 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     # I, G1 has eigenvalues >= 0.5, so its Cholesky cannot fail.
     if np.linalg.norm(G1 - np.eye(d.size)) > 0.5:
         return None
-    return Q1 @ np.linalg.inv(np.linalg.cholesky(G1).T)
+    return np.matmul(Q1, np.linalg.inv(np.linalg.cholesky(G1).T), out=out)
 
 
 def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
@@ -276,7 +292,7 @@ def sample_orthonormal_instance(
     _check_instance_params(N, n, rho)
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=True)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
-    Yhat = orthonormalize(Y)
+    Yhat = orthonormalize(Y, overwrite_y=True)
     if extra_rotation:
         Yhat = Yhat @ _haar_from_rng(seed.generator(_LANE_ROTATION), n)
     return Yhat, v

@@ -1,6 +1,8 @@
 """Tests for the spectral-norm and l1/l2 detection tests and the error-rate
 harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from pvlab.model_gen import (
     SeedSpec,
     apply_rotation,
     sample_detection_pair,
+    sample_gaussian_basis,
     sample_haar_rotation,
 )
 from pvlab.spectral import estimate_direction
@@ -194,3 +197,35 @@ class TestDispatch:
         obs, _ = sample_observation("null", 10, 2, 0.5, SeedSpec(18))
         with pytest.raises(ValueError, match="test kind"):
             decide("oracle", estimate_direction(obs), 0.5)
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc (which sees numpy's buffers) traces while
+    fn runs, above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    N, n = 20000, 50
+
+    @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
+    def test_trial_holds_at_most_two_observation_arrays(self, model):
+        # Sampling and estimating one N x n observation may hold two N x n
+        # float64 arrays at once, plus n x n matrices and one basis-fill
+        # block, but not a third array.
+        N, n = self.N, self.n
+        peak = traced_peak(
+            lambda: estimate_direction(sample_observation(model, N, n, 0.05, SeedSpec(19))[0])
+        )
+        assert peak <= 2.25 * N * n * 8
+
+    def test_basis_fill_needs_no_full_size_temporary(self):
+        N, n = self.N, self.n
+        peak = traced_peak(lambda: sample_gaussian_basis(np.zeros(N), n, SeedSpec(20)))
+        assert peak <= 1.25 * N * n * 8

@@ -1,5 +1,6 @@
 """Tests for instance generation: distributions, determinism, serialization."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -118,6 +119,20 @@ class TestGaussianBasis:
         with pytest.raises(ValueError):
             sample_gaussian_basis(v, 6, SeedSpec(19))
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    @pytest.mark.parametrize("N", [1, 1023, 1024, 1025, 3000])
+    def test_row_blocked_fill_matches_one_call(self, N, n):
+        # The basis is drawn in row blocks; its bytes must equal those of a
+        # single normal(size=(N, n-1)) call on the same lane.
+        v = np.linspace(-1.0, 1.0, N)
+        seed = SeedSpec(53, N)
+        Y = model_gen._basis_from_rng(seed.generator(model_gen._LANE_BASIS), v, n)
+        expected = np.empty((N, n))
+        expected[:, 0] = v
+        rng = seed.generator(model_gen._LANE_BASIS)
+        expected[:, 1:] = rng.normal(scale=1.0 / np.sqrt(N), size=(N, n - 1))
+        assert Y.tobytes() == expected.tobytes()
+
 
 class TestHaarRotation:
     def test_orthogonality(self):
@@ -212,6 +227,46 @@ def bases(draw):
     return Y
 
 
+def outcome(Y, **kwargs):
+    """orthonormalize's result bytes, or the type and message it raised."""
+    try:
+        return orthonormalize(Y, **kwargs).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _zero_column():  # the Cholesky factorization of Y^T Y fails
+    Y = np.random.default_rng(4).normal(size=(30, 4))
+    Y[:, 2] = 0.0
+    return Y
+
+
+def _small_r_diagonal():  # R[3, 3] below 1e3 * RANK_TOL
+    rng = np.random.default_rng(3)
+    Q0, _ = np.linalg.qr(rng.normal(size=(50, 4)))
+    R = np.triu(rng.normal(size=(4, 4)), 1) + np.diag([2.0, 2.0, 2.0, 5e-2])
+    return 1e-4 * (Q0 @ R)
+
+
+def _kahan():  # the first pass is too far from orthonormal
+    n, s = 40, 0.75
+    K = np.diag(s ** np.arange(n)) @ (np.eye(n) - np.sqrt(1 - s * s) * np.triu(np.ones((n, n)), 1))
+    return np.vstack([K, np.zeros((10, n))])
+
+
+def _gram_overflow():
+    return np.random.default_rng(2).normal(size=(30, 4)) * 1e160
+
+
+def _with_entry(value):
+    def make():
+        Y = np.random.default_rng(1).normal(size=(30, 4))
+        Y[7, 2] = value
+        return Y
+
+    return make
+
+
 class TestOrthonormalize:
     def test_columns_orthonormal(self):
         v = sample_br_vector(200, 0.2, SeedSpec(36))
@@ -284,6 +339,50 @@ class TestOrthonormalize:
         assert np.max(np.abs(Yh.T @ Yh - np.eye(n))) <= 1e-12
         assert np.array_equal(Yh, householder_oracle(Y))
 
+    def test_overwrite_writes_the_same_q_into_y(self):
+        for t in range(3):
+            v = sample_br_vector(500, 0.1, SeedSpec(54, t))
+            Y = sample_gaussian_basis(v, 12, SeedSpec(55, t))
+            before = Y.copy()
+            Q = orthonormalize(Y)
+            assert Y.tobytes() == before.tobytes()  # the default leaves Y alone
+            Yw = Y.copy()
+            Qw = orthonormalize(Yw, overwrite_y=True)
+            assert Qw is Yw
+            assert Qw.tobytes() == Q.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [_zero_column, _small_r_diagonal, _kahan, _gram_overflow, _with_entry(np.nan), _with_entry(np.inf)],
+        ids=["cholesky_fails", "small_r_diagonal", "kahan", "gram_overflow", "nan", "inf"],
+    )
+    def test_overwrite_leaves_y_alone_on_fallback(self, make):
+        # Every fallback decides before the last product is written, so Y
+        # still holds the input and the outcome matches the default call.
+        Y = make()
+        before = Y.copy()
+        assert outcome(Y, overwrite_y=True) == outcome(before.copy())
+        assert Y.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "readonly", "int"])
+    def test_overwrite_allocates_when_y_cannot_hold_q(self, layout):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(40, 10))
+        if layout == "strided":
+            Y = base[:, ::2]
+        elif layout == "fortran":
+            Y = np.asfortranarray(base[:, :5])
+        elif layout == "readonly":
+            Y = base[:, :5].copy()
+            Y.flags.writeable = False
+        else:
+            Y = rng.integers(-9, 10, size=(40, 5))
+        before = Y.copy()
+        Q = orthonormalize(Y, overwrite_y=True)
+        assert Q.dtype == np.float64 and not np.shares_memory(Q, Y)
+        assert np.array_equal(Y, before)
+        assert np.max(np.abs(Q - householder_oracle(Y.astype(float)))) <= 1e-13
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_householder_oracle(self, data):
@@ -303,7 +402,12 @@ class TestOrthonormalize:
     def test_sampled_instances_match_oracle(self, N, n, monkeypatch):
         inputs = []
         real = model_gen.orthonormalize
-        monkeypatch.setattr(model_gen, "orthonormalize", lambda Y: inputs.append(Y) or real(Y))
+
+        def recording(Y, **kwargs):
+            inputs.append(Y.copy())  # the sampler lets Q overwrite Y
+            return real(Y, **kwargs)
+
+        monkeypatch.setattr(model_gen, "orthonormalize", recording)
         rho = 0.05
         for t in range(4):
             Yh, v = sample_orthonormal_instance(N, n, rho, SeedSpec(52, t))
@@ -347,6 +451,19 @@ class TestModelInstances:
         Y, v = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(48))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         assert np.max(np.abs(Y.T @ Y - np.eye(8))) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "t, digest",
+        [
+            (0, "f5e2ab60b68fe1f5eb118870a5e1f36a2e655598fdac49c3bf3576956c180d94"),
+            (1, "f8f7c874b266ad94f5b45c29b2e568ca26032c060fd81a2e7889a4cd3faaaa09"),
+            (2, "866007618becedc991c353b8edc56d3df1879884d1ac4412bb547cadd1cae684"),
+        ],
+    )
+    def test_model2_bytes_pinned_across_fill_blocks(self, t, digest):
+        # N = 3000 spans three blocks of the basis fill.
+        Y, _ = sample_orthonormal_instance(3000, 40, 0.05, SeedSpec(0, t))
+        assert hashlib.sha256(Y.tobytes()).hexdigest() == digest
 
     def test_model2_extra_rotation_same_span(self):
         plain, _ = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(49))

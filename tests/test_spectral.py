@@ -1,8 +1,12 @@
 """Tests for the degree-4 statistic, eigenpair extraction, recovery rules,
 scoring, and the rank-one perturbation bound."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pvlab.model_gen import (
     SeedSpec,
@@ -53,6 +57,65 @@ class TestBuildStatistic:
         before = np.linalg.eigvalsh(build_statistic(obs))
         after = np.linalg.eigvalsh(build_statistic(apply_rotation(obs, Q)))
         assert np.max(np.abs(before - after)) <= 1e-8
+
+
+def observations(max_N, max_n):
+    """N x n float64 arrays with entries in [-4, 4] that are zero or at least
+    1e-50 in magnitude, so that no product in M underflows."""
+    elements = st.floats(-4.0, 4.0).map(lambda x: x if abs(x) >= 1e-50 else 0.0)
+    shapes = st.tuples(st.integers(1, max_N), st.integers(1, max_n))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
+
+
+def statistic_scale(Y):
+    """Sum of the magnitudes of the terms that make up M, the scale its
+    rounding error is relative to."""
+    N, n = Y.shape
+    sq = np.einsum("ij,ij->i", Y, Y)
+    return float(np.sum((sq + (n - 1) / N) * sq) + 3.0 / N)
+
+
+class TestBuildStatisticProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(Y=observations(40, 6), data=st.data(), centered=st.booleans())
+    def test_row_sign_flips_leave_m_bit_identical(self, Y, data, centered):
+        # The weights and each y_i y_i^T are unchanged, and negation is exact.
+        flips = data.draw(arrays(np.bool_, Y.shape[0]))
+        flipped = np.where(flips[:, None], -Y, Y)
+        assert build_statistic(flipped, centered).tobytes() == build_statistic(Y, centered).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(Y=observations(40, 6), data=st.data())
+    def test_row_permutation_permutes_the_estimate(self, Y, data):
+        perm = np.array(data.draw(st.permutations(range(Y.shape[0]))))
+        base = estimate_direction(Y)
+        moved = estimate_direction(Y[perm])
+        scale = statistic_scale(Y)
+        assert np.max(np.abs(moved.statistic - base.statistic)) <= 1e-12 * scale
+        # The eigenvector is only as stable as its gap; a sign may flip
+        # where u's two largest coordinates tie.
+        assume(base.gap > 1e-3 * scale)
+        target = base.raw_estimate[perm]
+        err = min(np.max(np.abs(moved.raw_estimate - s * target)) for s in (1.0, -1.0))
+        assert err <= 1e-9 * np.linalg.norm(Y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(Y=observations(6, 3), centered=st.booleans())
+    def test_matches_exact_rational_sum(self, Y, centered):
+        N, n = Y.shape
+        exact = [[Fraction(0)] * n for _ in range(n)]
+        for row in Y.tolist():
+            y = [Fraction(x) for x in row]
+            w = sum(x * x for x in y) - Fraction(n - 1, N)
+            for a in range(n):
+                for b in range(n):
+                    exact[a][b] += w * y[a] * y[b]
+        if centered:
+            for a in range(n):
+                exact[a][a] -= Fraction(3, N)
+        M = build_statistic(Y, centered)
+        err = max(abs(Fraction(M[a, b]) - exact[a][b]) for a in range(n) for b in range(n))
+        assert float(err) <= 1e-12 * statistic_scale(Y)
 
 
 class TestLeadingEigenpair:
