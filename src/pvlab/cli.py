@@ -14,15 +14,16 @@ from .lowdeg import advantage
 from .model_gen import SeedSpec, dump_instance
 from .spectral import estimate_direction
 
-CONFIG_ERROR_EXIT = 2
 
-
-def _add_instance_flags(p: argparse.ArgumentParser) -> None:
+def _add_cell_flags(p: argparse.ArgumentParser, seed=True, stream=False) -> None:
+    """--N, --n and --rho, plus --seed and --stream where the command draws."""
     p.add_argument("--N", type=int, required=True, help="ambient dimension")
     p.add_argument("--n", type=int, required=True, help="subspace dimension")
     p.add_argument("--rho", type=float, required=True, help="sparsity in (0, 1]")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--stream", type=int, default=0, help="stream index (trial number)")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+    if stream:
+        p.add_argument("--stream", type=int, default=0, help="stream index (trial number)")
 
 
 def _output(path: str | None):
@@ -84,11 +85,7 @@ def _cmd_advantage(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = harness.SweepConfig.from_json(args.config)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR_EXIT
+    config = harness.SweepConfig.from_json(args.config)
     if args.timing:
         config = dataclasses.replace(config, collect_timing=True)
     if args.workers < 1:
@@ -119,13 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance and dump it as CSV")
-    _add_instance_flags(p)
+    _add_cell_flags(p, stream=True)
     p.add_argument("--model", choices=["gaussian", "orth", "null"], default="gaussian")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("estimate", help="run the spectral estimator on a fresh instance")
-    _add_instance_flags(p)
+    _add_cell_flags(p, stream=True)
     p.add_argument("--model", choices=["gaussian", "orth"], default="gaussian")
     p.add_argument("--uncentered", action="store_true",
                    help="drop the -(3/N) I centering term (comparison variant)")
@@ -133,20 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("detect", help="estimate detection error rates")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    _add_cell_flags(p)
     p.add_argument("--c1", type=float, default=DEFAULT_C1)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--test", choices=["spectral", "l1l2", "reduction"], default="spectral")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--test", choices=["spectral", "l1l2"], default="spectral")
     p.add_argument("--csv", default=None, help="append a result row to this CSV file")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("advantage", help="exact degree-D advantage")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    _add_cell_flags(p, seed=False)
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--breakdown", action="store_true", help="print per-degree CSV")
     p.set_defaults(func=_cmd_advantage)
@@ -166,9 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # e.g. n > N, rho < 1e-6, or an unopenable --out
+    except (ValueError, OSError) as exc:  # e.g. n > N, a bad config, or an unopenable --out
         print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR_EXIT
+        return 2
 
 
 if __name__ == "__main__":

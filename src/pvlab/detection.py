@@ -79,10 +79,17 @@ def _spectral_norm(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(M))))
 
 
+def _check_c1(c1: float) -> None:
+    # A threshold <= 0 (or NaN) would make every call trivial.
+    if not 0 < c1 < np.inf:
+        raise ValueError(f"c1 must be positive and finite, got {c1}")
+
+
 def spectral_norm_outcome(
     stat_value: float, N: int, rho: float, c1: float = DEFAULT_C1
 ) -> DetectionOutcome:
     """Decision rule: planted iff the statistic exceeds c1/(6*N*rho)."""
+    _check_c1(c1)
     threshold = c1 / (6.0 * N * rho)
     decision = "planted" if stat_value > threshold else "null"
     return DetectionOutcome(stat_value, threshold, decision)
@@ -100,6 +107,7 @@ def l1l2_test(candidate: np.ndarray, c1: float = DEFAULT_C1) -> DetectionOutcome
 
     The statistic is exactly scale-invariant in the candidate.
     """
+    _check_c1(c1)
     v = np.asarray(candidate, dtype=float)
     l2 = float(np.linalg.norm(v))
     if l2 == 0.0:
@@ -147,12 +155,11 @@ def decide(
     test_kind: str, result: SpectralResult, rho: float, c1: float = DEFAULT_C1
 ) -> DetectionOutcome:
     """Run a detection test on one instance's spectral result: "spectral"
-    thresholds the norm of its statistic M, "l1l2" (alias "reduction") tests
-    its raw estimate."""
-    if test_kind in ("spectral", "spectral_norm"):
+    thresholds the norm of its statistic M, "l1l2" tests its raw estimate."""
+    if test_kind == "spectral":
         N = result.raw_estimate.size
         return spectral_norm_outcome(_spectral_norm(result.statistic), N, rho, c1)
-    if test_kind in ("l1l2", "reduction"):
+    if test_kind == "l1l2":
         return l1l2_test(result.raw_estimate, c1)
     raise ValueError(f"unknown test kind {test_kind!r}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .model_gen import SeedSpec
 from .spectral import estimate_direction
 from .detection import DEFAULT_C1, decide, recover, sample_observation
-from .lowdeg import advantage
+from .lowdeg import MIN_RHO, advantage
 
 __all__ = [
     "SweepConfig",
@@ -67,6 +67,10 @@ class SweepConfig:
     collect_timing: bool = False
 
     def __post_init__(self):
+        for name in ("Ns", "ns", "rhos", "tasks"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
+        object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.Ns or not self.ns or not self.rhos:
             raise ValueError("Ns, ns, and rhos must all be nonempty")
         for name in ("trials", "D", "seed"):
@@ -94,18 +98,24 @@ class SweepConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model not in ("gaussian", "orth"):
             raise ValueError(f"model must be 'gaussian' or 'orth', got {self.model!r}")
-        unknown = set(self.tasks) - set(TASKS)
+        unknown = [task for task in self.tasks if task not in TASKS]
         if unknown:
-            raise ValueError(f"unknown tasks: {sorted(unknown)}")
+            raise ValueError(f"unknown tasks: {unknown}")
         if not self.tasks or len(set(self.tasks)) != len(self.tasks):
             raise ValueError(f"tasks must be nonempty and distinct, got {list(self.tasks)}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, got {self.out!r}")
+        if all(n > N for N in self.Ns for n in self.ns):
+            raise ValueError("grid has no valid cell: n > N for every (N, n)")
+        if "advantage" in self.tasks and min(self.rhos) < MIN_RHO:
+            raise ValueError(f"advantage needs rho >= {MIN_RHO:g}, got {min(self.rhos)!r}")
 
     @staticmethod
     def from_json(path: str) -> "SweepConfig":
         with open(path) as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got a {type(raw).__name__}")
         known = {"Ns", "ns", "rhos", "trials", "model", "tasks", "D", "seed", "out"}
         extra = set(raw) - known
         if extra:
@@ -113,10 +123,7 @@ class SweepConfig:
         missing = {"Ns", "ns", "rhos"} - set(raw)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        kwargs = dict(raw)
-        if "tasks" in kwargs:
-            kwargs["tasks"] = tuple(kwargs["tasks"])
-        return SweepConfig(**kwargs)
+        return SweepConfig(**raw)
 
     def cells(self) -> list[tuple[int, int, float]]:
         """Valid grid cells in deterministic order; invalid (n > N) cells are

@@ -262,10 +262,6 @@ class DegreeContribution:
 
 @dataclass(frozen=True)
 class AdvantageBreakdown:
-    N: int
-    n: int
-    rho: float
-    D: int
     per_degree: list[DegreeContribution]
     adv_squared: float
     adv: float
@@ -312,10 +308,6 @@ def advantage(N: int, n: int, rho: float, D: int) -> AdvantageBreakdown:
     log_adv_sq = _logsumexp(log_contribs)
     adv_squared = _exp(log_adv_sq)
     return AdvantageBreakdown(
-        N=N,
-        n=n,
-        rho=rho,
-        D=D,
         per_degree=per_degree,
         adv_squared=adv_squared,
         adv=_exp(0.5 * log_adv_sq),

@@ -135,7 +135,7 @@ class TestDetect:
         csv = tmp_path / "rates.csv"
         args = [
             "detect", "--N", "500", "--n", "4", "--rho", "0.05",
-            "--trials", "3", "--test", "reduction", "--csv", str(csv),
+            "--trials", "3", "--test", "l1l2", "--csv", str(csv),
         ]
         assert main(args) == 0
         assert "type_I=" in capsys.readouterr().out
@@ -143,7 +143,24 @@ class TestDetect:
         rows = csv.read_text().splitlines()
         assert len(rows) == 2
         fields = rows[0].split(",")
-        assert fields[0] == "500" and fields[4] == "reduction" and fields[5] == "3"
+        assert fields[0] == "500" and fields[4] == "l1l2" and fields[5] == "3"
+
+    @pytest.mark.parametrize("c1", ["0", "-1", "nan", "inf"])
+    def test_bad_c1_is_an_error(self, c1, tmp_path, capsys):
+        csv = tmp_path / "rates.csv"
+        args = [
+            "detect", "--N", "200", "--n", "5", "--rho", "0.1",
+            "--c1", c1, "--trials", "2", "--csv", str(csv),
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not csv.exists()
+        assert captured.err.startswith("error: c1 must be positive and finite")
+
+    def test_only_the_two_test_names(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["detect", "--N", "200", "--n", "5", "--rho", "0.1", "--test", "reduction"])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestAdvantage:
@@ -193,7 +210,43 @@ class TestSweep:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"Ns": [100]}))
         assert main(["sweep", "--config", str(cfg)]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"Ns": 5, "ns": [2], "rhos": [0.5]},
+            {"Ns": [20], "ns": [2], "rhos": [0.5], "tasks": "recover"},
+            {"Ns": [20], "ns": [2], "rhos": [0.5], "tasks": [["recover"]]},
+            {"Ns": [20], "ns": [2], "rhos": [0.5], "mode": "x"},
+            {"Ns": [20]},
+            {"Ns": [5], "ns": [10], "rhos": [0.5]},
+            {"Ns": [20], "ns": [2], "rhos": [1e-7], "tasks": ["advantage", "recover"]},
+            "abc",
+            [1, 2],
+            None,
+        ],
+    )
+    def test_malformed_config_is_one_error_line(self, config, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "records.csv"
+        if isinstance(config, dict):
+            config = {**config, "out": str(out)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        units = []
+        monkeypatch.setattr(harness, "_run_unit", lambda *args: units.append(args) or [])
+        assert main(["sweep", "--config", str(cfg), "--summary"]) == 2
+        assert units == [] and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_unparsable_config_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2

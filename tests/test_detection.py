@@ -139,11 +139,11 @@ class TestErrorRates:
         assert report.trials == 1
 
     def test_reduction_easy_regime(self):
-        report = error_rates(4000, 20, 0.02, 0.05, 25, "reduction", SeedSpec(11))
+        report = error_rates(4000, 20, 0.02, 0.05, 25, "l1l2", SeedSpec(11))
         assert report.type_I + report.type_II <= 0.2
 
     def test_hard_regime_collapses(self):
-        report = error_rates(400, 200, 0.5, 0.05, 25, "spectral_norm", SeedSpec(12))
+        report = error_rates(400, 200, 0.5, 0.05, 25, "spectral", SeedSpec(12))
         assert report.type_I + report.type_II >= 0.5
 
     def test_monotone_in_signal_ratio(self):
@@ -197,6 +197,26 @@ class TestDispatch:
         obs, _ = sample_observation("null", 10, 2, 0.5, SeedSpec(18))
         with pytest.raises(ValueError, match="test kind"):
             decide("oracle", estimate_direction(obs), 0.5)
+
+    @pytest.mark.parametrize("kind", ["spectral_norm", "reduction"])
+    def test_one_name_per_test(self, kind):
+        obs, _ = sample_observation("null", 10, 2, 0.5, SeedSpec(18))
+        with pytest.raises(ValueError, match="test kind"):
+            decide(kind, estimate_direction(obs), 0.5)
+
+    @pytest.mark.parametrize("c1", [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonpositive_or_nonfinite_c1_rejected(self, c1):
+        obs, _ = sample_observation("null", 50, 2, 0.5, SeedSpec(19))
+        result = estimate_direction(obs)
+        for call in (
+            lambda: spectral_norm_outcome(0.0, 50, 0.5, c1),
+            lambda: l1l2_test(result.raw_estimate, c1),
+            lambda: decide("spectral", result, 0.5, c1),
+            lambda: decide("l1l2", result, 0.5, c1),
+            lambda: error_rates(50, 2, 0.5, c1, 1, "spectral", SeedSpec(19)),
+        ):
+            with pytest.raises(ValueError, match="c1 must be positive and finite"):
+                call()
 
 
 def traced_peak(fn):

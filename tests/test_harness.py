@@ -69,6 +69,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             SweepConfig.from_json(str(path))
 
+    @pytest.mark.parametrize("text", ['"abc"', "[1, 2]", "5", "null"])
+    def test_non_object_config_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            SweepConfig.from_json(str(path))
+
+    def test_rho_floor_applies_only_to_advantage(self):
+        assert small_config(rhos=[1e-7], tasks=("recover", "detect_l1l2")).rhos == [1e-7]
+
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"Ns": [10]}))
@@ -102,10 +112,33 @@ class TestConfig:
             {"Ns": [200, 200]},
             {"ns": [4, 4]},
             {"rhos": [0.1, 0.1]},
+            {"Ns": 5},
+            {"ns": 4},
+            {"rhos": 0.5},
+            {"tasks": None},
+            {"tasks": [["recover"]]},
+            {"Ns": [5], "ns": [10]},
+            {"Ns": [3, 5], "ns": [6, 10]},
+            {"rhos": [1e-7], "tasks": ("advantage", "recover")},
+            {"rhos": [0.1, 5e-7], "tasks": ("advantage",)},
         ],
     )
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
+            small_config(**bad)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"Ns": "200"}, "Ns must be a list"),
+            ({"Ns": {"200": 1}}, "Ns must be a list"),
+            ({"tasks": "recover"}, "tasks must be a list"),
+        ],
+    )
+    def test_strings_and_mappings_are_not_lists(self, bad, match):
+        # Each is iterable, so without the list check a later check would see
+        # its characters or keys ("recover" as five unknown tasks).
+        with pytest.raises(ValueError, match=match):
             small_config(**bad)
 
     def test_invalid_cells_skipped(self, caplog):

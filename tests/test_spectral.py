@@ -100,6 +100,20 @@ class TestBuildStatisticProperties:
         assert err <= 1e-9 * np.linalg.norm(Y)
 
     @settings(max_examples=200, deadline=None)
+    @given(Y=observations(40, 6), seed=st.integers(0, 2**32 - 1))
+    def test_haar_rotation_leaves_spectrum_and_estimate(self, Y, seed):
+        # M(YQ) = Q^T M(Y) Q for orthogonal Q, and the lift (YQ)(Q^T u) = Yu.
+        Q = sample_haar_rotation(Y.shape[1], SeedSpec(seed))
+        base = estimate_direction(Y)
+        moved = estimate_direction(Y @ Q)
+        scale = statistic_scale(Y)
+        spread = np.linalg.eigvalsh(moved.statistic) - np.linalg.eigvalsh(base.statistic)
+        assert np.max(np.abs(spread)) <= 1e-12 * scale
+        assume(base.gap > 1e-3 * scale)
+        err = min(np.max(np.abs(moved.raw_estimate - s * base.raw_estimate)) for s in (1.0, -1.0))
+        assert err <= 1e-9 * np.linalg.norm(Y)
+
+    @settings(max_examples=200, deadline=None)
     @given(Y=observations(6, 3), centered=st.booleans())
     def test_matches_exact_rational_sum(self, Y, centered):
         N, n = Y.shape
