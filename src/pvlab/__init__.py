@@ -44,7 +44,6 @@ from .lowdeg import (
     advantage_bruteforce,
     composition_sum,
     hermite_eval,
-    hermite_moment,
     hermite_moment_br,
     sphere_moment,
 )

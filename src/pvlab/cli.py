@@ -28,7 +28,7 @@ def _add_cell_flags(p: argparse.ArgumentParser, seed=True, stream=False) -> None
 
 def _output(path: str | None):
     """The file at `path` opened for writing, or stdout (left open) if None."""
-    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
 
 
 def _cmd_gen(args) -> int:
@@ -44,7 +44,7 @@ def _cmd_estimate(args) -> int:
     Y, v = sample_observation(args.model, args.N, args.n, args.rho, seed)
     result = estimate_direction(Y, centered=not args.uncentered)
     report = recover(args.model, result, v, args.rho)
-    if args.dump_estimate:  # written first, so a bad path prints no result
+    if args.dump_estimate is not None:  # written first, so a bad path prints no result
         with open(args.dump_estimate, "w") as f:
             f.write("\n".join(repr(float(x)) for x in result.raw_estimate) + "\n")
     print(
@@ -60,23 +60,26 @@ def _cmd_detect(args) -> int:
     report = error_rates(
         args.N, args.n, args.rho, args.c1, args.trials, args.test, SeedSpec(args.seed)
     )
-    if args.csv:  # written first, so a bad path prints no result
+    if args.csv is not None:  # written first, so a bad path prints no result
         row = (
             f"{args.N},{args.n},{args.rho!r},{args.c1!r},{args.test},"
-            f"{report.trials},{report.type_I!r},{report.type_II!r}\n"
+            f"{args.trials},{report.type_I!r},{report.type_II!r}\n"
         )
         with open(args.csv, "a") as f:
             f.write(row)
     print(
         f"N={args.N} n={args.n} rho={args.rho} c1={args.c1} test={args.test} "
-        f"trials={report.trials} type_I={report.type_I:.4f} type_II={report.type_II:.4f}"
+        f"trials={args.trials} type_I={report.type_I:.4f} type_II={report.type_II:.4f}"
     )
     return 0
 
 
 def _cmd_advantage(args) -> int:
     breakdown = advantage(args.N, args.n, args.rho, args.D)
-    print(f"adv={breakdown.adv:.12g} adv_squared={breakdown.adv_squared:.12g}")
+    print(
+        f"adv={breakdown.adv:.12g} adv_squared={breakdown.adv_squared:.12g} "
+        f"log_adv_squared={breakdown.log_adv_squared:.12g}"
+    )
     if args.breakdown:
         print("d,sphere_moment,alpha_sum,contribution")
         for row in breakdown.per_degree:

@@ -37,7 +37,6 @@ __all__ = [
     "DetectionOutcome",
     "ErrorRateReport",
     "DEFAULT_C1",
-    "spectral_norm_statistic",
     "spectral_norm_outcome",
     "spectral_norm_test",
     "l1l2_test",
@@ -63,16 +62,10 @@ class DetectionOutcome:
 @dataclass(frozen=True)
 class ErrorRateReport:
     """Empirical type I (null called planted) and type II (planted called
-    null) rates over `trials` independent streams per hypothesis."""
+    null) rates over independent streams per hypothesis."""
 
     type_I: float
     type_II: float
-    trials: int
-
-
-def spectral_norm_statistic(Y_obs: np.ndarray) -> float:
-    """Spectral norm of the centered statistic built from the observation."""
-    return _spectral_norm(build_statistic(Y_obs, centered=True))
 
 
 def _spectral_norm(M: np.ndarray) -> float:
@@ -99,7 +92,7 @@ def spectral_norm_test(
     Y_obs: np.ndarray, rho: float, c1: float = DEFAULT_C1
 ) -> DetectionOutcome:
     """Spectral-norm detector; rho must be known."""
-    return spectral_norm_outcome(spectral_norm_statistic(Y_obs), len(Y_obs), rho, c1)
+    return spectral_norm_outcome(_spectral_norm(build_statistic(Y_obs)), len(Y_obs), rho, c1)
 
 
 def l1l2_test(candidate: np.ndarray, c1: float = DEFAULT_C1) -> DetectionOutcome:
@@ -187,8 +180,4 @@ def error_rates(
         planted = estimate_direction(sample_observation("gaussian", N, n, rho, trial_seed)[0])
         if decide(test_kind, planted, rho, c1).decision == "null":
             missed += 1
-    return ErrorRateReport(
-        type_I=false_planted / trials,
-        type_II=missed / trials,
-        trials=trials,
-    )
+    return ErrorRateReport(type_I=false_planted / trials, type_II=missed / trials)

@@ -103,8 +103,8 @@ class SweepConfig:
             raise ValueError(f"unknown tasks: {unknown}")
         if not self.tasks or len(set(self.tasks)) != len(self.tasks):
             raise ValueError(f"tasks must be nonempty and distinct, got {list(self.tasks)}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string, got {self.out!r}")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ValueError(f"out must be a nonempty path string, got {self.out!r}")
         if all(n > N for N in self.Ns for n in self.ns):
             raise ValueError("grid has no valid cell: n > N for every (N, n)")
         if "advantage" in self.tasks and min(self.rhos) < MIN_RHO:

@@ -3,7 +3,7 @@
 The degree-D advantage is the maximum of E_planted[f] / sqrt(E_null[f^2])
 over polynomials f of degree at most D in the observed matrix entries.  For
 a planted direction drawn uniformly from the sphere and coordinates carrying
-a symmetric unit-variance distribution nu (Bernoulli-Rademacher by default,
+a symmetric unit-variance distribution nu (here Bernoulli-Rademacher, with
 atoms 0 and +-1/sqrt(rho)), it admits the closed form
 
     adv^2 = sum_d E[<u, u'>^d] * sum_{|alpha| = d} prod_i (E[h_{alpha_i}])^2
@@ -36,14 +36,12 @@ __all__ = [
     "hermite_eval",
     "monic_hermite_coefficients",
     "gaussian_product_moment",
-    "hermite_moment",
     "hermite_moment_br",
     "sphere_moment",
     "log_sphere_moment",
     "composition_sum",
     "advantage",
     "advantage_bruteforce",
-    "count_admissible",
 ]
 
 # Smallest sparsity the advantage computation accepts; below this the
@@ -138,12 +136,6 @@ def _double_factorial(m: int) -> int:
         out *= m
         m -= 2
     return out
-
-
-def hermite_moment(k: int, atoms: list[tuple[float, float]]) -> float:
-    """E[h_k(x)] for a finite-support distribution given as (value, prob)
-    atoms.  Exact up to the evaluation of h_k at each atom."""
-    return float(sum(p * hermite_eval(k, x) for x, p in atoms))
 
 
 def hermite_moment_br(k: int, rho: float) -> float:
@@ -334,12 +326,3 @@ def advantage_bruteforce(N: int, n: int, rho: float, D: int) -> float:
     keep = degrees <= D
     products = np.prod(sq[alphas[:, keep]], axis=0)
     return float(np.sum(sphere[degrees[keep]] * products))
-
-
-def count_admissible(N: int, d: int, m: int) -> int:
-    """|A(d, m)|: multi-indices in N^N with total degree d, support size m,
-    and every nonzero entry even and >= 4.  C(N, m) supports times, by stars
-    and bars on a_i/2 - 2 >= 0, C(d/2 - m - 1, m - 1) compositions."""
-    if m < 1 or m > N or d % 2 or d < 4 * m:
-        return int(d == m == 0)  # m = 0 leaves only the all-zero multi-index
-    return math.comb(N, m) * math.comb(d // 2 - m - 1, m - 1)

@@ -15,6 +15,7 @@ and its planted vector as (Y, v), with v = None for a null draw.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,8 @@ class RankDeficientError(ValueError):
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Reproducible RNG stream identity: (master_seed, stream_index).
+    """Reproducible RNG stream identity: (master_seed, stream_index), two
+    non-negative integers.
 
     Each (master_seed, stream_index) pair deterministically keys a
     counter-based Philox generator, so trials can run in parallel on distinct
@@ -76,6 +78,12 @@ class SeedSpec:
 
     master_seed: int
     stream_index: int = 0
+
+    def __post_init__(self):
+        for name in ("master_seed", "stream_index"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
     def generator(self, *lane: int) -> np.random.Generator:
         """Generator for this stream; extra `lane` ints split off independent

@@ -48,7 +48,6 @@ class ErrorReport:
     l2_error: float
     entrywise_max_weighted: float
     exact_match: bool | None
-    sign_used: int
 
 
 def build_statistic(Y_obs: np.ndarray, centered: bool = True) -> np.ndarray:
@@ -164,7 +163,6 @@ def score(
         l2_error=float(np.linalg.norm(diff)),
         entrywise_max_weighted=float(np.max(np.abs(diff) / weights)),
         exact_match=None if recovered is None else signs_match(recovered, v),
-        sign_used=s,
     )
 
 

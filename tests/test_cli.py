@@ -176,6 +176,11 @@ class TestAdvantage:
         degrees = [row.split(",")[0] for row in lines[2:]]
         assert degrees == ["0", "2", "4", "6"]
 
+    def test_prints_log_value_where_linear_fields_overflow(self, capsys):
+        main(["advantage", "--N", "1", "--n", "5", "--rho", "1e-6", "--D", "160"])
+        out = capsys.readouterr().out
+        assert out.startswith("adv=inf adv_squared=inf log_adv_squared=1518.26")
+
 
 class TestSweep:
     def test_runs_and_writes_csv(self, tmp_path):
@@ -347,6 +352,9 @@ class TestOutOfDomain:
              "--dump-estimate", "missing_dir/x.csv"],
             ["detect", "--N", "50", "--n", "2", "--rho", "0.5", "--trials", "1",
              "--csv", "missing_dir/x.csv"],
+            ["gen", "--N", "5", "--n", "2", "--rho", "0.5", "--out", ""],
+            ["estimate", "--N", "50", "--n", "2", "--rho", "0.5", "--dump-estimate", ""],
+            ["detect", "--N", "50", "--n", "2", "--rho", "0.5", "--trials", "1", "--csv", ""],
         ],
     )
     def test_out_of_domain_value_exit_code(self, argv, capsys, tmp_path, monkeypatch):
@@ -355,3 +363,19 @@ class TestOutOfDomain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["gen", "--seed", "-1"], "master_seed"),
+            (["gen", "--stream", "-1"], "stream_index"),
+            (["estimate", "--seed", "-1"], "master_seed"),
+            (["detect", "--seed", "-1", "--trials", "1", "--csv", "rates.csv"], "master_seed"),
+        ],
+    )
+    def test_negative_seed_names_field_and_value(self, argv, name, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--N", "50", "--n", "2", "--rho", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "rates.csv").exists()
+        assert captured.err == f"error: {name} must be a non-negative integer, got -1\n"

@@ -121,6 +121,7 @@ class TestConfig:
             {"Ns": [3, 5], "ns": [6, 10]},
             {"rhos": [1e-7], "tasks": ("advantage", "recover")},
             {"rhos": [0.1, 5e-7], "tasks": ("advantage",)},
+            {"out": ""},
         ],
     )
     def test_invalid_values_rejected(self, bad):

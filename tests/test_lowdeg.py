@@ -1,6 +1,7 @@
 """Tests for Hermite evaluation, moments, sphere moments, the composition
 dynamic program, and the advantage computation against its brute-force oracle."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,13 +9,12 @@ import numpy as np
 import pytest
 
 from pvlab.lowdeg import (
+    _log_composition_sum,
     advantage,
     advantage_bruteforce,
     composition_sum,
-    count_admissible,
     gaussian_product_moment,
     hermite_eval,
-    hermite_moment,
     hermite_moment_br,
     hermite_values,
     log_sphere_moment,
@@ -76,22 +76,6 @@ class TestHermiteMoments:
             expected = (1.0 / rho - 3.0) / math.sqrt(24)
             assert hermite_moment_br(4, rho) == pytest.approx(expected, abs=1e-12)
         assert hermite_moment_br(4, 1.0) == pytest.approx(-2.0 / math.sqrt(24), rel=1e-12)
-
-    def test_general_atoms_reduce_to_br(self):
-        rho = 0.4
-        a = 1.0 / math.sqrt(rho)
-        atoms = [(0.0, 1.0 - rho), (a, rho / 2.0), (-a, rho / 2.0)]
-        for k in (0, 2, 4, 6, 8):
-            assert hermite_moment(k, atoms) == pytest.approx(
-                hermite_moment_br(k, rho), rel=1e-12, abs=1e-14
-            )
-
-    def test_general_atoms_custom_distribution(self):
-        # uniform on {-1, +1} equals BR(1)
-        atoms = [(1.0, 0.5), (-1.0, 0.5)]
-        assert hermite_moment(4, atoms) == pytest.approx(
-            hermite_moment_br(4, 1.0), rel=1e-12
-        )
 
     def test_squared_moment_bound(self):
         # (E[h_k])^2 <= 20^k rho^(2-k) for k in [4, 40]
@@ -160,6 +144,30 @@ class TestCompositionSum:
     def test_empty_cases(self):
         assert composition_sum(7, 1, 0.5) == 0.0  # odd total
         assert composition_sum(6, 2, 0.5) == 0.0  # d < 4m
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.05, 0.3, 1.0 / 3.0, 0.5, 1.0])
+    def test_matches_direct_enumeration(self, rho):
+        # every ordered composition of d into m even parts >= 4, odd d included;
+        # no part exceeds d - 4(m - 1), since the other m - 1 parts are >= 4
+        for d in range(27):
+            for m in range(1, d // 4 + 2):
+                parts = range(4, d - 4 * (m - 1) + 1, 2)
+                compositions = [
+                    alpha for alpha in itertools.product(parts, repeat=m) if sum(alpha) == d
+                ]
+                # BR moments of order 2 and of odd order vanish, so only unit
+                # weights at every order show which parts the program admits
+                count = math.exp(_log_composition_sum([0.0] * (d + 1), d, m))
+                assert count == pytest.approx(len(compositions), rel=1e-12), (d, m)
+                got = composition_sum(d, m, rho)
+                if not compositions:
+                    assert got == 0.0, (d, m)
+                    continue
+                expected = math.fsum(
+                    math.prod(hermite_moment_br(a, rho) ** 2 for a in alpha)
+                    for alpha in compositions
+                )
+                assert got == pytest.approx(expected, rel=1e-12), (d, m)
 
 
 class TestAdvantage:
@@ -253,33 +261,3 @@ class TestAdvantage:
         assert b.per_degree[-1].d == d
         assert b.per_degree[-1].log_contribution == pytest.approx(expected, rel=1e-12)
         assert b.overflowed
-
-
-class TestAdmissibleCount:
-    def test_exact_small_counts(self):
-        # d=4, m=1: only (4); support choices = C(N, 1)
-        assert count_admissible(3, 4, 1) == 3
-        # d=10, m=2: compositions (4,6) and (6,4)
-        assert count_admissible(5, 10, 2) == math.comb(5, 2) * 2
-        # d=8, m=2: only (4,4)
-        assert count_admissible(4, 8, 2) == math.comb(4, 2)
-        assert count_admissible(2, 8, 3) == 0  # m > N
-
-    def test_cardinality_upper_bound(self):
-        for N in (2, 4, 8):
-            for d in (4, 8, 12):
-                for m in range(1, d // 4 + 1):
-                    assert count_admissible(N, d, m) <= N**m * d ** (d / 2)
-
-    def test_matches_exhaustive_enumeration(self):
-        # every alpha in {0..d}^N, counted by total degree and support size
-        # among those whose nonzero entries are all even and >= 4
-        for N in range(1, 5):
-            for d in range(17):
-                grids = np.meshgrid(*([np.arange(d + 1)] * N), indexing="ij")
-                alphas = np.stack(grids).reshape(N, -1)
-                allowed = np.all((alphas == 0) | ((alphas >= 4) & (alphas % 2 == 0)), axis=0)
-                keep = allowed & (alphas.sum(axis=0) == d)
-                support = np.count_nonzero(alphas[:, keep], axis=0)
-                for m in range(N + 2):
-                    assert count_admissible(N, d, m) == int(np.sum(support == m)), (N, d, m)

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,28 @@ from pvlab.model_gen import (
     sample_orthonormal_instance,
 )
 from pvlab.spectral import estimate_direction
+
+
+class TestSeedSpec:
+    @pytest.mark.parametrize(
+        "args, name, value",
+        [
+            ((-1,), "master_seed", "-1"),
+            ((0, -3), "stream_index", "-3"),
+            ((True,), "master_seed", "True"),
+            ((0, False), "stream_index", "False"),
+            ((1.0,), "master_seed", "1.0"),
+            (("3",), "master_seed", "'3'"),
+        ],
+    )
+    def test_rejects_negative_bool_and_non_integer(self, args, name, value):
+        message = f"{name} must be a non-negative integer, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SeedSpec(*args)
+
+    def test_numpy_integers_key_the_same_stream(self):
+        a = SeedSpec(np.int64(3), np.uint8(5)).generator().random()
+        assert a == SeedSpec(3, 5).generator().random()
 
 
 class TestSampleBrVector:

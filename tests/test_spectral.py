@@ -244,7 +244,6 @@ class TestScore:
         v = sample_br_vector(50, 0.5, SeedSpec(16))
         rep = score(-v, v)
         assert rep.l2_error == 0.0
-        assert rep.sign_used == -1
 
     def test_known_l2_error(self):
         v = sample_br_vector(50, 0.5, SeedSpec(17))
