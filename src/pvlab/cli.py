@@ -98,11 +98,13 @@ def _cmd_sweep(args) -> int:
         f.write(harness.records_to_csv(records))
     if args.summary:
         for cell in harness.summarize(records):
-            line = (
-                f"N={cell.N} n={cell.n} rho={cell.rho} task={cell.task} "
-                f"rate={cell.success_rate:.3f} "
-                f"wilson95=[{cell.wilson_low:.3f},{cell.wilson_high:.3f}]"
-            )
+            line = f"N={cell.N} n={cell.n} rho={cell.rho} task={cell.task}"
+            if cell.success_rate is not None:
+                line += (
+                    f" rate={cell.success_rate:.3f}"
+                    f" wilson95=[{cell.wilson_low:.3f},{cell.wilson_high:.3f}]"
+                )
+            line += f" errors={cell.errors}"
             for name in ("mean_l2", "se_l2", "mean_entrywise"):
                 if getattr(cell, name) is not None:
                     line += f" {name}={getattr(cell, name):.4g}"

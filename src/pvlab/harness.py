@@ -18,11 +18,11 @@ import json
 import logging
 import math
 import numbers
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from ._blas import one_blas_thread
 from .model_gen import SeedSpec
 from .spectral import estimate_direction
 from .detection import DEFAULT_C1, decide, recover, sample_observation
@@ -45,10 +45,6 @@ log = logging.getLogger("pvlab")
 TASKS = ("recover", "detect_spectral", "detect_l1l2", "advantage")
 
 CSV_HEADER = "N,n,rho,trial,task,success,l2_error,entrywise_err,statistic,adv,elapsed_ms"
-
-# Any one of these set to "1" keeps each worker thread's BLAS calls on one core.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -250,26 +246,22 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     cell order, independent of worker count.  A cell is the unit of work; with
     workers >= 2 cells run on that many threads of this process (numpy's
     generators, BLAS and LAPACK release the GIL, and every unit has its own
-    stream).  workers < 1 raises ValueError.  workers >= 2 logs a warning
-    unless one of _BLAS_THREAD_VARS is "1": with a BLAS thread per core the
-    workers oversubscribe the cores and can run slower than serial.
+    stream).  workers < 1 raises ValueError.  The sweep runs under one BLAS
+    thread, whatever the environment asks for, so its bytes do not depend on
+    the BLAS thread count and workers do not oversubscribe the cores; the
+    caller's count is restored on return.
 
     Per-unit failures (degenerate draws, or any other exception) are logged
     and recorded with success=False and empty values; they never abort the
     sweep.
     """
     cells = config.cells()
-    if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS
-        batches = [_run_cell(config, *cell) for cell in cells]
-    else:
-        if workers >= 2 and not any(os.environ.get(v) == "1" for v in _BLAS_THREAD_VARS):
-            log.warning(
-                "%d workers with multithreaded BLAS oversubscribe the cores; "
-                "set OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1)",
-                workers,
-            )
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
+    with one_blas_thread():
+        if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS
+            batches = [_run_cell(config, *cell) for cell in cells]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                batches = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
     return [record for batch in batches for record in batch]
 
 
@@ -291,16 +283,19 @@ def records_to_csv(records: list[SweepRecord]) -> str:
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Per-cell aggregate over trials."""
+    """Per-cell aggregate over trials.  Rows whose task raised (`errors` of
+    the `trials`) count in neither the rate nor the means; with no completed
+    row the rate and its interval are None."""
 
     N: int
     n: int
     rho: float
     task: str
     trials: int
-    success_rate: float
-    wilson_low: float
-    wilson_high: float
+    errors: int
+    success_rate: float | None
+    wilson_low: float | None
+    wilson_high: float | None
     mean_l2: float | None
     se_l2: float | None
     mean_entrywise: float | None
@@ -314,9 +309,16 @@ def _wilson(successes: int, total: int, z: float = 1.959963984540054) -> tuple[f
     return center - half, center + half
 
 
+def _raised(r: SweepRecord) -> bool:
+    """An error row: every task that completes fills at least one value."""
+    values = (r.l2_error, r.entrywise_max_weighted, r.statistic_value, r.adv)
+    return all(x is None for x in values)
+
+
 def summarize(records: list[SweepRecord]) -> list[CellSummary]:
     """Group records by (N, n, rho, task): success rates with Wilson 95%
-    intervals plus mean errors and their standard errors."""
+    intervals plus mean errors and their standard errors, over the rows whose
+    task completed."""
     if not records:
         raise ValueError("no records to summarize")
     groups: dict[tuple, list[SweepRecord]] = {}
@@ -324,11 +326,11 @@ def summarize(records: list[SweepRecord]) -> list[CellSummary]:
         groups.setdefault((r.N, r.n, r.rho, r.task), []).append(r)
     out = []
     for key, rows in groups.items():
-        total = len(rows)
-        wins = sum(1 for r in rows if r.success)
-        low, high = _wilson(wins, total)
-        l2s = [r.l2_error for r in rows if r.l2_error is not None]
-        ews = [r.entrywise_max_weighted for r in rows if r.entrywise_max_weighted is not None]
+        done = [r for r in rows if not _raised(r)]
+        wins = sum(1 for r in done if r.success)
+        low, high = _wilson(wins, len(done)) if done else (None, None)
+        l2s = [r.l2_error for r in done if r.l2_error is not None]
+        ews = [r.entrywise_max_weighted for r in done if r.entrywise_max_weighted is not None]
         mean_l2 = sum(l2s) / len(l2s) if l2s else None
         se_l2 = None
         if len(l2s) > 1:
@@ -337,8 +339,9 @@ def summarize(records: list[SweepRecord]) -> list[CellSummary]:
         out.append(
             CellSummary(
                 N=key[0], n=key[1], rho=key[2], task=key[3],
-                trials=total,
-                success_rate=wins / total,
+                trials=len(rows),
+                errors=len(rows) - len(done),
+                success_rate=wins / len(done) if done else None,
                 wilson_low=low,
                 wilson_high=high,
                 mean_l2=mean_l2,

@@ -186,11 +186,14 @@ def orthonormalize(Y: np.ndarray, *, overwrite_y: bool = False) -> np.ndarray:
     """Orthonormal basis of the column span of Y: the Q of Y = QR with a
     positive diagonal of R, via CholeskyQR2 (Fukaya et al., 2014), or via
     Householder QR where the Gram matrix cannot decide (see _cholesky_qr2).
+    The second CholeskyQR2 pass is skipped when the first is already
+    orthonormal to ||Q^T Q - I||_F <= n * eps, as on well-conditioned bases.
 
     With `overwrite_y`, a C-contiguous, writeable float64 Y may be reused as
-    the output buffer (as scipy.linalg's `overwrite_a`): Q is then written
-    into Y and Y is returned.  Q has the same bytes either way, and Y is left
-    unchanged whenever Householder QR or an exception decides.
+    the output buffer of the second pass (as scipy.linalg's `overwrite_a`):
+    Q is then written into Y and Y is returned.  Q has the same bytes either
+    way, and Y is left unchanged whenever one pass, Householder QR or an
+    exception decides.
 
     Raises RankDeficientError (with the offending column index) when a
     diagonal entry of R falls below the rank tolerance, and ValueError when
@@ -209,10 +212,12 @@ def orthonormalize(Y: np.ndarray, *, overwrite_y: bool = False) -> np.ndarray:
 
 
 def _cholesky_qr2(Y: np.ndarray, G: np.ndarray, out: np.ndarray | None) -> np.ndarray | None:
-    """Q from two rounds of Gram, Cholesky and triangular inverse, given the
-    finite Gram matrix G = Y^T Y; None when Householder QR must decide.  The
-    last product goes into `out` unless it is None; `out` may be Y itself,
-    since it is written only after every check has passed."""
+    """Q from Gram, Cholesky and triangular inverse, given the finite Gram
+    matrix G = Y^T Y; None when Householder QR must decide.  The first pass
+    Q1 is returned as it is when ||Q1^T Q1 - I||_F <= n * eps, the accuracy
+    of Householder's Q; otherwise a second round runs on Q1 and its product
+    goes into `out` unless that is None.  `out` may be Y itself, since it is
+    written only after every check has passed."""
     try:
         R1 = np.linalg.cholesky(G).T
     except np.linalg.LinAlgError:
@@ -223,10 +228,13 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray, out: np.ndarray | None) -> np.nd
         return None
     Q1 = Y @ np.linalg.inv(R1)
     G1 = Q1.T @ Q1
+    error = np.linalg.norm(G1 - np.eye(d.size))
+    if error <= d.size * np.finfo(np.float64).eps:
+        return Q1
     # A first pass this far from orthonormal leaves the second pass inexact
     # (cond(Y) beyond about 1/sqrt(eps), e.g. a Kahan matrix).  Within 0.5 of
     # I, G1 has eigenvalues >= 0.5, so its Cholesky cannot fail.
-    if np.linalg.norm(G1 - np.eye(d.size)) > 0.5:
+    if error > 0.5:
         return None
     return np.matmul(Q1, np.linalg.inv(np.linalg.cholesky(G1).T), out=out)
 

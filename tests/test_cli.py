@@ -1,7 +1,6 @@
 """End-to-end tests of the pvlab command-line interface."""
 
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ N,n,rho,kind,seed,stream
     "orth": """\
 N,n,rho,kind,seed,stream
 6,2,0.5,orthonormal,0,0
-0.5773502691896258,-0.04173180779120115
+0.5773502691896258,-0.041731807791201135
 0.0,0.31327608070000407
 0.0,-0.8516766950755025
 0.5773502691896258,-0.2277919101096194
@@ -286,38 +285,19 @@ class TestSweep:
         assert units == [] and out.read_text() == "kept\n"
         assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
 
-    @pytest.mark.parametrize(
-        "workers, env, warned",
-        [
-            ("2", {}, True),
-            ("2", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "2"}, True),
-            ("2", {"OPENBLAS_NUM_THREADS": "1"}, False),
-            ("2", {"OMP_NUM_THREADS": "1"}, False),
-            ("2", {"MKL_NUM_THREADS": "1"}, False),
-            ("1", {}, False),
-        ],
-        ids=["unset", "not_one", "openblas", "omp", "mkl", "serial"],
-    )
-    def test_warns_when_workers_oversubscribe_blas(
-        self, workers, env, warned, tmp_path, caplog, monkeypatch
-    ):
-        for var in harness._BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        out = tmp_path / "records.csv"
+    def test_summary_counts_raised_units_as_errors(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps({"Ns": [200], "ns": [3], "rhos": [0.1], "trials": 2, "out": str(out)})
-        )
-        with caplog.at_level(logging.WARNING, logger="pvlab"):
-            assert main(["sweep", "--config", str(cfg), "--workers", workers]) == 0
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        if warned:
-            assert len(warnings) == 1 and "OPENBLAS_NUM_THREADS=1" in warnings[0]
-        else:
-            assert warnings == []
-        assert len(out.read_text().splitlines()) == 3
+        config = {"Ns": [50], "ns": [2], "rhos": [0.002], "trials": 6, "model": "orth",
+                  "seed": 3, "out": str(tmp_path / "r.csv")}
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg), "--summary"]) == 0
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith("N=50 n=2 rho=0.002 task=recover rate=1.000 wilson95=[")
+        assert " errors=5 " in line
+        cfg.write_text(json.dumps(dict(config, trials=2, seed=4)))
+        assert main(["sweep", "--config", str(cfg), "--summary"]) == 0
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line == "N=50 n=2 rho=0.002 task=recover errors=2"
 
     def test_summary_prints_mean_errors(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,12 +1,14 @@
 """Tests for the sweep harness: determinism, record bookkeeping, summaries."""
 
+import functools
 import json
 import sys
+import types
 from collections import Counter
 
 import pytest
 
-from pvlab import cli, detection, harness, lowdeg, model_gen, spectral
+from pvlab import _blas, cli, detection, harness, lowdeg, model_gen, spectral
 from pvlab.detection import DEFAULT_C1, detect_via_estimation, spectral_norm_test
 from pvlab.harness import (
     CSV_HEADER,
@@ -222,6 +224,42 @@ class TestRunSweep:
         assert rec.elapsed_ms is not None and rec.elapsed_ms >= 0.0
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize("workers", [1, 2, 0], ids=["serial", "threads", "bad_workers"])
+    def test_sweep_runs_on_one_thread_and_restores_the_callers_count(self, workers, monkeypatch):
+        functions = _blas._thread_functions()
+        if functions is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        get, set_ = functions
+        seen = []
+        real = harness.estimate_direction
+        monkeypatch.setattr(harness, "estimate_direction", lambda Y: seen.append(get()) or real(Y))
+        previous = get()
+        set_(2)
+        try:
+            if workers < 1:
+                with pytest.raises(ValueError):
+                    run_sweep(small_config(), workers=workers)
+            else:
+                run_sweep(small_config(), workers=workers)
+                assert seen == [1] * 3
+            assert get() == 2
+        finally:
+            set_(previous)
+
+    def test_unknown_blas_warns_once_and_sweeps(self, monkeypatch, tmp_path, caplog):
+        no_libs = types.SimpleNamespace(__file__=str(tmp_path / "numpy" / "__init__.py"))
+        monkeypatch.setattr(_blas, "np", no_libs)
+        monkeypatch.setattr(
+            _blas, "_thread_functions", functools.cache(_blas._thread_functions.__wrapped__)
+        )
+        cfg = small_config()
+        with caplog.at_level("WARNING", logger="pvlab"):
+            first, second = run_sweep(cfg), run_sweep(cfg)
+        assert sum("BLAS thread count cannot be set" in m for m in caplog.messages) == 1
+        assert first == second and len(first) == 3
+
+
 def task_by_task(cfg):
     """The sweep's records rebuilt one task at a time from the public calls,
     sampling every instance afresh for each task."""
@@ -341,11 +379,28 @@ class TestSummarize:
         from pvlab.harness import SweepRecord
 
         records = [
-            SweepRecord(10, 2, 0.5, t, "recover", success=(t % 2 == 0))
+            SweepRecord(10, 2, 0.5, t, "recover", success=(t % 2 == 0), l2_error=0.1)
             for t in range(50)
         ]
         cell = summarize(records)[0]
         assert cell.success_rate == 0.5
+
+    def test_raised_units_are_errors_not_failed_trials(self):
+        # At N = 50, rho = 0.002 five of six planted draws are all zero and
+        # raise DegenerateDrawError; the one that completes succeeds.
+        cfg = small_config(Ns=[50], ns=[2], rhos=[0.002], trials=6, model="orth", seed=3)
+        (cell,) = summarize(run_sweep(cfg))
+        assert (cell.trials, cell.errors) == (6, 5)
+        assert cell.success_rate == 1.0
+        assert (cell.wilson_low, cell.wilson_high) == pytest.approx(harness._wilson(1, 1))
+        assert cell.mean_l2 is not None and cell.se_l2 is None
+
+    def test_cell_where_every_unit_raised_has_no_rate(self):
+        records = [SweepRecord(10, 2, 0.5, t, "advantage", success=False) for t in range(3)]
+        cell = summarize(records)[0]
+        assert (cell.trials, cell.errors) == (3, 3)
+        assert cell.success_rate is cell.wilson_low is cell.wilson_high is None
+        assert cell.mean_l2 is None
 
     def test_groups_by_cell_and_task(self):
         cfg = small_config(Ns=[100, 200], tasks=("recover", "advantage"), trials=2)

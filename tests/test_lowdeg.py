@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvlab.lowdeg import (
     _log_composition_sum,
@@ -261,3 +262,29 @@ class TestAdvantage:
         assert b.per_degree[-1].d == d
         assert b.per_degree[-1].log_contribution == pytest.approx(expected, rel=1e-12)
         assert b.overflowed
+
+
+# Points of the exact shape laws: N up to 1e8, n up to 1e5, rho log-uniform
+# in [1e-3, 1], D up to 32.
+_Ns = st.integers(1, 10**8)
+_ns = st.integers(1, 10**5)
+_rhos = st.floats(-3.0, 0.0).map(lambda e: 10.0**e)
+_Ds = st.integers(0, 32)
+
+
+class TestShapeLaws:
+    """Exact consequences of the formula, checked with no tolerance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(N=_Ns, n=_ns, rho=_rhos, degrees=st.lists(_Ds, min_size=2, max_size=2))
+    def test_nondecreasing_in_degree(self, N, n, rho, degrees):
+        # every added degree contributes a term >= 0
+        low, high = sorted(degrees)
+        assert advantage(N, n, rho, high).log_adv_squared >= advantage(N, n, rho, low).log_adv_squared
+
+    @settings(max_examples=200, deadline=None)
+    @given(N=_Ns, n=_ns, rho=_rhos, D=_Ds)
+    def test_nonincreasing_from_n_to_2n(self, N, n, rho, D):
+        # each sphere moment E<u,u'>^d decreases in n; doubling n keeps the
+        # step above lgamma's rounding where n + 1 would not
+        assert advantage(N, 2 * n, rho, D).log_adv_squared <= advantage(N, n, rho, D).log_adv_squared

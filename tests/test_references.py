@@ -1,12 +1,14 @@
 """Byte identity of default-seed sweeps against the committed references.
 
 The benchmark's `advantage_table` and `gauss_all_tasks` grids are run at the
-reference seed through `python -m pvlab.cli sweep` with one BLAS thread (the
-thread count the references were written with), serially and on two worker
-threads, and the CSV each prints must equal its file in `bench/references/`
-byte for byte.  `orth_recover_large` takes several seconds and is checked by
-the benchmark instead; a small `orth` sweep whose basis spans several fill
-blocks is pinned here in its place.
+reference seed through `python -m pvlab.cli sweep`, serially and on two
+worker threads, and the CSV each prints must equal its file in
+`bench/references/` byte for byte.  The sweep pins one BLAS thread (the
+count the references were written with) in-process, so these runs inherit
+the caller's BLAS environment, and one run asks for two BLAS threads.
+`orth_recover_large` takes several seconds and is checked by the benchmark
+instead; a small `orth` sweep whose basis spans several fill blocks is
+pinned here in its place.
 """
 
 import importlib.util
@@ -43,23 +45,35 @@ workloads = _load_workloads()
 def test_default_seed_sweep_matches_reference(name, workers, tmp_path):
     workload = workloads.WORKLOADS[name]
     config = workload.write_config(tmp_path / f"{name}.json", workloads.DEFAULT_SEED)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    done = _sweep(config, tmp_path, "--workers", str(workers))
+    assert done.stdout == workload.reference.read_bytes()
+
+
+def test_two_blas_threads_requested_still_match_reference(tmp_path):
+    workload = workloads.WORKLOADS["gauss_all_tasks"]
+    config = workload.write_config(tmp_path / "gauss.json", workloads.DEFAULT_SEED)
+    done = _sweep(config, tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert done.stdout == workload.reference.read_bytes()
+
+
+def _sweep(config, cwd, *args, **env_overrides):
+    """`pvlab sweep` on `config` in a subprocess; fails on a nonzero exit."""
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", "pvlab.cli", "sweep", "--config", str(config),
-         "--workers", str(workers)],
-        capture_output=True, env=env, cwd=tmp_path, timeout=300,
+        [sys.executable, "-m", "pvlab.cli", "sweep", "--config", str(config), *args],
+        capture_output=True, env=env, cwd=cwd, timeout=300,
     )
     assert done.returncode == 0, done.stderr.decode()
-    assert done.stdout == workload.reference.read_bytes()
+    return done
 
 
 ORTH_SWEEP_CSV = """\
 N,n,rho,trial,task,success,l2_error,entrywise_err,statistic,adv,elapsed_ms
-3000,40,0.02,0,recover,1,0.020991311546147633,0.07500120405815669,0.014942424973776087,,
-3000,40,0.02,1,recover,1,0.02978029707412863,0.0965272602729777,0.014869985040661499,,
-3000,40,0.05,0,recover,1,0.04409001112780741,0.17170590896298804,0.006497193761922931,,
-3000,40,0.05,1,recover,1,0.0631181510648346,0.27476889761077483,0.005457076770397145,,
+3000,40,0.02,0,recover,1,0.020991311546147633,0.07500120405815662,0.01494242497377609,,
+3000,40,0.02,1,recover,1,0.029780297074128617,0.09652726027297774,0.01486998504066151,,
+3000,40,0.05,0,recover,1,0.0440900111278074,0.1717059089629881,0.0064971937619229285,,
+3000,40,0.05,1,recover,1,0.0631181510648344,0.27476889761077394,0.0054570767703971575,,
 """
 
 
@@ -69,11 +83,4 @@ def test_small_orth_sweep_pinned(tmp_path):
         {"Ns": [3000], "ns": [40], "rhos": [0.02, 0.05], "trials": 2, "model": "orth",
          "tasks": ["recover"], "seed": 0}
     ))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "pvlab.cli", "sweep", "--config", str(config)],
-        capture_output=True, env=env, cwd=tmp_path, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr.decode()
-    assert done.stdout.decode() == ORTH_SWEEP_CSV
+    assert _sweep(config, tmp_path).stdout.decode() == ORTH_SWEEP_CSV
