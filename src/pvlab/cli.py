@@ -9,6 +9,7 @@ import logging
 import sys
 
 from . import harness
+from ._blas import one_blas_thread
 from .detection import DEFAULT_C1, error_rates, recover, sample_observation
 from .lowdeg import advantage
 from .model_gen import SeedSpec, dump_instance
@@ -162,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():  # output bytes must not depend on the BLAS thread count
+            return args.func(args)
     except (ValueError, OSError) as exc:  # e.g. n > N, a bad config, or an unopenable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,8 @@ _LANE_VECTOR = 1
 _LANE_ROTATION = 2
 _LANE_BASIS = 3
 
-# Rows of the Gaussian columns drawn per rng call by _basis_from_rng.
+# Rows of the Gaussian columns drawn per rng call by _basis_from_rng, and
+# of Q1 multiplied per GEMM by CholeskyQR2's second pass.
 _FILL_ROWS = 1024
 
 
@@ -134,25 +135,16 @@ def _haar_from_rng(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q * signs
 
 
-def sample_br_vector(
-    N: int,
-    rho: float,
-    seed: SeedSpec,
-    normalize: bool = False,
-) -> np.ndarray:
+def sample_br_vector(N: int, rho: float, seed: SeedSpec) -> np.ndarray:
     """Draw a Bernoulli-Rademacher vector: each entry independently 0 with
-    probability 1-rho and +-1/sqrt(N*rho) with probability rho/2 each.
-
-    With `normalize`, the vector is divided by its realized l2 norm; an
-    all-zero draw then raises DegenerateDrawError so the caller can retry on
-    the next stream.
-    """
+    probability 1-rho and +-1/sqrt(N*rho) with probability rho/2 each.  The
+    vector is not rescaled, so its norm is 1 only in expectation."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     rng = seed.generator()
-    return _br_from_rng(rng, N, rho, normalize)
+    return _br_from_rng(rng, N, rho, normalize=False)
 
 
 def sample_gaussian_basis(v: np.ndarray, n: int, seed: SeedSpec) -> np.ndarray:
@@ -182,18 +174,15 @@ def apply_rotation(Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return Y @ Q
 
 
-def orthonormalize(Y: np.ndarray, *, overwrite_y: bool = False) -> np.ndarray:
+def orthonormalize(Y: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of Y: the Q of Y = QR with a
     positive diagonal of R, via CholeskyQR2 (Fukaya et al., 2014), or via
     Householder QR where the Gram matrix cannot decide (see _cholesky_qr2).
     The second CholeskyQR2 pass is skipped when the first is already
     orthonormal to ||Q^T Q - I||_F <= n * eps, as on well-conditioned bases.
 
-    With `overwrite_y`, a C-contiguous, writeable float64 Y may be reused as
-    the output buffer of the second pass (as scipy.linalg's `overwrite_a`):
-    Q is then written into Y and Y is returned.  Q has the same bytes either
-    way, and Y is left unchanged whenever one pass, Householder QR or an
-    exception decides.
+    Y is never written, and Q is a fresh array: with Y, at most two N x n
+    arrays are held at once on either pass.
 
     Raises RankDeficientError (with the offending column index) when a
     diagonal entry of R falls below the rank tolerance, and ValueError when
@@ -206,18 +195,17 @@ def orthonormalize(Y: np.ndarray, *, overwrite_y: bool = False) -> np.ndarray:
         if bad.size:
             raise ValueError(f"non-finite entry in column {int(bad[0])} of the basis")
         return _householder_orthonormalize(Y)  # finite Y whose Gram matrix overflows
-    reuse = overwrite_y and Y.dtype == np.float64 and Y.flags.c_contiguous and Y.flags.writeable
-    Q = _cholesky_qr2(Y, G, out=Y if reuse else None)
+    Q = _cholesky_qr2(Y, G)
     return _householder_orthonormalize(Y) if Q is None else Q
 
 
-def _cholesky_qr2(Y: np.ndarray, G: np.ndarray, out: np.ndarray | None) -> np.ndarray | None:
+def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     """Q from Gram, Cholesky and triangular inverse, given the finite Gram
     matrix G = Y^T Y; None when Householder QR must decide.  The first pass
     Q1 is returned as it is when ||Q1^T Q1 - I||_F <= n * eps, the accuracy
     of Householder's Q; otherwise a second round runs on Q1 and its product
-    goes into `out` unless that is None.  `out` may be Y itself, since it is
-    written only after every check has passed."""
+    overwrites Q1, a block of rows at a time, so no third N x n array is
+    taken."""
     try:
         R1 = np.linalg.cholesky(G).T
     except np.linalg.LinAlgError:
@@ -236,7 +224,15 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray, out: np.ndarray | None) -> np.nd
     # I, G1 has eigenvalues >= 0.5, so its Cholesky cannot fail.
     if error > 0.5:
         return None
-    return np.matmul(Q1, np.linalg.inv(np.linalg.cholesky(G1).T), out=out)
+    R2_inv = np.linalg.inv(np.linalg.cholesky(G1).T)
+    # Blocks start at multiples of _FILL_ROWS, as one full product's BLAS
+    # tiles do, and a one-row tail joins the block before it: numpy
+    # multiplies a single row by gemv, not gemm.
+    start = 0
+    for stop in [*range(_FILL_ROWS, Q1.shape[0] - 1, _FILL_ROWS), Q1.shape[0]]:
+        Q1[start:stop] = Q1[start:stop] @ R2_inv
+        start = stop
+    return Q1
 
 
 def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
@@ -281,11 +277,11 @@ def sample_rotated_instance(
     n: int,
     rho: float,
     seed: SeedSpec,
-    normalize: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-basis observation (Y @ Q, v) with v ~ BR(N, rho) and Haar Q."""
+    """Gaussian-basis observation (Y @ Q, v) with v ~ BR(N, rho), not
+    rescaled, and Haar Q."""
     _check_instance_params(N, n, rho)
-    v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize)
+    v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=False)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
     Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
     return apply_rotation(Y, Q), v
@@ -296,22 +292,15 @@ def sample_orthonormal_instance(
     n: int,
     rho: float,
     seed: SeedSpec,
-    extra_rotation: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal-basis observation (Yhat, v) for a unit planted vector
-    v = v'/||v'||, v' ~ BR(N, rho).
-
-    `extra_rotation` right-multiplies the QR output by a Haar rotation to
-    emulate an arbitrary orthonormal basis of the same span; the estimator is
-    invariant to this choice.
-    """
+    v = v'/||v'||, v' ~ BR(N, rho): Yhat is the orthonormalized basis whose
+    first column is v.  An all-zero v' raises DegenerateDrawError, so the
+    caller can retry on the next stream."""
     _check_instance_params(N, n, rho)
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=True)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
-    Yhat = orthonormalize(Y, overwrite_y=True)
-    if extra_rotation:
-        Yhat = Yhat @ _haar_from_rng(seed.generator(_LANE_ROTATION), n)
-    return Yhat, v
+    return orthonormalize(Y), v
 
 
 # --- instance serialization (CLI `gen`) ---

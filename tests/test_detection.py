@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pvlab._blas import one_blas_thread
 from pvlab.detection import (
     decide,
     detect_via_estimation,
@@ -23,6 +24,8 @@ from pvlab.model_gen import (
     sample_haar_rotation,
 )
 from pvlab.spectral import estimate_direction
+
+from sampled import first_pass_error, unit_basis
 
 
 class TestSpectralNormTest:
@@ -241,6 +244,17 @@ class TestMemoryBudget:
         peak = traced_peak(
             lambda: estimate_direction(sample_observation(model, N, n, 0.05, SeedSpec(19))[0])
         )
+        assert peak <= 2.25 * N * n * 8
+
+    def test_orth_second_pass_holds_at_most_two_observation_arrays(self):
+        # At 100000 x 10 this basis's first CholeskyQR pass is not orthonormal
+        # to n * eps, so the second pass runs, in place on Q1.
+        N, n, seed = 100000, 10, SeedSpec(19)
+        with one_blas_thread():
+            assert first_pass_error(unit_basis(N, n, 0.05, seed)) > n * np.finfo(np.float64).eps
+            peak = traced_peak(
+                lambda: estimate_direction(sample_observation("orth", N, n, 0.05, seed)[0])
+            )
         assert peak <= 2.25 * N * n * 8
 
     def test_basis_fill_needs_no_full_size_temporary(self):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvlab import model_gen
+from pvlab._blas import one_blas_thread
 from pvlab.detection import recover
 from pvlab.model_gen import (
     RANK_TOL,
@@ -27,6 +28,8 @@ from pvlab.model_gen import (
     sample_orthonormal_instance,
 )
 from pvlab.spectral import estimate_direction
+
+from sampled import first_pass_error, haar_rotated, unit, unit_basis
 
 
 class TestSeedSpec:
@@ -70,21 +73,6 @@ class TestSampleBrVector:
         ]
         assert all(50 <= s <= 150 for s in sizes)
         assert abs(np.mean(sizes) - 100) < 15
-
-    def test_normalize_unit_norm(self):
-        v = sample_br_vector(4, 1.0, SeedSpec(4), normalize=True)
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-
-    def test_degenerate_draw_raises(self):
-        # rho small enough that some seed gives an all-zero draw
-        raised = False
-        for t in range(200):
-            try:
-                sample_br_vector(3, 0.01, SeedSpec(5, t), normalize=True)
-            except DegenerateDrawError:
-                raised = True
-                break
-        assert raised
 
     def test_determinism(self):
         a = sample_br_vector(100, 0.5, SeedSpec(6, 7))
@@ -250,14 +238,6 @@ def bases(draw):
     return Y
 
 
-def outcome(Y, **kwargs):
-    """orthonormalize's result bytes, or the type and message it raised."""
-    try:
-        return orthonormalize(Y, **kwargs).tobytes()
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 def _zero_column():  # the Cholesky factorization of Y^T Y fails
     Y = np.random.default_rng(4).normal(size=(30, 4))
     Y[:, 2] = 0.0
@@ -277,8 +257,13 @@ def _kahan():  # the first pass is too far from orthonormal
     return np.vstack([K, np.zeros((10, n))])
 
 
-def _nearly_collinear(Y):  # one CholeskyQR pass leaves ||Q^T Q - I||_F ~ 1e-10
-    Y = Y.copy()
+def _well_conditioned():  # one CholeskyQR pass is orthonormal to n * eps
+    v = sample_br_vector(500, 0.1, SeedSpec(54))
+    return sample_gaussian_basis(v, 12, SeedSpec(55))
+
+
+def _nearly_collinear():  # one CholeskyQR pass leaves ||Q^T Q - I||_F ~ 1e-10
+    Y = _well_conditioned()
     Y[:, 1] = Y[:, 2] + 1e-3 * Y[:, 1]
     return Y
 
@@ -317,7 +302,7 @@ class TestOrthonormalize:
         assert np.allclose(again, Yh, atol=1e-12)
 
     def test_single_unit_column(self):
-        v = sample_br_vector(50, 0.5, SeedSpec(42), normalize=True)
+        v = unit(sample_br_vector(50, 0.5, SeedSpec(42)))
         Yh = orthonormalize(v[:, None])
         assert np.allclose(np.abs(Yh[:, 0]), np.abs(v), atol=1e-12)
 
@@ -368,31 +353,14 @@ class TestOrthonormalize:
         assert np.max(np.abs(Yh.T @ Yh - np.eye(n))) <= 1e-12
         assert np.array_equal(Yh, householder_oracle(Y))
 
-    def test_overwrite_writes_the_same_q_into_y(self):
-        for t in range(3):
-            v = sample_br_vector(500, 0.1, SeedSpec(54, t))
-            well = sample_gaussian_basis(v, 12, SeedSpec(55, t))
-            collinear = _nearly_collinear(well)
-            for Y, two_pass in ((well, False), (collinear, True)):
-                before = Y.copy()
-                Q = orthonormalize(Y)
-                assert Y.tobytes() == before.tobytes()  # the default leaves Y alone
-                Yw = Y.copy()
-                Qw = orthonormalize(Yw, overwrite_y=True)
-                # Only the second pass writes into Y; one pass leaves it as it was.
-                assert (Qw is Yw) == two_pass
-                if not two_pass:
-                    assert Yw.tobytes() == before.tobytes()
-                assert Qw.tobytes() == Q.tobytes()
-
     @pytest.mark.parametrize("N, n", [(3000, 40), (20000, 100)])
     def test_sampled_bases_take_one_pass(self, N, n, monkeypatch):
         inputs = []
         real = model_gen.orthonormalize
 
-        def recording(Y, **kwargs):
+        def recording(Y):
             inputs.append((Y, Y.copy()))
-            return real(Y, **kwargs)
+            return real(Y)
 
         monkeypatch.setattr(model_gen, "orthonormalize", recording)
         for t in range(3):
@@ -403,27 +371,44 @@ class TestOrthonormalize:
             assert np.linalg.norm(Yh.T @ Yh - np.eye(n)) <= n * np.finfo(np.float64).eps
 
     def test_nearly_collinear_basis_takes_the_second_pass(self):
-        v = sample_br_vector(500, 0.1, SeedSpec(54))
-        Y = _nearly_collinear(sample_gaussian_basis(v, 12, SeedSpec(55)))
-        Q = orthonormalize(Y, overwrite_y=True)
-        assert Q is Y
+        Y = _nearly_collinear()
+        assert first_pass_error(Y) > 12 * np.finfo(np.float64).eps
+        Q = orthonormalize(Y)
         assert np.max(np.abs(Q.T @ Q - np.eye(12))) <= 1e-12
+
+    def test_blocked_second_pass_bytes_pinned(self):
+        # 40000 rows span 40 row blocks of the in-place second pass, which
+        # this basis takes; its bytes are those of one full-size product.
+        N, n, seed = 40000, 2, SeedSpec(57, 4)
+        with one_blas_thread():  # the sampler's bytes under the CLI and sweep
+            Y = unit_basis(N, n, 0.05, seed)
+            assert first_pass_error(Y) > n * np.finfo(np.float64).eps
+            Q, _ = sample_orthonormal_instance(N, n, 0.05, seed)
+            Q1 = Y @ np.linalg.inv(np.linalg.cholesky(Y.T @ Y).T)
+            full = Q1 @ np.linalg.inv(np.linalg.cholesky(Q1.T @ Q1).T)
+        assert Q.tobytes() == full.tobytes()
+        digest = "b14462ca95b43ebe02430553d40078c75ca7bcfedf5b18ffd5f75ae205ff08c0"
+        assert hashlib.sha256(Q.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "make",
-        [_zero_column, _small_r_diagonal, _kahan, _gram_overflow, _with_entry(np.nan), _with_entry(np.inf)],
-        ids=["cholesky_fails", "small_r_diagonal", "kahan", "gram_overflow", "nan", "inf"],
+        [_well_conditioned, _nearly_collinear, _zero_column, _small_r_diagonal, _kahan,
+         _gram_overflow, _with_entry(np.nan), _with_entry(np.inf)],
+        ids=["one_pass", "two_passes", "cholesky_fails", "small_r_diagonal", "kahan",
+             "gram_overflow", "nan", "inf"],
     )
-    def test_overwrite_leaves_y_alone_on_fallback(self, make):
-        # Every fallback decides before the last product is written, so Y
-        # still holds the input and the outcome matches the default call.
+    def test_never_writes_y(self, make):
         Y = make()
         before = Y.copy()
-        assert outcome(Y, overwrite_y=True) == outcome(before.copy())
+        try:
+            Q = orthonormalize(Y)
+        except ValueError:
+            Q = None
         assert Y.tobytes() == before.tobytes()
+        assert Q is None or not np.shares_memory(Q, Y)
 
     @pytest.mark.parametrize("layout", ["strided", "fortran", "readonly", "int"])
-    def test_overwrite_allocates_when_y_cannot_hold_q(self, layout):
+    def test_any_layout_matches_householder_and_stays_unwritten(self, layout):
         rng = np.random.default_rng(5)
         base = rng.normal(size=(40, 10))
         if layout == "strided":
@@ -436,7 +421,7 @@ class TestOrthonormalize:
         else:
             Y = rng.integers(-9, 10, size=(40, 5))
         before = Y.copy()
-        Q = orthonormalize(Y, overwrite_y=True)
+        Q = orthonormalize(Y)
         assert Q.dtype == np.float64 and not np.shares_memory(Q, Y)
         assert np.array_equal(Y, before)
         assert np.max(np.abs(Q - householder_oracle(Y.astype(float)))) <= 1e-13
@@ -461,9 +446,9 @@ class TestOrthonormalize:
         inputs = []
         real = model_gen.orthonormalize
 
-        def recording(Y, **kwargs):
-            inputs.append(Y.copy())  # the sampler lets Q overwrite Y
-            return real(Y, **kwargs)
+        def recording(Y):
+            inputs.append(Y)
+            return real(Y)
 
         monkeypatch.setattr(model_gen, "orthonormalize", recording)
         rho = 0.05
@@ -526,10 +511,21 @@ class TestModelInstances:
 
     def test_model2_extra_rotation_same_span(self):
         plain, _ = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(49))
-        rotated, _ = sample_orthonormal_instance(300, 8, 0.1, SeedSpec(49), extra_rotation=True)
+        rotated = haar_rotated(plain, SeedSpec(49))
         P1 = plain @ plain.T
         P2 = rotated @ rotated.T
         assert np.max(np.abs(P1 - P2)) <= 1e-9
+
+    def test_degenerate_draw_raises(self):
+        # rho small enough that some seed gives an all-zero planted vector
+        raised = False
+        for t in range(200):
+            try:
+                sample_orthonormal_instance(3, 1, 0.01, SeedSpec(5, t))
+            except DegenerateDrawError:
+                raised = True
+                break
+        assert raised
 
     @pytest.mark.parametrize(
         "sample",

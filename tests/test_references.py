@@ -8,9 +8,11 @@ count the references were written with) in-process, so these runs inherit
 the caller's BLAS environment, and one run asks for two BLAS threads.
 `orth_recover_large` takes several seconds and is checked by the benchmark
 instead; a small `orth` sweep whose basis spans several fill blocks is
-pinned here in its place.
+pinned here in its place.  Every other command runs under the same pin, so
+`gen` and `estimate` print the same bytes under one and two BLAS threads.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -58,14 +60,39 @@ def test_two_blas_threads_requested_still_match_reference(tmp_path):
 
 def _sweep(config, cwd, *args, **env_overrides):
     """`pvlab sweep` on `config` in a subprocess; fails on a nonzero exit."""
+    return _pvlab(cwd, "sweep", "--config", str(config), *args, **env_overrides)
+
+
+def _pvlab(cwd, *args, **env_overrides):
+    """`pvlab` with `args` in a subprocess; fails on a nonzero exit."""
     env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", "pvlab.cli", "sweep", "--config", str(config), *args],
+        [sys.executable, "-m", "pvlab.cli", *args],
         capture_output=True, env=env, cwd=cwd, timeout=300,
     )
     assert done.returncode == 0, done.stderr.decode()
     return done
+
+
+ORTH_CELL = ("--N", "4000", "--n", "100", "--rho", "0.05", "--model", "orth")
+
+
+def test_gen_under_two_blas_threads_matches_one_thread_digest(tmp_path):
+    # The digest of this dump under OPENBLAS_NUM_THREADS=1.
+    done = _pvlab(tmp_path, "gen", *ORTH_CELL, OPENBLAS_NUM_THREADS="2")
+    digest = "6148f231c144bf3be3703d9cd8583bb92f734b4641f0c4b7c3c794aa43184ea2"
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def test_estimate_dump_independent_of_blas_threads(tmp_path):
+    dumps = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"estimate-{threads}.csv"
+        _pvlab(tmp_path, "estimate", "--N", "20000", "--n", "100", "--rho", "0.05",
+               "--model", "orth", "--dump-estimate", str(path), OPENBLAS_NUM_THREADS=threads)
+        dumps.append(path.read_bytes())
+    assert dumps[0] == dumps[1]
 
 
 ORTH_SWEEP_CSV = """\

@@ -27,6 +27,8 @@ from pvlab.spectral import (
     signs_match,
 )
 
+from sampled import haar_rotated, unit, unit_rotated_instance
+
 
 class TestBuildStatistic:
     def test_scalar_hand_value(self):
@@ -35,7 +37,7 @@ class TestBuildStatistic:
         assert M[0, 0] == pytest.approx(-2.0, abs=1e-15)
 
     def test_single_column_is_l4_minus_center(self):
-        v = sample_br_vector(50, 0.4, SeedSpec(1), normalize=True)
+        v = unit(sample_br_vector(50, 0.4, SeedSpec(1)))
         M = build_statistic(v[:, None])
         expected = np.sum(v**4) - 3.0 / 50
         assert M[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -173,7 +175,7 @@ class TestLeadingEigenpair:
 
 class TestEstimateDirection:
     def test_single_column_estimate_is_signed_v(self):
-        v = sample_br_vector(60, 0.5, SeedSpec(8), normalize=True)
+        v = unit(sample_br_vector(60, 0.5, SeedSpec(8)))
         res = estimate_direction(v[:, None])
         assert np.allclose(res.raw_estimate, v) or np.allclose(
             res.raw_estimate, -v
@@ -182,7 +184,7 @@ class TestEstimateDirection:
     def test_l2_error_small_in_easy_regime(self):
         hits = 0
         for t in range(20):
-            obs, v = sample_rotated_instance(4000, 20, 0.02, SeedSpec(9, t), normalize=True)
+            obs, v = unit_rotated_instance(4000, 20, 0.02, SeedSpec(9, t))
             res = estimate_direction(obs)
             rep = score(res.raw_estimate, v)
             hits += rep.l2_error <= 0.1
@@ -190,7 +192,7 @@ class TestEstimateDirection:
 
     def test_basis_invariance_up_to_sign(self):
         plain, _ = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(10))
-        rotated, _ = sample_orthonormal_instance(2000, 10, 0.05, SeedSpec(10), extra_rotation=True)
+        rotated = haar_rotated(plain, SeedSpec(10))
         a = estimate_direction(plain).raw_estimate
         b = estimate_direction(rotated).raw_estimate
         delta = min(np.max(np.abs(a - b)), np.max(np.abs(a + b)))
@@ -219,7 +221,7 @@ class TestRecoveryRules:
         assert np.allclose(out, np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
 
     def test_orthonormal_rule_scale_invariant(self):
-        v = sample_br_vector(100, 0.3, SeedSpec(14), normalize=True)
+        v = unit(sample_br_vector(100, 0.3, SeedSpec(14)))
         for c in (2.0, -0.001, 1e6):
             out = recover_orthonormal_rule(c * v)
             assert signs_match(out, v)
@@ -322,7 +324,7 @@ class TestStatisticalBehaviour:
         # |lambda| tracks |‖v‖_4^4 - 3/N| within a factor of 1.5
         hits = 0
         for t in range(20):
-            obs, v = sample_rotated_instance(4000, 20, 0.02, SeedSpec(21, t), normalize=True)
+            obs, v = unit_rotated_instance(4000, 20, 0.02, SeedSpec(21, t))
             res = estimate_direction(obs)
             signal = abs(np.sum(v**4) - 3.0 / 4000)
             hits += 0.5 <= abs(res.leading_value) / signal <= 1.5
