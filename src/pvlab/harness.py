@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ._blas import one_blas_thread
+from ._blas import keep_pieces_on_this_thread, one_blas_thread
 from .model_gen import SeedSpec
 from .spectral import estimate_direction
 from .detection import DEFAULT_C1, decide, recover, sample_observation
@@ -260,7 +260,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
         if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS
             batches = [_run_cell(config, *cell) for cell in cells]
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            # Cell threads fill the cores, so their products stay on them.
+            with ThreadPoolExecutor(max_workers=workers, initializer=keep_pieces_on_this_thread) as pool:
                 batches = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
     return [record for batch in batches for record in batch]
 

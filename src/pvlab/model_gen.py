@@ -6,19 +6,27 @@ columns are i.i.d. N(0, I_N / N), and Q is orthogonal.  In the "orthonormal"
 model the observation is an orthonormal basis of the column span of Y.  The
 null model for detection is an N x n matrix of i.i.d. N(0, 1/N) entries.
 
-All sampling is a pure function of (parameters, SeedSpec): same inputs give
-bit-identical outputs, and distinct stream indices give independent draws.
+All sampling is a pure function of (parameters, SeedSpec) and the BLAS
+thread count: same inputs give bit-identical outputs under the same count,
+and distinct stream indices give independent draws.  `pvlab` commands and
+`run_sweep` run under one BLAS thread (`pvlab._blas.one_blas_thread`); a
+library caller that wants their bytes calls the samplers under that pin.
+Sampling does not pin the count itself: the count is process-global, so a
+pin per sampler would race with the samplers of other threads.
 Samplers return plain arrays; the composite samplers return the observation
 and its planted vector as (Y, v), with v = None for a null draw.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _blas
 
 __all__ = [
     "DegenerateDrawError",
@@ -171,7 +179,41 @@ def apply_rotation(Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
     n = Y.shape[1]
     if Q.shape != (n, n):
         raise ValueError(f"basis has {n} columns but rotation is {Q.shape}")
-    return Y @ Q
+    return _times(Y, Q)
+
+
+def _times(Y: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Y @ R for an n x n matrix R, with the bits of one full product.
+
+    Large products run as row blocks on two threads.  A block has a multiple
+    of _FILL_ROWS rows and at least MIN_PIECE multiply-adds (see
+    pvlab._blas), and a short remainder joins the last block; a basis with
+    room for one block only takes one product."""
+    N, n = Y.shape
+    rows = -(-_blas.MIN_PIECE // (_FILL_ROWS * n * n)) * _FILL_ROWS
+    if N < 2 * rows:
+        return Y @ R
+    out = np.empty((N, n), dtype=np.result_type(Y, R))
+    _product_in_blocks(Y, R, [*range(0, N - rows + 1, rows), N], out)
+    return out
+
+
+def _product_in_blocks(Y: np.ndarray, R: np.ndarray, edges: list[int], out: np.ndarray) -> None:
+    """out[a:b] = Y[a:b] @ R for each pair of consecutive row edges, one
+    product per block, the blocks split between two threads at the edge
+    nearest the middle.  out may be Y."""
+    N, n = Y.shape
+    middle = min(range(1, len(edges) - 1), key=lambda i: abs(2 * edges[i] - N), default=0)
+
+    def blocks(lo: int, hi: int) -> None:
+        for a, b in zip(edges[lo:hi], edges[lo + 1 : hi + 1]):
+            np.matmul(Y[a:b], R, out=out[a:b])
+
+    _blas.on_two_threads(
+        functools.partial(blocks, 0, middle),
+        functools.partial(blocks, middle, len(edges) - 1),
+        parallel=min(edges[middle], N - edges[middle]) * n * n >= _blas.MIN_PIECE,
+    )
 
 
 def orthonormalize(Y: np.ndarray) -> np.ndarray:
@@ -182,14 +224,15 @@ def orthonormalize(Y: np.ndarray) -> np.ndarray:
     orthonormal to ||Q^T Q - I||_F <= n * eps, as on well-conditioned bases.
 
     Y is never written, and Q is a fresh array: with Y, at most two N x n
-    arrays are held at once on either pass.
+    arrays are held at once on either pass.  Gram matrices are the sum of
+    the upper and the lower row half's (see _gram), and large products run
+    on two threads with the bits of one call.
 
     Raises RankDeficientError (with the offending column index) when a
     diagonal entry of R falls below the rank tolerance, and ValueError when
     Y has a NaN or infinite entry.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = Y.T @ Y
+    G = _gram(Y)
     if not np.isfinite(G).all():
         bad = np.flatnonzero(~np.isfinite(Y).all(axis=0))
         if bad.size:
@@ -197,6 +240,26 @@ def orthonormalize(Y: np.ndarray) -> np.ndarray:
         return _householder_orthonormalize(Y)  # finite Y whose Gram matrix overflows
     Q = _cholesky_qr2(Y, G)
     return _householder_orthonormalize(Y) if Q is None else Q
+
+
+def _gram(Y: np.ndarray) -> np.ndarray:
+    """Y^T Y as the upper row half's Gram plus the lower half's, each
+    possibly on its own thread; the halves are fixed by the shape, so the
+    bits do not depend on where each ran.  Overflow gives inf silently."""
+    N, n = Y.shape
+    h = N // 2
+    upper, lower = _blas.on_two_threads(
+        functools.partial(_half_gram, Y[:h]),
+        functools.partial(_half_gram, Y[h:]),
+        parallel=h * n * n >= _blas.MIN_PIECE,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return upper + lower
+
+
+def _half_gram(rows: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # set on the thread that runs it
+        return rows.T @ rows
 
 
 def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
@@ -214,8 +277,8 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     # Gram-based R loses about sqrt(eps)*||Y||, so near RANK_TOL only Householder can decide.
     if d.size == 0 or d.min() <= max(1e-5 * d.max(), 1e3 * RANK_TOL):
         return None
-    Q1 = Y @ np.linalg.inv(R1)
-    G1 = Q1.T @ Q1
+    Q1 = _times(Y, np.linalg.inv(R1))
+    G1 = _gram(Q1)
     error = np.linalg.norm(G1 - np.eye(d.size))
     if error <= d.size * np.finfo(np.float64).eps:
         return Q1
@@ -228,10 +291,8 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     # Blocks start at multiples of _FILL_ROWS, as one full product's BLAS
     # tiles do, and a one-row tail joins the block before it: numpy
     # multiplies a single row by gemv, not gemm.
-    start = 0
-    for stop in [*range(_FILL_ROWS, Q1.shape[0] - 1, _FILL_ROWS), Q1.shape[0]]:
-        Q1[start:stop] = Q1[start:stop] @ R2_inv
-        start = stop
+    N = Q1.shape[0]
+    _product_in_blocks(Q1, R2_inv, [0, *range(_FILL_ROWS, N - 1, _FILL_ROWS), N], Q1)
     return Q1
 
 

@@ -13,9 +13,12 @@ the -(3/N) I term) is kept for comparison; it loses the dense case rho = 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _blas
 
 __all__ = [
     "SpectralResult",
@@ -55,14 +58,48 @@ def build_statistic(Y_obs: np.ndarray, centered: bool = True) -> np.ndarray:
 
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
+
+    Where each column half of M takes at least two columns and MIN_PIECE
+    multiply-adds (see pvlab._blas), the weighted rows are formed in two row
+    halves and M in two column halves, each pair on two threads; every piece
+    has the bits of its part of one full product.  (numpy multiplies a
+    single column with gemv, not gemm.)
     """
     Y = np.asarray(Y_obs, dtype=float)
     N, n = Y.shape
-    weights = np.einsum("ij,ij->i", Y, Y) - (n - 1) / N
-    M = (Y * weights[:, None]).T @ Y
+    weighted = np.empty_like(Y)
+    M = np.empty((n, n))
+    half = n // 2
+    if half < 2 or N * n * half < _blas.MIN_PIECE:
+        _weigh_rows(Y, slice(0, N), weighted)
+        _weighted_gram_columns(weighted, Y, slice(0, n), M)
+    else:
+        _blas.on_two_threads(
+            functools.partial(_weigh_rows, Y, slice(0, N // 2), weighted),
+            functools.partial(_weigh_rows, Y, slice(N // 2, N), weighted),
+        )
+        _blas.on_two_threads(
+            functools.partial(_weighted_gram_columns, weighted, Y, slice(0, half), M),
+            functools.partial(_weighted_gram_columns, weighted, Y, slice(half, n), M),
+        )
     if centered:
         M -= (3.0 / N) * np.eye(n)
     return 0.5 * (M + M.T)
+
+
+def _weigh_rows(Y: np.ndarray, rows: slice, out: np.ndarray) -> None:
+    """out[rows] = Y[rows] * (||y_i||^2 - (n-1)/N), row by row."""
+    N, n = Y.shape
+    block = Y[rows]
+    weights = np.einsum("ij,ij->i", block, block) - (n - 1) / N
+    np.multiply(block, weights[:, None], out=out[rows])
+
+
+def _weighted_gram_columns(
+    weighted: np.ndarray, Y: np.ndarray, columns: slice, M: np.ndarray
+) -> None:
+    """M[:, columns] = weighted^T Y[:, columns]."""
+    M[:, columns] = weighted.T @ Y[:, columns]
 
 
 def leading_eigenpair(M: np.ndarray) -> tuple[float, np.ndarray, float]:

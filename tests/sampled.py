@@ -38,8 +38,15 @@ def haar_rotated(Yhat: np.ndarray, seed: SeedSpec) -> np.ndarray:
     return Yhat @ model_gen._haar_from_rng(seed.generator(model_gen._LANE_ROTATION), Yhat.shape[1])
 
 
+def half_sum_gram(A: np.ndarray) -> np.ndarray:
+    """A^T A as orthonormalize forms it: the upper row half's Gram plus the
+    lower half's."""
+    h = A.shape[0] // 2
+    return A[:h].T @ A[:h] + A[h:].T @ A[h:]
+
+
 def first_pass_error(Y: np.ndarray) -> float:
     """||Q1^T Q1 - I||_F for the first CholeskyQR pass Q1 on Y; the second
     pass runs where this exceeds n * eps."""
-    Q1 = Y @ np.linalg.inv(np.linalg.cholesky(Y.T @ Y).T)
-    return float(np.linalg.norm(Q1.T @ Q1 - np.eye(Y.shape[1])))
+    Q1 = Y @ np.linalg.inv(np.linalg.cholesky(half_sum_gram(Y)).T)
+    return float(np.linalg.norm(half_sum_gram(Q1) - np.eye(Y.shape[1])))

@@ -24,7 +24,7 @@ N,n,rho,kind,seed,stream
     "orth": """\
 N,n,rho,kind,seed,stream
 6,2,0.5,orthonormal,0,0
-0.5773502691896258,-0.041731807791201135
+0.5773502691896258,-0.04173180779120114
 0.0,0.31327608070000407
 0.0,-0.8516766950755025
 0.5773502691896258,-0.2277919101096194

@@ -247,9 +247,10 @@ class TestMemoryBudget:
         assert peak <= 2.25 * N * n * 8
 
     def test_orth_second_pass_holds_at_most_two_observation_arrays(self):
-        # At 100000 x 10 this basis's first CholeskyQR pass is not orthonormal
-        # to n * eps, so the second pass runs, in place on Q1.
-        N, n, seed = 100000, 10, SeedSpec(19)
+        # At 200000 x 10 this basis's first CholeskyQR pass is not orthonormal
+        # to n * eps, so the second pass runs, in place on Q1.  (With the
+        # half-sum Gram matrices no stream of 100000 x 10 bases probed takes it.)
+        N, n, seed = 200000, 10, SeedSpec(19, 1)
         with one_blas_thread():
             assert first_pass_error(unit_basis(N, n, 0.05, seed)) > n * np.finfo(np.float64).eps
             peak = traced_peak(

@@ -29,7 +29,7 @@ from pvlab.model_gen import (
 )
 from pvlab.spectral import estimate_direction
 
-from sampled import first_pass_error, haar_rotated, unit, unit_basis
+from sampled import first_pass_error, haar_rotated, half_sum_gram, unit, unit_basis
 
 
 class TestSeedSpec:
@@ -378,16 +378,17 @@ class TestOrthonormalize:
 
     def test_blocked_second_pass_bytes_pinned(self):
         # 40000 rows span 40 row blocks of the in-place second pass, which
-        # this basis takes; its bytes are those of one full-size product.
+        # this basis takes; its bytes are those of one full-size product
+        # (the Gram matrices are sums of two row halves, as in production).
         N, n, seed = 40000, 2, SeedSpec(57, 4)
         with one_blas_thread():  # the sampler's bytes under the CLI and sweep
             Y = unit_basis(N, n, 0.05, seed)
             assert first_pass_error(Y) > n * np.finfo(np.float64).eps
             Q, _ = sample_orthonormal_instance(N, n, 0.05, seed)
-            Q1 = Y @ np.linalg.inv(np.linalg.cholesky(Y.T @ Y).T)
-            full = Q1 @ np.linalg.inv(np.linalg.cholesky(Q1.T @ Q1).T)
+            Q1 = Y @ np.linalg.inv(np.linalg.cholesky(half_sum_gram(Y)).T)
+            full = Q1 @ np.linalg.inv(np.linalg.cholesky(half_sum_gram(Q1)).T)
         assert Q.tobytes() == full.tobytes()
-        digest = "b14462ca95b43ebe02430553d40078c75ca7bcfedf5b18ffd5f75ae205ff08c0"
+        digest = "1fb5b907c9cf2a0ee07ac0e4e80024d49d1b787f547be9b718a1000b09a0fdb4"
         assert hashlib.sha256(Q.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -498,9 +499,9 @@ class TestModelInstances:
     @pytest.mark.parametrize(
         "t, digest",
         [
-            (0, "694f8f2c22fc5403dd70f5e9061f89a9f26556cd57c894ad8ca050439818437e"),
-            (1, "5f2d3640b274de0f43af8eaf480294c1db7922627e072d1b60c91e05b821ce65"),
-            (2, "1d5deb00abd902a4d8bbdb4ce97afbcb3ef1500bc86c5bee24b1544d135cb345"),
+            (0, "85ad67a7f8ead97872ee99142ed6b38adc70e8e9a0ae3543e4e9d11d111ed324"),
+            (1, "1f4452622b3e445034315c7253f3dba2e963aa751ac61ba0ae9d1bb6a21d7fc9"),
+            (2, "6c7f0968a8f52a9d80aa700a7f44dadaa639573f20bad7be22cc6b1a43a97734"),
         ],
         ids=["0", "1", "2"],  # the stream index alone, so a re-pin keeps the test names
     )

@@ -9,7 +9,8 @@ the caller's BLAS environment, and one run asks for two BLAS threads.
 `orth_recover_large` takes several seconds and is checked by the benchmark
 instead; a small `orth` sweep whose basis spans several fill blocks is
 pinned here in its place.  Every other command runs under the same pin, so
-`gen` and `estimate` print the same bytes under one and two BLAS threads.
+`gen` and `estimate` print the same bytes under one and two BLAS threads,
+and so does a library call of a sampler inside the pin.
 """
 
 import hashlib
@@ -81,8 +82,30 @@ ORTH_CELL = ("--N", "4000", "--n", "100", "--rho", "0.05", "--model", "orth")
 def test_gen_under_two_blas_threads_matches_one_thread_digest(tmp_path):
     # The digest of this dump under OPENBLAS_NUM_THREADS=1.
     done = _pvlab(tmp_path, "gen", *ORTH_CELL, OPENBLAS_NUM_THREADS="2")
-    digest = "6148f231c144bf3be3703d9cd8583bb92f734b4641f0c4b7c3c794aa43184ea2"
+    digest = "40ef7d2626631a9856d6d66b184aa963b4265c4fca03316209d8a0796cdea112"
     assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def test_sampler_inside_the_pin_matches_one_thread_digest(tmp_path):
+    # A library caller gets the one-thread bytes by sampling inside
+    # one_blas_thread, whatever OPENBLAS_NUM_THREADS asks for; the digest is
+    # test_blocked_second_pass_bytes_pinned's.
+    code = (
+        "import hashlib\n"
+        "from pvlab._blas import one_blas_thread\n"
+        "from pvlab.model_gen import SeedSpec, sample_orthonormal_instance\n"
+        "with one_blas_thread():\n"
+        "    Q, _ = sample_orthonormal_instance(40000, 2, 0.05, SeedSpec(57, 4))\n"
+        "print(hashlib.sha256(Q.tobytes()).hexdigest())\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, cwd=tmp_path, timeout=300
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    digest = "1fb5b907c9cf2a0ee07ac0e4e80024d49d1b787f547be9b718a1000b09a0fdb4"
+    assert done.stdout.decode().strip() == digest
 
 
 def test_estimate_dump_independent_of_blas_threads(tmp_path):
@@ -97,10 +120,10 @@ def test_estimate_dump_independent_of_blas_threads(tmp_path):
 
 ORTH_SWEEP_CSV = """\
 N,n,rho,trial,task,success,l2_error,entrywise_err,statistic,adv,elapsed_ms
-3000,40,0.02,0,recover,1,0.020991311546147633,0.07500120405815662,0.01494242497377609,,
-3000,40,0.02,1,recover,1,0.029780297074128617,0.09652726027297774,0.01486998504066151,,
-3000,40,0.05,0,recover,1,0.0440900111278074,0.1717059089629881,0.0064971937619229285,,
-3000,40,0.05,1,recover,1,0.0631181510648344,0.27476889761077394,0.0054570767703971575,,
+3000,40,0.02,0,recover,1,0.020991311546147633,0.07500120405815665,0.01494242497377609,,
+3000,40,0.02,1,recover,1,0.029780297074128634,0.09652726027297773,0.014869985040661495,,
+3000,40,0.05,0,recover,1,0.044090011127807395,0.17170590896298804,0.00649719376192293,,
+3000,40,0.05,1,recover,1,0.06311815106483444,0.2747688976107741,0.005457076770397158,,
 """
 
 
