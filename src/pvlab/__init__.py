@@ -24,7 +24,6 @@ from .spectral import (
     build_statistic,
     estimate_direction,
     leading_eigenpair,
-    rank_one_bound_check,
     recover_gaussian_rule,
     recover_orthonormal_rule,
     score,
@@ -38,15 +37,7 @@ from .detection import (
     l1l2_test,
     spectral_norm_test,
 )
-from .lowdeg import (
-    AdvantageBreakdown,
-    advantage,
-    advantage_bruteforce,
-    composition_sum,
-    hermite_eval,
-    hermite_moment_br,
-    sphere_moment,
-)
+from .lowdeg import AdvantageBreakdown, advantage
 from .harness import SweepConfig, SweepRecord, run_sweep, records_to_csv, summarize
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model_gen import (
+    DegenerateDrawError,
     SeedSpec,
     sample_detection_pair,
     sample_orthonormal_instance,
@@ -138,7 +139,14 @@ def recover(
     model: str, result: SpectralResult, truth: np.ndarray, rho: float
 ) -> ErrorReport:
     """Threshold the raw estimate with the model's rule (the orthonormal rule
-    ignores rho) and score it against the planted vector."""
+    ignores rho) and score it against the planted vector.
+
+    An all-zero planted vector raises DegenerateDrawError: an estimate that
+    thresholds to zeros would match it and read as exact recovery."""
+    if not np.any(truth):
+        raise DegenerateDrawError(
+            f"all {truth.size} planted entries are zero (rho={rho}); nothing to recover"
+        )
     raw = result.raw_estimate
     rule = recover_orthonormal_rule(raw) if model == "orth" else recover_gaussian_rule(raw, rho)
     return score(raw, truth, rule)

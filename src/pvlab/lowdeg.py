@@ -13,7 +13,8 @@ uniform unit vectors in R^n, and alpha ranges over N-dimensional multi-indices.
 Only alpha whose nonzero entries are even and >= 4 contribute (the Hermite
 moments of orders 1, 2, 3 and all odd orders vanish), which collapses the
 inner sum to a dynamic program over compositions; a brute-force enumeration
-of all alpha validates the program on small parameters.
+of all alpha in the tests (`tests/oracles.py`) validates the program on small
+parameters.
 
 Magnitudes span hundreds of orders (binomials up to C(N, D/4) against moments
 of order rho^(2-k)), so the combination is accumulated in log space.  All
@@ -25,23 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "DegreeContribution",
     "AdvantageBreakdown",
-    "hermite_values",
-    "hermite_eval",
-    "monic_hermite_coefficients",
-    "gaussian_product_moment",
-    "hermite_moment_br",
-    "sphere_moment",
     "log_sphere_moment",
-    "composition_sum",
     "advantage",
-    "advantage_bruteforce",
 ]
 
 # Smallest sparsity the advantage computation accepts; below this the
@@ -79,79 +71,6 @@ def _hermite_scaled(z: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return out, exponents
 
 
-def hermite_values(z: float, k_max: int) -> np.ndarray:
-    """h_0(z), ..., h_k_max(z); raises OverflowError beyond double range."""
-    mantissas, exponents = _hermite_scaled(z, k_max)
-    return np.array([math.ldexp(m, int(e)) for m, e in zip(mantissas, exponents)])
-
-
-def hermite_eval(k: int, z: float) -> float:
-    """Orthonormal Hermite polynomial h_k at z."""
-    return float(hermite_values(z, k)[k])
-
-
-@lru_cache(maxsize=None)
-def monic_hermite_coefficients(k: int) -> tuple[int, ...]:
-    """Integer coefficients (ascending powers) of the monic Hermite
-    polynomial; h_k is the monic polynomial divided by sqrt(k!)."""
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    if k == 0:
-        return (1,)
-    if k == 1:
-        return (0, 1)
-    prev2 = monic_hermite_coefficients(k - 2)
-    prev1 = monic_hermite_coefficients(k - 1)
-    out = [0] * (k + 1)
-    for power, c in enumerate(prev1):
-        out[power + 1] += c
-    for power, c in enumerate(prev2):
-        out[power] -= (k - 1) * c
-    return tuple(out)
-
-
-def gaussian_product_moment(j: int, k: int) -> float:
-    """E[h_j(z) h_k(z)] for z ~ N(0,1), by exact integration of the
-    coefficient products against the Gaussian moments (m-1)!!.
-
-    Independent of the recurrence evaluation path; equals delta_jk.
-    """
-    cj = monic_hermite_coefficients(j)
-    ck = monic_hermite_coefficients(k)
-    total = 0
-    for r, a in enumerate(cj):
-        if a == 0:
-            continue
-        for s, b in enumerate(ck):
-            if b == 0 or (r + s) % 2:
-                continue
-            total += a * b * _double_factorial(r + s - 1)
-    return total / math.sqrt(math.factorial(j) * math.factorial(k))
-
-
-def _double_factorial(m: int) -> int:
-    # (-1)!! = 1 by convention
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
-def hermite_moment_br(k: int, rho: float) -> float:
-    """E[h_k(x)] for the three-atom Bernoulli-Rademacher variable with
-    P{x = 0} = 1 - rho and P{x = +-1/sqrt(rho)} = rho/2.
-
-    Odd k short-circuits to exactly 0 by symmetry.
-    """
-    if not 0 < rho <= 1:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
-    if k % 2:
-        return 0.0
-    a = 1.0 / math.sqrt(rho)
-    return (1.0 - rho) * hermite_eval(k, 0.0) + rho * hermite_eval(k, a)
-
-
 def log_sphere_moment(n: int, d: int) -> float:
     """log E[<u, u'>^d] for independent uniform unit vectors in R^n;
     -inf for odd d."""
@@ -167,12 +86,6 @@ def log_sphere_moment(n: int, d: int) -> float:
         - 0.5 * math.log(math.pi)
         - math.lgamma((n + d) / 2.0)
     )
-
-
-def sphere_moment(n: int, d: int) -> float:
-    """E[<u, u'>^d] = Gamma(n/2) Gamma((d+1)/2) / (sqrt(pi) Gamma((n+d)/2))
-    for even d, and 0 for odd d."""
-    return math.exp(log_sphere_moment(n, d))
 
 
 def _exp(x: float) -> float:
@@ -201,7 +114,7 @@ def _log_squared_moments(rho: float, D: int) -> list[float]:
 
     Each moment is summed at the atom's power-of-two scale, so an h_k beyond
     double range still has an exact log."""
-    at_zero = hermite_values(0.0, D)  # |h_k(0)| <= 1, never rescaled
+    at_zero, _ = _hermite_scaled(0.0, D)  # |h_k(0)| <= 1: every exponent is 0
     at_atom, exponents = _hermite_scaled(1.0 / math.sqrt(rho), D)
     moments = (1.0 - rho) * np.ldexp(at_zero, -exponents) + rho * at_atom
     moments[1::2] = 0.0
@@ -227,20 +140,6 @@ def _log_composition_sum(log_sq: list[float], d: int, m: int) -> float:
         return memo[key]
 
     return rec(d, m)
-
-
-def composition_sum(d: int, m: int, rho: float) -> float:
-    """g(d, m): the inner sum over multi-index mass patterns with support
-    size m and total degree d, for the Bernoulli-Rademacher distribution.
-
-    Zero whenever d < 4m or d is odd (no admissible composition).
-    """
-    if d < 0 or m < 1:
-        raise ValueError(f"need d >= 0 and m >= 1, got d={d}, m={m}")
-    if d % 2 or d < 4 * m:
-        return 0.0
-    log_sq = _log_squared_moments(rho, d)
-    return _exp(_log_composition_sum(log_sq, d, m))
 
 
 @dataclass(frozen=True)
@@ -307,22 +206,3 @@ def advantage(N: int, n: int, rho: float, D: int) -> AdvantageBreakdown:
         underflowed=underflowed,
         overflowed=math.isinf(adv_squared) or any(math.isinf(r.alpha_sum) for r in per_degree),
     )
-
-
-def advantage_bruteforce(N: int, n: int, rho: float, D: int) -> float:
-    """Direct enumeration of adv^2 over every multi-index alpha in N^N with
-    |alpha| <= D.  Independent oracle for `advantage`; tiny parameters only."""
-    if N > 5 or D > 12:
-        raise ValueError(f"brute force is guarded to N <= 5 and D <= 12, got N={N}, D={D}")
-    if N < 1 or n < 1 or D < 0:
-        raise ValueError(f"need N, n >= 1 and D >= 0, got N={N}, n={n}, D={D}")
-    if not 0 < rho <= 1:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
-    sq = np.array([hermite_moment_br(k, rho) for k in range(D + 1)]) ** 2
-    sphere = np.array([sphere_moment(n, d) for d in range(D + 1)])
-    grids = np.stack(np.meshgrid(*([np.arange(D + 1)] * N), indexing="ij"))
-    alphas = grids.reshape(N, -1)
-    degrees = alphas.sum(axis=0)
-    keep = degrees <= D
-    products = np.prod(sq[alphas[:, keep]], axis=0)
-    return float(np.sum(sphere[degrees[keep]] * products))

@@ -61,7 +61,8 @@ _FILL_ROWS = 1024
 
 
 class DegenerateDrawError(ValueError):
-    """A sampled vector was identically zero and cannot be normalized."""
+    """A sampled planted vector was identically zero: it cannot be
+    normalized, and there is nothing to recover."""
 
 
 class RankDeficientError(ValueError):
@@ -389,11 +390,18 @@ def dump_instance(
 
 def load_instance(src: io.TextIOBase) -> tuple[np.ndarray, str, float, SeedSpec]:
     """Inverse of dump_instance: (Y, kind, rho, seed); the planted vector is
-    not serialized."""
+    not serialized.
+
+    Raises ValueError on a wrong header, a metadata line without six fields
+    or with an unknown kind, an unparsable value, or a matrix of another
+    shape than the metadata states."""
     header = src.readline().strip()
     if header != _DUMP_HEADER:
         raise ValueError(f"bad instance header: {header!r}")
-    meta = src.readline().strip().split(",")
+    line = src.readline().strip()
+    meta = line.split(",")
+    if len(meta) != 6 or meta[3] not in _DUMP_KIND.values():
+        raise ValueError(f"bad instance metadata line: {line!r}")
     N, n = int(meta[0]), int(meta[1])
     rho = float(meta[2])
     kind = meta[3]

@@ -30,7 +30,6 @@ __all__ = [
     "recover_orthonormal_rule",
     "score",
     "signs_match",
-    "rank_one_bound_check",
 ]
 
 
@@ -202,30 +201,3 @@ def score(
         exact_match=None if recovered is None else signs_match(recovered, v),
     )
 
-
-def rank_one_bound_check(
-    A: np.ndarray, rho_s: float, b: np.ndarray
-) -> tuple[float, float, bool]:
-    """Check the rank-one eigenvector perturbation bound on one instance.
-
-    For the leading eigenvector u1 of symmetric A (gap Delta between its two
-    largest singular values) and the leading eigenvector of A + rho_s*b b^T,
-    whenever |rho_s| ||b||^2 <= Delta/4 the sign-minimized distance between
-    the two eigenvectors is at most 2*sqrt(2) |rho_s| ||b|| |b^T u1| / Delta.
-
-    Returns (lhs, rhs, applicable); the bound is only claimed when applicable.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _, u1, gap = leading_eigenpair(A)
-    _, u1_tilde, _ = leading_eigenpair(A + rho_s * np.outer(b, b))
-    lhs = min(
-        float(np.linalg.norm(u1 - u1_tilde)), float(np.linalg.norm(u1 + u1_tilde))
-    )
-    bnorm = float(np.linalg.norm(b))
-    applicable = gap > 0 and abs(rho_s) * bnorm**2 <= gap / 4.0
-    if gap > 0:
-        rhs = 2.0 * np.sqrt(2.0) * abs(rho_s) * bnorm * abs(float(b @ u1)) / gap
-    else:
-        rhs = np.inf
-    return lhs, float(rhs), applicable

@@ -16,13 +16,7 @@ import pytest
 
 from pvlab.detection import error_rates
 from pvlab.harness import SweepConfig, records_to_csv, run_sweep
-from pvlab.lowdeg import (
-    advantage,
-    advantage_bruteforce,
-    gaussian_product_moment,
-    hermite_moment_br,
-    sphere_moment,
-)
+from pvlab.lowdeg import advantage
 from pvlab.model_gen import (
     SeedSpec,
     apply_rotation,
@@ -34,13 +28,19 @@ from pvlab.spectral import (
     build_statistic,
     estimate_direction,
     leading_eigenpair,
-    rank_one_bound_check,
     recover_gaussian_rule,
     recover_orthonormal_rule,
     score,
     signs_match,
 )
 
+from oracles import (
+    advantage_bruteforce,
+    gaussian_product_moment,
+    hermite_moment_br,
+    rank_one_bound_check,
+    sphere_moment,
+)
 from sampled import haar_rotated
 
 

@@ -335,6 +335,8 @@ class TestOutOfDomain:
             ["gen", "--N", "5", "--n", "2", "--rho", "0.5", "--out", ""],
             ["estimate", "--N", "50", "--n", "2", "--rho", "0.5", "--dump-estimate", ""],
             ["detect", "--N", "50", "--n", "2", "--rho", "0.5", "--trials", "1", "--csv", ""],
+            # this stream plants v = 0, which an all-zero estimate would "recover"
+            ["estimate", "--N", "50", "--n", "2", "--rho", "0.002", "--seed", "0", "--stream", "0"],
         ],
     )
     def test_out_of_domain_value_exit_code(self, argv, capsys, tmp_path, monkeypatch):

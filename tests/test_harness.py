@@ -213,6 +213,20 @@ class TestRunSweep:
         assert len(records) == 40
         assert any(not r.success for r in records)
 
+    def test_all_zero_planted_vector_is_an_error_row(self):
+        # At N * rho = 0.1 most gaussian draws plant v = 0; Y u then
+        # thresholds to zeros, which matches v and would read as exact recovery
+        N, n, rho, trials = 50, 2, 0.002, 9
+        records = run_sweep(small_config(Ns=[N], ns=[n], rhos=[rho], trials=trials, seed=0))
+        zero = [
+            not sample_rotated_instance(N, n, rho, SeedSpec(0, stream_for_cell(N, n, rho, t)))[1].any()
+            for t in range(trials)
+        ]
+        assert zero.count(False) == 2  # trials 2 and 8
+        assert [r.l2_error is None and not r.success for r in records] == zero
+        (cell,) = summarize(records)
+        assert cell.errors == 7 and cell.success_rate == 1.0
+
     def test_timing_column_empty_by_default(self):
         cfg = small_config(trials=1)
         line = records_to_csv(run_sweep(cfg)).splitlines()[1]

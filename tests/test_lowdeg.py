@@ -11,14 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from pvlab.lowdeg import (
     _log_composition_sum,
+    _log_squared_moments,
     advantage,
+    log_sphere_moment,
+)
+
+from oracles import (
     advantage_bruteforce,
     composition_sum,
     gaussian_product_moment,
     hermite_eval,
     hermite_moment_br,
     hermite_values,
-    log_sphere_moment,
     monic_hermite_coefficients,
     sphere_moment,
 )
@@ -91,6 +95,25 @@ class TestHermiteMoments:
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
             hermite_moment_br(4, 0.0)
+
+
+class TestSquaredMoments:
+    @pytest.mark.parametrize("q", [1, 2, 10, 1000])
+    def test_production_moments_match_exact_rationals(self, q):
+        # rho = 1/q^2 puts the atom 1/sqrt(rho) at the integer q, so
+        # (E h_k)^2 = ((1 - rho) He_k(0) + rho He_k(q))^2 / k! is an exact
+        # rational in the monic coefficients; at q = 1000 the recurrence
+        # rescales before k = 256.  k = 2 is left out: E h_2 = 0 exactly, so
+        # the float sum leaves only roundoff, and the program never reads it
+        # (every part of a composition is >= 4).
+        rho = Fraction(1, q * q)
+        log_sq = _log_squared_moments(1.0 / q**2, 256)
+        for k in range(4, 257, 2):
+            monic = monic_hermite_coefficients(k)
+            moment = (1 - rho) * monic[0] + rho * sum(c * q**r for r, c in enumerate(monic))
+            exact = moment**2 / math.factorial(k)
+            expected = math.log(exact.numerator) - math.log(exact.denominator)
+            assert log_sq[k] == pytest.approx(expected, rel=1e-12), (q, k)
 
 
 class TestSphereMoment:

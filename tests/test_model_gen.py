@@ -569,3 +569,11 @@ class TestSerialization:
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
             load_instance(io.StringIO("not,a,header\n"))
+
+    @pytest.mark.parametrize(
+        "meta", ["3,2", "3,2,0.5,bogus,0,0", ""], ids=["truncated", "unknown_kind", "empty"]
+    )
+    def test_rejects_bad_metadata_line(self, meta):
+        text = f"N,n,rho,kind,seed,stream\n{meta}\n" + "0.0,0.0\n" * 3
+        with pytest.raises(ValueError, match="metadata"):
+            load_instance(io.StringIO(text))

@@ -20,13 +20,13 @@ from pvlab.spectral import (
     build_statistic,
     estimate_direction,
     leading_eigenpair,
-    rank_one_bound_check,
     recover_gaussian_rule,
     recover_orthonormal_rule,
     score,
     signs_match,
 )
 
+from oracles import rank_one_bound_check
 from sampled import haar_rotated, unit, unit_rotated_instance
 
 
