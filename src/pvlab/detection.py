@@ -8,17 +8,19 @@ fed with the spectral estimate it turns any good estimator into a detector.
 
 This module also holds the one model -> sampler -> rule dispatch
 (`sample_observation`, `recover`, `decide`) that the CLI, the sweep harness
-and `error_rates` all go through.
+and `error_rates` all go through, and the one trial path of the sweep and
+`error_rates`: `estimator` samples and estimates each instance of a trial
+once, and `detect` makes the trial's null and planted calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model_gen import (
-    DegenerateDrawError,
     SeedSpec,
     sample_detection_pair,
     sample_orthonormal_instance,
@@ -45,6 +47,8 @@ __all__ = [
     "sample_observation",
     "recover",
     "decide",
+    "estimator",
+    "detect",
     "error_rates",
 ]
 
@@ -139,14 +143,7 @@ def recover(
     model: str, result: SpectralResult, truth: np.ndarray, rho: float
 ) -> ErrorReport:
     """Threshold the raw estimate with the model's rule (the orthonormal rule
-    ignores rho) and score it against the planted vector.
-
-    An all-zero planted vector raises DegenerateDrawError: an estimate that
-    thresholds to zeros would match it and read as exact recovery."""
-    if not np.any(truth):
-        raise DegenerateDrawError(
-            f"all {truth.size} planted entries are zero (rho={rho}); nothing to recover"
-        )
+    ignores rho) and score it against the planted vector."""
     raw = result.raw_estimate
     rule = recover_orthonormal_rule(raw) if model == "orth" else recover_gaussian_rule(raw, rho)
     return score(raw, truth, rule)
@@ -165,6 +162,27 @@ def decide(
     raise ValueError(f"unknown test kind {test_kind!r}")
 
 
+def estimator(N: int, n: int, rho: float, seed: SeedSpec):
+    """One trial's `estimate(model)`: the spectral result and planted vector
+    (result, v) of `model`'s instance on `seed`, sampled and estimated on the
+    first call for each model and cached; the N x n matrix is dropped."""
+
+    @functools.cache
+    def estimate(model: str) -> tuple[SpectralResult, np.ndarray | None]:
+        Y, v = sample_observation(model, N, n, rho, seed)
+        return estimate_direction(Y), v
+
+    return estimate
+
+
+def detect(
+    test_kind: str, estimate, rho: float, c1: float = DEFAULT_C1
+) -> tuple[DetectionOutcome, DetectionOutcome]:
+    """One detection trial: the (null, planted) outcomes of `test_kind` on an
+    `estimator`'s null and gaussian instances."""
+    return tuple(decide(test_kind, estimate(model)[0], rho, c1) for model in ("null", "gaussian"))
+
+
 def error_rates(
     N: int,
     n: int,
@@ -181,11 +199,8 @@ def error_rates(
     false_planted = 0
     missed = 0
     for t in range(trials):
-        trial_seed = SeedSpec(seed.master_seed, seed.stream_index + t)
-        null = estimate_direction(sample_observation("null", N, n, rho, trial_seed)[0])
-        if decide(test_kind, null, rho, c1).decision == "planted":
-            false_planted += 1
-        planted = estimate_direction(sample_observation("gaussian", N, n, rho, trial_seed)[0])
-        if decide(test_kind, planted, rho, c1).decision == "null":
-            missed += 1
+        estimate = estimator(N, n, rho, SeedSpec(seed.master_seed, seed.stream_index + t))
+        null, planted = detect(test_kind, estimate, rho, c1)
+        false_planted += null.decision == "planted"
+        missed += planted.decision == "null"
     return ErrorRateReport(type_I=false_planted / trials, type_II=missed / trials)

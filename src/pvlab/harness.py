@@ -5,9 +5,11 @@ stable 64-bit hash of (N, n, rho, trial), so editing the grid never reshuffles
 the randomness of unrelated cells, and records come out in deterministic cell
 order no matter how many worker threads ran them.
 
-A unit samples each distinct instance once (the gaussian `recover` instance is
-also the detection tests' planted instance) and keeps only its spectral result
-and truth; the deterministic advantage is computed once per cell.
+A unit runs the one trial path it shares with `detection.error_rates`
+(`detection.estimator`, then `detection.detect`): it samples each distinct
+instance once (the gaussian `recover` instance is also the detection tests'
+planted instance) and keeps only its spectral result and truth.  The
+deterministic advantage is computed once per cell.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 
 from ._blas import keep_pieces_on_this_thread, one_blas_thread
 from .model_gen import SeedSpec
-from .spectral import estimate_direction
-from .detection import DEFAULT_C1, decide, recover, sample_observation
+from .detection import detect, estimator, recover
 from .lowdeg import MIN_RHO, advantage
 
 __all__ = [
@@ -189,12 +190,7 @@ def _run_unit(
     Shared work is done by the first task that needs it and is charged to that
     task's elapsed_ms, so a unit's rows sum to its wall time.
     """
-    seed = SeedSpec(config.seed, stream_for_cell(N, n, rho, trial))
-
-    @functools.cache
-    def estimate(model: str):
-        Y, v = sample_observation(model, N, n, rho, seed)
-        return estimate_direction(Y), v  # the N x n matrix is dropped
+    estimate = estimator(N, n, rho, SeedSpec(config.seed, stream_for_cell(N, n, rho, trial)))
 
     def run_task(task: str) -> dict:
         if task == "recover":
@@ -208,10 +204,7 @@ def _run_unit(
             )
         if task == "advantage":
             return dict(success=True, adv=cell_advantage().adv)
-        null_out, planted_out = (  # task is "detect_" + the test kind
-            decide(task.removeprefix("detect_"), estimate(model)[0], rho, DEFAULT_C1)
-            for model in ("null", "gaussian")
-        )
+        null_out, planted_out = detect(task.removeprefix("detect_"), estimate, rho)
         return dict(
             success=(null_out.decision == "null" and planted_out.decision == "planted"),
             statistic_value=planted_out.statistic_value,

@@ -15,6 +15,8 @@ Sampling does not pin the count itself: the count is process-global, so a
 pin per sampler would race with the samplers of other threads.
 Samplers return plain arrays; the composite samplers return the observation
 and its planted vector as (Y, v), with v = None for a null draw.
+A planted vector is checked where it is drawn, under both models: an
+all-zero draw raises DegenerateDrawError, so no sampler returns v = 0.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ _FILL_ROWS = 1024
 
 
 class DegenerateDrawError(ValueError):
-    """A sampled planted vector was identically zero: it cannot be
-    normalized, and there is nothing to recover."""
+    """A sampled planted vector was identically zero: the instance is pure
+    noise, with nothing planted to recover or detect."""
 
 
 class RankDeficientError(ValueError):
@@ -112,14 +114,11 @@ def _br_from_rng(
     entries = np.zeros(N)
     entries[u >= 1.0 - rho / 2.0] = magnitude
     entries[(u >= 1.0 - rho) & (u < 1.0 - rho / 2.0)] = -magnitude
-    if normalize:
-        norm = np.linalg.norm(entries)
-        if norm == 0.0:
-            raise DegenerateDrawError(
-                f"all {N} entries were zero (rho={rho}); retry with another stream"
-            )
-        entries = entries / norm
-    return entries
+    if not entries.any():
+        raise DegenerateDrawError(
+            f"all {N} planted entries are zero (rho={rho}): this stream plants no vector"
+        )
+    return entries / np.linalg.norm(entries) if normalize else entries
 
 
 def _basis_from_rng(rng: np.random.Generator, v: np.ndarray, n: int) -> np.ndarray:
@@ -147,7 +146,8 @@ def _haar_from_rng(rng: np.random.Generator, n: int) -> np.ndarray:
 def sample_br_vector(N: int, rho: float, seed: SeedSpec) -> np.ndarray:
     """Draw a Bernoulli-Rademacher vector: each entry independently 0 with
     probability 1-rho and +-1/sqrt(N*rho) with probability rho/2 each.  The
-    vector is not rescaled, so its norm is 1 only in expectation."""
+    vector is not rescaled, so its norm is 1 only in expectation.  A draw
+    with no nonzero entry raises DegenerateDrawError."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 0 < rho <= 1:
@@ -357,8 +357,7 @@ def sample_orthonormal_instance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal-basis observation (Yhat, v) for a unit planted vector
     v = v'/||v'||, v' ~ BR(N, rho): Yhat is the orthonormalized basis whose
-    first column is v.  An all-zero v' raises DegenerateDrawError, so the
-    caller can retry on the next stream."""
+    first column is v.  An all-zero v' raises DegenerateDrawError."""
     _check_instance_params(N, n, rho)
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=True)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
@@ -393,7 +392,8 @@ def load_instance(src: io.TextIOBase) -> tuple[np.ndarray, str, float, SeedSpec]
     not serialized.
 
     Raises ValueError on a wrong header, a metadata line without six fields
-    or with an unknown kind, an unparsable value, or a matrix of another
+    or with an unknown kind, an unparsable value, values outside the
+    samplers' domain (1 <= n <= N, rho in (0, 1]), or a matrix of another
     shape than the metadata states."""
     header = src.readline().strip()
     if header != _DUMP_HEADER:
@@ -404,6 +404,10 @@ def load_instance(src: io.TextIOBase) -> tuple[np.ndarray, str, float, SeedSpec]
         raise ValueError(f"bad instance metadata line: {line!r}")
     N, n = int(meta[0]), int(meta[1])
     rho = float(meta[2])
+    try:
+        _check_instance_params(N, n, rho)
+    except ValueError as exc:
+        raise ValueError(f"bad instance metadata line {line!r}: {exc}") from None
     kind = meta[3]
     seed = SeedSpec(int(meta[4]), int(meta[5]))
     Y = np.loadtxt(src, delimiter=",", ndmin=2)

@@ -4,7 +4,9 @@ The public samplers draw one kind of instance each.  Tests that need a
 unit-norm planted vector, a rotated instance around one, or another
 orthonormal basis of a sampled span build it here from the same lanes and
 private draws (`_br_from_rng`, `_basis_from_rng`, `_haar_from_rng`), so the
-arrays are the bytes those tests have always seen.
+arrays are the bytes those tests have always seen.  `planted_support` reads
+the vector lane itself, so it also sees the all-zero draws the samplers
+reject.
 """
 
 import numpy as np
@@ -16,6 +18,12 @@ from pvlab.model_gen import SeedSpec, apply_rotation
 def unit(v: np.ndarray) -> np.ndarray:
     """v divided by its realized l2 norm."""
     return v / np.linalg.norm(v)
+
+
+def planted_support(N: int, rho: float, seed: SeedSpec) -> np.ndarray:
+    """Which entries of the planted vector on `seed` are nonzero, read from
+    the vector lane's uniforms u: entry i is nonzero iff u_i >= 1 - rho."""
+    return seed.generator(model_gen._LANE_VECTOR).random(N) >= 1.0 - rho
 
 
 def unit_basis(N: int, n: int, rho: float, seed: SeedSpec) -> np.ndarray:

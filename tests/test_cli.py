@@ -337,6 +337,9 @@ class TestOutOfDomain:
             ["detect", "--N", "50", "--n", "2", "--rho", "0.5", "--trials", "1", "--csv", ""],
             # this stream plants v = 0, which an all-zero estimate would "recover"
             ["estimate", "--N", "50", "--n", "2", "--rho", "0.002", "--seed", "0", "--stream", "0"],
+            ["gen", "--N", "50", "--n", "2", "--rho", "0.002", "--seed", "0", "--stream", "0"],
+            # nine of these ten planted draws are v = 0, pure noise scored as planted
+            ["detect", "--N", "50", "--n", "2", "--rho", "0.002", "--trials", "10"],
         ],
     )
     def test_out_of_domain_value_exit_code(self, argv, capsys, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from pvlab import _blas, cli, detection, harness, lowdeg, model_gen, spectral
-from pvlab.detection import DEFAULT_C1, detect_via_estimation, spectral_norm_test
+from pvlab.detection import DEFAULT_C1, detect_via_estimation, error_rates, spectral_norm_test
 from pvlab.harness import (
     CSV_HEADER,
     SweepConfig,
@@ -32,6 +32,7 @@ from pvlab.spectral import (
     recover_orthonormal_rule,
     score,
 )
+from sampled import planted_support
 
 
 def small_config(**overrides):
@@ -214,18 +215,41 @@ class TestRunSweep:
         assert any(not r.success for r in records)
 
     def test_all_zero_planted_vector_is_an_error_row(self):
-        # At N * rho = 0.1 most gaussian draws plant v = 0; Y u then
-        # thresholds to zeros, which matches v and would read as exact recovery
+        # At N * rho = 0.1 most gaussian draws plant v = 0, a pure-noise
+        # instance: Y u would threshold to zeros, match v and read as exact
+        # recovery, and the detection tasks would score noise as planted
         N, n, rho, trials = 50, 2, 0.002, 9
         records = run_sweep(small_config(Ns=[N], ns=[n], rhos=[rho], trials=trials, seed=0))
         zero = [
-            not sample_rotated_instance(N, n, rho, SeedSpec(0, stream_for_cell(N, n, rho, t)))[1].any()
+            not planted_support(N, rho, SeedSpec(0, stream_for_cell(N, n, rho, t))).any()
             for t in range(trials)
         ]
         assert zero.count(False) == 2  # trials 2 and 8
         assert [r.l2_error is None and not r.success for r in records] == zero
         (cell,) = summarize(records)
         assert cell.errors == 7 and cell.success_rate == 1.0
+
+        tasks = ["recover", "detect_spectral", "detect_l1l2"]
+        cfg = small_config(Ns=[N], ns=[n], rhos=[rho], trials=4, seed=0, tasks=tasks)
+        assert zero[:4] == [True, True, False, True]
+        assert records_to_csv(run_sweep(cfg)).splitlines()[1:] == [
+            *(f"50,2,0.002,{t},{task},0,,,,," for t in (0, 1) for task in tasks),
+            "50,2,0.002,2,recover,1,0.07491071565799604,0.2192064442724075,100.69761417773702,,",
+            "50,2,0.002,2,detect_spectral,1,,,100.69761417773702,,",
+            "50,2,0.002,2,detect_l1l2,1,,,4.513624892757086,,",
+            *(f"50,2,0.002,3,{task},0,,,,," for task in tasks),
+        ]
+
+    def test_sweep_and_error_rates_run_the_same_trial(self):
+        tasks = ("detect_spectral", "detect_l1l2")
+        cfg = small_config(Ns=[100, 200], ns=[2, 8], rhos=[0.1, 0.3], trials=2, tasks=tasks)
+        successes = []
+        for r in run_sweep(cfg):
+            seed = SeedSpec(cfg.seed, stream_for_cell(r.N, r.n, r.rho, r.trial))
+            report = error_rates(r.N, r.n, r.rho, DEFAULT_C1, 1, r.task.removeprefix("detect_"), seed)
+            assert (report.type_I == report.type_II == 0) == r.success
+            successes.append(r.success)
+        assert set(successes) == {False, True}  # both outcomes are compared
 
     def test_timing_column_empty_by_default(self):
         cfg = small_config(trials=1)
@@ -246,8 +270,8 @@ class TestBlasThreads:
             pytest.skip("numpy has no bundled OpenBLAS")
         get, set_ = functions
         seen = []
-        real = harness.estimate_direction
-        monkeypatch.setattr(harness, "estimate_direction", lambda Y: seen.append(get()) or real(Y))
+        real = detection.estimate_direction
+        monkeypatch.setattr(detection, "estimate_direction", lambda Y: seen.append(get()) or real(Y))
         previous = get()
         set_(2)
         try:

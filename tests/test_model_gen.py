@@ -571,7 +571,16 @@ class TestSerialization:
             load_instance(io.StringIO("not,a,header\n"))
 
     @pytest.mark.parametrize(
-        "meta", ["3,2", "3,2,0.5,bogus,0,0", ""], ids=["truncated", "unknown_kind", "empty"]
+        "meta",
+        [
+            "3,2", "3,2,0.5,bogus,0,0", "",
+            "3,2,-5.0,null,0,0", "3,2,1.5,null,0,0", "3,2,nan,null,0,0",
+            "3,4,0.5,null,0,0", "0,2,0.5,null,0,0",
+        ],
+        ids=[
+            "truncated", "unknown_kind", "empty",
+            "rho_negative", "rho_above_one", "rho_nan", "n_above_N", "N_zero",
+        ],
     )
     def test_rejects_bad_metadata_line(self, meta):
         text = f"N,n,rho,kind,seed,stream\n{meta}\n" + "0.0,0.0\n" * 3
