@@ -7,7 +7,8 @@ the caller's count on exit.  Under any other BLAS the count is left alone
 and one warning is logged.
 
 Under one BLAS thread, `on_two_threads` runs the two pieces of a large
-product on the calling thread and on one worker thread.
+product on the calling thread and on one worker thread, and
+`blocks_on_two_threads` splits a product's blocks into those two pieces.
 """
 
 from __future__ import annotations
@@ -126,3 +127,21 @@ def on_two_threads(first, second, parallel: bool = True):
         futures.wait([pending])
         raise
     return done, pending.result()
+
+
+def blocks_on_two_threads(block, edges: list[int]) -> None:
+    """block(a, b) for each pair of consecutive edges from 0, in order, as
+    two pieces of `on_two_threads` split at the inner edge nearest the
+    middle.  Every block must do at least MIN_PIECE multiply-adds, so any
+    two blocks may run on two threads; a single block runs here."""
+    middle = min(range(1, len(edges) - 1), key=lambda i: abs(2 * edges[i] - edges[-1]), default=0)
+
+    def blocks(lo: int, hi: int) -> None:
+        for a, b in zip(edges[lo:hi], edges[lo + 1 : hi + 1]):
+            block(a, b)
+
+    on_two_threads(
+        functools.partial(blocks, 0, middle),
+        functools.partial(blocks, middle, len(edges) - 1),
+        parallel=middle > 0,
+    )

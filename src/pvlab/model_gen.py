@@ -17,6 +17,9 @@ Samplers return plain arrays; the composite samplers return the observation
 and its planted vector as (Y, v), with v = None for a null draw.
 A planted vector is checked where it is drawn, under both models: an
 all-zero draw raises DegenerateDrawError, so no sampler returns v = 0.
+The composite samplers write Y @ Q, or the CholeskyQR2 passes, over the
+basis they draw, so a sample holds one N x n array; the public functions
+never write their input.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ _LANE_ROTATION = 2
 _LANE_BASIS = 3
 
 # Rows of the Gaussian columns drawn per rng call by _basis_from_rng, and
-# of Q1 multiplied per GEMM by CholeskyQR2's second pass.
+# the unit of _times's row blocks.
 _FILL_ROWS = 1024
 
 
@@ -175,16 +178,19 @@ def sample_haar_rotation(n: int, seed: SeedSpec) -> np.ndarray:
 
 
 def apply_rotation(Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Right-multiply the basis by the n x n matrix Q; the column span is
-    unchanged when Q is orthogonal."""
+    """Right-multiply the basis by the n x n matrix Q into a fresh array;
+    the column span is unchanged when Q is orthogonal."""
     n = Y.shape[1]
     if Q.shape != (n, n):
         raise ValueError(f"basis has {n} columns but rotation is {Q.shape}")
     return _times(Y, Q)
 
 
-def _times(Y: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Y @ R for an n x n matrix R, with the bits of one full product.
+def _times(Y: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Y @ R for an n x n matrix R, with the bits of one full product,
+    written to `out` (a fresh array when None).  out may be Y: each row
+    block is multiplied before it is overwritten, so the product takes one
+    block's temporary, not a second N x n array.
 
     Large products run as row blocks on two threads.  A block has a multiple
     of _FILL_ROWS rows and at least MIN_PIECE multiply-adds (see
@@ -193,28 +199,13 @@ def _times(Y: np.ndarray, R: np.ndarray) -> np.ndarray:
     N, n = Y.shape
     rows = -(-_blas.MIN_PIECE // (_FILL_ROWS * n * n)) * _FILL_ROWS
     if N < 2 * rows:
-        return Y @ R
-    out = np.empty((N, n), dtype=np.result_type(Y, R))
-    _product_in_blocks(Y, R, [*range(0, N - rows + 1, rows), N], out)
-    return out
-
-
-def _product_in_blocks(Y: np.ndarray, R: np.ndarray, edges: list[int], out: np.ndarray) -> None:
-    """out[a:b] = Y[a:b] @ R for each pair of consecutive row edges, one
-    product per block, the blocks split between two threads at the edge
-    nearest the middle.  out may be Y."""
-    N, n = Y.shape
-    middle = min(range(1, len(edges) - 1), key=lambda i: abs(2 * edges[i] - N), default=0)
-
-    def blocks(lo: int, hi: int) -> None:
-        for a, b in zip(edges[lo:hi], edges[lo + 1 : hi + 1]):
-            np.matmul(Y[a:b], R, out=out[a:b])
-
-    _blas.on_two_threads(
-        functools.partial(blocks, 0, middle),
-        functools.partial(blocks, middle, len(edges) - 1),
-        parallel=min(edges[middle], N - edges[middle]) * n * n >= _blas.MIN_PIECE,
+        return np.matmul(Y, R, out=out)
+    if out is None:
+        out = np.empty((N, n), dtype=np.result_type(Y, R))
+    _blas.blocks_on_two_threads(
+        lambda a, b: np.matmul(Y[a:b], R, out=out[a:b]), [*range(0, N - rows + 1, rows), N]
     )
+    return out
 
 
 def orthonormalize(Y: np.ndarray) -> np.ndarray:
@@ -224,23 +215,31 @@ def orthonormalize(Y: np.ndarray) -> np.ndarray:
     The second CholeskyQR2 pass is skipped when the first is already
     orthonormal to ||Q^T Q - I||_F <= n * eps, as on well-conditioned bases.
 
-    Y is never written, and Q is a fresh array: with Y, at most two N x n
-    arrays are held at once on either pass.  Gram matrices are the sum of
-    the upper and the lower row half's (see _gram), and large products run
-    on two threads with the bits of one call.
+    Y is never written: Q is computed over a float64 copy of it, so with Y
+    two N x n arrays are held, and the samplers, which orthonormalize their
+    own draw in place, hold one.  Gram matrices are the sum of the upper and
+    the lower row half's (see _gram), and large products run on two threads
+    with the bits of one call.
 
     Raises RankDeficientError (with the offending column index) when a
     diagonal entry of R falls below the rank tolerance, and ValueError when
     Y has a NaN or infinite entry.
     """
+    return _orthonormalize_over(np.array(Y, dtype=float), lambda: Y)
+
+
+def _orthonormalize_over(Y: np.ndarray, original) -> np.ndarray:
+    """orthonormalize(Y), with Q written over Y where CholeskyQR2 decides.
+    Householder QR runs on original(), Y's values, since Y may already hold
+    the first pass."""
     G = _gram(Y)
     if not np.isfinite(G).all():
         bad = np.flatnonzero(~np.isfinite(Y).all(axis=0))
         if bad.size:
             raise ValueError(f"non-finite entry in column {int(bad[0])} of the basis")
-        return _householder_orthonormalize(Y)  # finite Y whose Gram matrix overflows
+        return _householder_orthonormalize(original())  # finite Y whose Gram matrix overflows
     Q = _cholesky_qr2(Y, G)
-    return _householder_orthonormalize(Y) if Q is None else Q
+    return _householder_orthonormalize(original()) if Q is None else Q
 
 
 def _gram(Y: np.ndarray) -> np.ndarray:
@@ -266,10 +265,9 @@ def _half_gram(rows: np.ndarray) -> np.ndarray:
 def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     """Q from Gram, Cholesky and triangular inverse, given the finite Gram
     matrix G = Y^T Y; None when Householder QR must decide.  The first pass
-    Q1 is returned as it is when ||Q1^T Q1 - I||_F <= n * eps, the accuracy
-    of Householder's Q; otherwise a second round runs on Q1 and its product
-    overwrites Q1, a block of rows at a time, so no third N x n array is
-    taken."""
+    Q1 overwrites Y and is returned as it is when ||Q1^T Q1 - I||_F <= n * eps,
+    the accuracy of Householder's Q; otherwise a second round runs on Q1
+    and overwrites it.  Both products are _times's, in place."""
     try:
         R1 = np.linalg.cholesky(G).T
     except np.linalg.LinAlgError:
@@ -278,7 +276,7 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     # Gram-based R loses about sqrt(eps)*||Y||, so near RANK_TOL only Householder can decide.
     if d.size == 0 or d.min() <= max(1e-5 * d.max(), 1e3 * RANK_TOL):
         return None
-    Q1 = _times(Y, np.linalg.inv(R1))
+    Q1 = _times(Y, np.linalg.inv(R1), out=Y)
     G1 = _gram(Q1)
     error = np.linalg.norm(G1 - np.eye(d.size))
     if error <= d.size * np.finfo(np.float64).eps:
@@ -288,13 +286,7 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     # I, G1 has eigenvalues >= 0.5, so its Cholesky cannot fail.
     if error > 0.5:
         return None
-    R2_inv = np.linalg.inv(np.linalg.cholesky(G1).T)
-    # Blocks start at multiples of _FILL_ROWS, as one full product's BLAS
-    # tiles do, and a one-row tail joins the block before it: numpy
-    # multiplies a single row by gemv, not gemm.
-    N = Q1.shape[0]
-    _product_in_blocks(Q1, R2_inv, [0, *range(_FILL_ROWS, N - 1, _FILL_ROWS), N], Q1)
-    return Q1
+    return _times(Q1, np.linalg.inv(np.linalg.cholesky(G1).T), out=Q1)
 
 
 def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
@@ -346,7 +338,7 @@ def sample_rotated_instance(
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=False)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
     Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
-    return apply_rotation(Y, Q), v
+    return _times(Y, Q, out=Y), v
 
 
 def sample_orthonormal_instance(
@@ -360,8 +352,11 @@ def sample_orthonormal_instance(
     first column is v.  An all-zero v' raises DegenerateDrawError."""
     _check_instance_params(N, n, rho)
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=True)
-    Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
-    return orthonormalize(Y), v
+
+    def basis() -> np.ndarray:
+        return _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
+
+    return _orthonormalize_over(basis(), basis), v
 
 
 # --- instance serialization (CLI `gen`) ---

@@ -58,47 +58,32 @@ def build_statistic(Y_obs: np.ndarray, centered: bool = True) -> np.ndarray:
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
 
-    Where each column half of M takes at least two columns and MIN_PIECE
-    multiply-adds (see pvlab._blas), the weighted rows are formed in two row
-    halves and M in two column halves, each pair on two threads; every piece
-    has the bits of its part of one full product.  (numpy multiplies a
-    single column with gemv, not gemm.)
+    The row weights ||y_i||^2 - (n-1)/N are one N-vector.  M is built a
+    block of its rows at a time, M[a:c] = (Y[:, a:c] * w)^T Y, so no N x n
+    weighted copy of Y is made: a block is about n/8 columns wide, at least
+    two (numpy multiplies a single column with gemv, not gemm) and at least
+    MIN_PIECE multiply-adds (see pvlab._blas), and a short remainder joins
+    the last block.  The blocks are split between two threads; every block
+    has the bits of its rows of one full product.
     """
     Y = np.asarray(Y_obs, dtype=float)
     N, n = Y.shape
-    weighted = np.empty_like(Y)
+    weights = np.einsum("ij,ij->i", Y, Y) - (n - 1) / N
+    width = max(2, -(-n // 8), -(-_blas.MIN_PIECE // (N * n)))
     M = np.empty((n, n))
-    half = n // 2
-    if half < 2 or N * n * half < _blas.MIN_PIECE:
-        _weigh_rows(Y, slice(0, N), weighted)
-        _weighted_gram_columns(weighted, Y, slice(0, n), M)
-    else:
-        _blas.on_two_threads(
-            functools.partial(_weigh_rows, Y, slice(0, N // 2), weighted),
-            functools.partial(_weigh_rows, Y, slice(N // 2, N), weighted),
-        )
-        _blas.on_two_threads(
-            functools.partial(_weighted_gram_columns, weighted, Y, slice(0, half), M),
-            functools.partial(_weighted_gram_columns, weighted, Y, slice(half, n), M),
-        )
+    _blas.blocks_on_two_threads(
+        functools.partial(_weighted_gram_rows, Y, weights, M),
+        [*range(0, n - width + 1, width), n] if n >= 2 * width else [0, n],
+    )
     if centered:
         M -= (3.0 / N) * np.eye(n)
     return 0.5 * (M + M.T)
 
 
-def _weigh_rows(Y: np.ndarray, rows: slice, out: np.ndarray) -> None:
-    """out[rows] = Y[rows] * (||y_i||^2 - (n-1)/N), row by row."""
-    N, n = Y.shape
-    block = Y[rows]
-    weights = np.einsum("ij,ij->i", block, block) - (n - 1) / N
-    np.multiply(block, weights[:, None], out=out[rows])
-
-
-def _weighted_gram_columns(
-    weighted: np.ndarray, Y: np.ndarray, columns: slice, M: np.ndarray
-) -> None:
-    """M[:, columns] = weighted^T Y[:, columns]."""
-    M[:, columns] = weighted.T @ Y[:, columns]
+def _weighted_gram_rows(Y: np.ndarray, weights: np.ndarray, M: np.ndarray, a: int, c: int) -> None:
+    """M[a:c] = (Y[:, a:c] * weights)^T Y; the weighted block is freed as
+    soon as its product is taken."""
+    M[a:c] = (Y[:, a:c] * weights[:, None]).T @ Y
 
 
 def leading_eigenpair(M: np.ndarray) -> tuple[float, np.ndarray, float]:

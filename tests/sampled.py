@@ -26,24 +26,34 @@ def planted_support(N: int, rho: float, seed: SeedSpec) -> np.ndarray:
     return seed.generator(model_gen._LANE_VECTOR).random(N) >= 1.0 - rho
 
 
+def basis_around(v: np.ndarray, n: int, seed: SeedSpec) -> np.ndarray:
+    """The N x n basis the composite samplers draw on `seed` around v: v in
+    column 0 and the basis lane's Gaussian columns after it."""
+    return model_gen._basis_from_rng(seed.generator(model_gen._LANE_BASIS), v, n)
+
+
+def lane_rotation(n: int, seed: SeedSpec) -> np.ndarray:
+    """The Haar rotation on `seed`'s rotation lane."""
+    return model_gen._haar_from_rng(seed.generator(model_gen._LANE_ROTATION), n)
+
+
 def unit_basis(N: int, n: int, rho: float, seed: SeedSpec) -> np.ndarray:
     """The Gaussian basis around a unit-norm planted vector in column 0: the
     input that sample_orthonormal_instance orthonormalizes."""
     v = model_gen._br_from_rng(seed.generator(model_gen._LANE_VECTOR), N, rho, normalize=True)
-    return model_gen._basis_from_rng(seed.generator(model_gen._LANE_BASIS), v, n)
+    return basis_around(v, n, seed)
 
 
 def unit_rotated_instance(N: int, n: int, rho: float, seed: SeedSpec):
     """sample_rotated_instance's (Y @ Q, v), drawn around a unit-norm v."""
     Y = unit_basis(N, n, rho, seed)
-    Q = model_gen._haar_from_rng(seed.generator(model_gen._LANE_ROTATION), n)
-    return apply_rotation(Y, Q), Y[:, 0].copy()
+    return apply_rotation(Y, lane_rotation(n, seed)), Y[:, 0].copy()
 
 
 def haar_rotated(Yhat: np.ndarray, seed: SeedSpec) -> np.ndarray:
     """Another orthonormal basis of span(Yhat): Yhat times the Haar rotation
     on `seed`'s rotation lane."""
-    return Yhat @ model_gen._haar_from_rng(seed.generator(model_gen._LANE_ROTATION), Yhat.shape[1])
+    return Yhat @ lane_rotation(Yhat.shape[1], seed)
 
 
 def half_sum_gram(A: np.ndarray) -> np.ndarray:

@@ -203,6 +203,16 @@ class TestApplyRotation:
         Yt = apply_rotation(Y, Q)
         assert abs(np.linalg.norm(Yt) - np.linalg.norm(Y)) <= 1e-9
 
+    @pytest.mark.parametrize("N, n", [(300, 8), (40000, 20), (4000, 100)])
+    def test_never_writes_y(self, N, n):
+        # One product, and row blocks on two threads.
+        Y = sample_gaussian_basis(sample_br_vector(N, 0.2, SeedSpec(27)), n, SeedSpec(28))
+        before = Y.copy()
+        with one_blas_thread():
+            Yt = apply_rotation(Y, sample_haar_rotation(n, SeedSpec(29)))
+        assert Y.tobytes() == before.tobytes()
+        assert not np.shares_memory(Yt, Y)
+
     def test_dimension_mismatch(self):
         v = sample_br_vector(20, 0.5, SeedSpec(33))
         Y = sample_gaussian_basis(v, 4, SeedSpec(34))
@@ -354,21 +364,33 @@ class TestOrthonormalize:
         assert np.array_equal(Yh, householder_oracle(Y))
 
     @pytest.mark.parametrize("N, n", [(3000, 40), (20000, 100)])
-    def test_sampled_bases_take_one_pass(self, N, n, monkeypatch):
-        inputs = []
-        real = model_gen.orthonormalize
-
-        def recording(Y):
-            inputs.append((Y, Y.copy()))
-            return real(Y)
-
-        monkeypatch.setattr(model_gen, "orthonormalize", recording)
+    def test_sampled_bases_take_one_pass(self, N, n):
         for t in range(3):
-            Yh, _ = sample_orthonormal_instance(N, n, 0.05, SeedSpec(56, t))
-            Y, before = inputs[-1]
+            Y = unit_basis(N, n, 0.05, SeedSpec(56, t))  # sample_orthonormal_instance's input
+            before = Y.copy()
+            Yh = orthonormalize(Y)
             assert not np.shares_memory(Yh, Y)
             assert Y.tobytes() == before.tobytes()
             assert np.linalg.norm(Yh.T @ Yh - np.eye(n)) <= n * np.finfo(np.float64).eps
+
+    def test_householder_after_the_first_pass_sees_the_drawn_basis(self, monkeypatch):
+        # A first pass too far from orthonormal for a second has already
+        # overwritten the basis; Householder QR must still see the basis's
+        # values: the public function's input, or the sampler's redrawn lane.
+        real = model_gen._cholesky_qr2
+
+        def refused_after_first_pass(Y, G):
+            real(Y, G)
+            return None
+
+        monkeypatch.setattr(model_gen, "_cholesky_qr2", refused_after_first_pass)
+        seed = SeedSpec(59)
+        Y = unit_basis(3000, 20, 0.05, seed)
+        before = Y.copy()
+        assert np.array_equal(orthonormalize(Y), householder_oracle(before))
+        assert Y.tobytes() == before.tobytes()
+        Yh, _ = sample_orthonormal_instance(3000, 20, 0.05, seed)
+        assert np.array_equal(Yh, householder_oracle(before))
 
     def test_nearly_collinear_basis_takes_the_second_pass(self):
         Y = _nearly_collinear()
@@ -443,19 +465,11 @@ class TestOrthonormalize:
         assert np.max(np.abs(Yh - expected)) <= 1e-9
 
     @pytest.mark.parametrize("N, n", [(4000, 20), (2000, 10), (300, 8)])
-    def test_sampled_instances_match_oracle(self, N, n, monkeypatch):
-        inputs = []
-        real = model_gen.orthonormalize
-
-        def recording(Y):
-            inputs.append(Y)
-            return real(Y)
-
-        monkeypatch.setattr(model_gen, "orthonormalize", recording)
+    def test_sampled_instances_match_oracle(self, N, n):
         rho = 0.05
         for t in range(4):
             Yh, v = sample_orthonormal_instance(N, n, rho, SeedSpec(52, t))
-            expected = householder_oracle(inputs[-1])
+            expected = householder_oracle(unit_basis(N, n, rho, SeedSpec(52, t)))
             assert np.max(np.abs(Yh - expected)) <= 1e-13
             got = recover("orth", estimate_direction(Yh), v, rho)
             want = recover("orth", estimate_direction(expected), v, rho)

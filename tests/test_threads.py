@@ -18,10 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 from pvlab import _blas, spectral
 from pvlab.harness import SweepConfig, run_sweep
-from pvlab.model_gen import apply_rotation, orthonormalize
+from pvlab.model_gen import (
+    SeedSpec,
+    apply_rotation,
+    orthonormalize,
+    sample_orthonormal_instance,
+    sample_rotated_instance,
+)
 from pvlab.spectral import build_statistic
 
-from sampled import first_pass_error
+from sampled import basis_around, first_pass_error, half_sum_gram, lane_rotation, unit_basis
 
 
 def in_order(first, second, parallel=True):
@@ -103,6 +109,67 @@ def test_split_products_equal_one_call(n, N, seed):
         assert apply_rotation(Y, Q).tobytes() == (Y @ Q).tobytes()
 
 
+def placed(placement, monkeypatch):
+    """Leave the pieces to the worker, or run both on the caller."""
+    if placement == "in_order":
+        monkeypatch.setattr(_blas, "on_two_threads", in_order)
+
+
+PLACEMENTS = ["worker", "in_order"]
+
+# Column blocks of build_statistic with a remainder joining the last one:
+# widths 10, 19 and 3 (last blocks of 17, 36 and 4 columns).
+BLOCKED_STATISTIC = [(12345, 77), (7000, 150), (200000, 10)]
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("N, n", BLOCKED_STATISTIC, ids=[f"{N}x{n}" for N, n in BLOCKED_STATISTIC])
+def test_blocked_statistic_equals_one_call(N, n, placement, worker_calls, monkeypatch):
+    Y = basis(N, n)
+    with _blas.one_blas_thread():
+        placed(placement, monkeypatch)
+        assert build_statistic(Y).tobytes() == statistic_in_one_call(Y).tobytes()
+    assert bool(worker_calls) == (placement == "worker")
+
+
+# One product (3000 x 40), row blocks (25000 x 20, 10000 x 100), and a
+# basis whose first CholeskyQR pass is not orthonormal (40000 x 2).
+SAMPLED = [(3000, 40), (25000, 20), (10000, 100), (40000, 2)]
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("N, n", SAMPLED, ids=[f"{N}x{n}" for N, n in SAMPLED])
+def test_samplers_equal_the_out_of_place_products(N, n, placement, monkeypatch):
+    # The samplers write their products over the drawn basis; the public
+    # functions on a rebuilt basis give the same bytes.
+    seed = SeedSpec(57, 4)
+    with _blas.one_blas_thread():
+        placed(placement, monkeypatch)
+        rotated, v = sample_rotated_instance(N, n, 0.05, seed)
+        out_of_place = apply_rotation(basis_around(v, n, seed), lane_rotation(n, seed))
+        assert rotated.tobytes() == out_of_place.tobytes()
+        orth, _ = sample_orthonormal_instance(N, n, 0.05, seed)
+        assert orth.tobytes() == orthonormalize(unit_basis(N, n, 0.05, seed)).tobytes()
+
+
+# Collinear bases whose second pass, taken as 1024-row blocks, differed
+# from one full product in the last bits.
+SECOND_PASS = [(5000, 17), (5000, 18), (5000, 20), (20000, 19), (1026, 34)]
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("N, n", SECOND_PASS, ids=[f"{N}x{n}" for N, n in SECOND_PASS])
+def test_second_pass_equals_one_full_product(N, n, placement, monkeypatch):
+    Y = basis(N, n, collinear=True)
+    with _blas.one_blas_thread():
+        assert first_pass_error(Y) > n * np.finfo(np.float64).eps
+        placed(placement, monkeypatch)
+        Q = orthonormalize(Y)
+        Q1 = Y @ np.linalg.inv(np.linalg.cholesky(half_sum_gram(Y)).T)
+        full = Q1 @ np.linalg.inv(np.linalg.cholesky(half_sum_gram(Q1)).T)
+    assert Q.tobytes() == full.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_column_halves_stay_one_product(n):
     # Large enough to split, but a column half of one column would be a gemv.
@@ -162,9 +229,9 @@ class TestWorkerFailures:
         assert two_threads.tobytes() == one_thread.tobytes()
 
     def test_caller_error_state_applies_to_the_worker_piece(self, worker_calls):
-        # Only the second column half of M, the worker's, overflows.
+        # Only M's rows from 52 on, the worker's blocks, overflow.
         Y = basis(4000, 100)
-        Y[:, 50:] *= 1e90
+        Y[:, 52:] *= 1e90
         with _blas.one_blas_thread():
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                 build_statistic(Y)
@@ -176,14 +243,14 @@ class TestWorkerFailures:
     def test_sweep_records_a_unit_whose_worker_piece_raised(self, monkeypatch):
         config = SweepConfig(Ns=[4000], ns=[100], rhos=[0.05], trials=2, tasks=("recover",))
         expected = run_sweep(config)
-        real = spectral._weighted_gram_columns
+        real = spectral._weighted_gram_rows
 
         def failing_on_worker(*args):
             if threading.current_thread().name.startswith("pvlab-blas"):
                 raise FloatingPointError("overflow in the worker's piece")
             return real(*args)
 
-        monkeypatch.setattr(spectral, "_weighted_gram_columns", failing_on_worker)
+        monkeypatch.setattr(spectral, "_weighted_gram_rows", failing_on_worker)
         failed = run_sweep(config)
         assert [(r.success, r.l2_error, r.statistic_value) for r in failed] == [(False, None, None)] * 2
         monkeypatch.undo()
