@@ -1,14 +1,17 @@
-"""The BLAS thread count, read and set in-process.
+"""A trial's O(N n^2) products on two threads, and the BLAS thread count.
+
+`times` (Y @ R), `gram` (Y^T Y) and `weighted_gram` ((Y * w)^T Y) are cut
+into blocks fixed by the shape, and `_on_two_threads` runs the blocks as two
+pieces, on the calling thread and on one worker thread, under one BLAS
+thread.  Where a piece runs never moves a bit.  Every block of `times` and
+`weighted_gram` does at least MIN_PIECE multiply-adds, so they keep the bits
+of one full product; `gram` is the sum of two row halves.
 
 numpy's wheels bundle OpenBLAS in a `numpy.libs` directory next to the
 package; its exported `scipy_openblas_{get,set}_num_threads64_` are called
 through ctypes.  The count is process-global, so `one_blas_thread` restores
-the caller's count on exit.  Under any other BLAS the count is left alone
-and one warning is logged.
-
-Under one BLAS thread, `on_two_threads` runs the two pieces of a large
-product on the calling thread and on one worker thread, and
-`blocks_on_two_threads` splits a product's blocks into those two pieces.
+the caller's count on exit.  Under any other BLAS the count is left alone,
+one warning is logged, and every product runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -95,53 +98,99 @@ def _worker_pool() -> futures.ThreadPoolExecutor:
 
 
 def keep_pieces_on_this_thread() -> None:
-    """Make every later `on_two_threads` call of this thread run both pieces
-    here: for threads that already fill the cores, such as a sweep's cell
-    threads."""
+    """Make every later product of this thread run both pieces here: for
+    threads that already fill the cores, such as a sweep's cell threads."""
     _this_thread.in_order = True
 
 
-def on_two_threads(first, second, parallel: bool = True):
-    """(first(), second()) for two pieces of one product.
+def _on_two_threads(block, edges: list[int], parallel: bool = True) -> list:
+    """[block(a, b) for each pair of consecutive edges], as two pieces split
+    at the inner edge nearest the middle.
 
-    When `parallel` is true, the BLAS count is 1 and this thread is not kept
-    in order, `second` runs on one lazily created worker thread, in a copy
-    of this thread's context (numpy's error state goes with it), while
-    `first` runs here.  Otherwise both run here, in order.  The pieces are
-    the same either way, and so is the result.  An exception from either
-    piece is raised here once both have finished.  A piece must not call
-    this function: the one worker would wait on itself.
+    When `parallel` is true, there are two blocks or more, the BLAS count is
+    1 and this thread is not kept in order, the second piece runs on one
+    lazily created worker thread, in a copy of this thread's context
+    (numpy's error state goes with it), while the first runs here.
+    Otherwise both run here, in order.  The blocks are the same either way,
+    and so is the result.  An exception from either piece is raised here
+    once both have finished.  A block must not call this function: the one
+    worker would wait on itself.
     """
+    pairs = list(zip(edges, edges[1:]))
+    middle = min(range(1, len(pairs)), key=lambda i: abs(2 * edges[i] - edges[-1]), default=0)
+
+    def blocks(lo: int, hi: int) -> list:
+        return [block(a, b) for a, b in pairs[lo:hi]]
+
     functions = _thread_functions()
     if (
         not parallel
+        or middle == 0
         or getattr(_this_thread, "in_order", False)
         or functions is None
         or functions[0]() != 1
     ):
-        return first(), second()
-    pending = _worker_pool().submit(contextvars.copy_context().run, second)
+        return blocks(0, len(pairs))
+    pending = _worker_pool().submit(contextvars.copy_context().run, blocks, middle, len(pairs))
     try:
-        done = first()
+        done = blocks(0, middle)
     except BaseException:
         futures.wait([pending])
         raise
-    return done, pending.result()
+    return done + pending.result()
 
 
-def blocks_on_two_threads(block, edges: list[int]) -> None:
-    """block(a, b) for each pair of consecutive edges from 0, in order, as
-    two pieces of `on_two_threads` split at the inner edge nearest the
-    middle.  Every block must do at least MIN_PIECE multiply-adds, so any
-    two blocks may run on two threads; a single block runs here."""
-    middle = min(range(1, len(edges) - 1), key=lambda i: abs(2 * edges[i] - edges[-1]), default=0)
+def _edges(length: int, size: int) -> list[int]:
+    """Edges of blocks of `size` along `length`, a short remainder joining
+    the last block; one block when there is room for one only."""
+    return [*range(0, length - size + 1, size), length] if length >= 2 * size else [0, length]
 
-    def blocks(lo: int, hi: int) -> None:
-        for a, b in zip(edges[lo:hi], edges[lo + 1 : hi + 1]):
-            block(a, b)
 
-    on_two_threads(
-        functools.partial(blocks, 0, middle),
-        functools.partial(blocks, middle, len(edges) - 1),
-        parallel=middle > 0,
-    )
+def times(Y: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Y @ R for an n x n matrix R, written to `out` (a fresh array when
+    None).  out may be Y: each row block is multiplied before it is
+    overwritten, so the product takes one block's temporary, not a second
+    N x n array.  A block is a multiple of 1024 rows (bar the remainder it
+    takes in) with at least MIN_PIECE multiply-adds."""
+    N, n = Y.shape
+    if out is None:
+        out = np.empty((N, n), dtype=np.result_type(Y, R))
+    rows = -(-MIN_PIECE // (1024 * n * n)) * 1024
+    _on_two_threads(lambda a, b: np.matmul(Y[a:b], R, out=out[a:b]), _edges(N, rows))
+    return out
+
+
+def gram(Y: np.ndarray) -> np.ndarray:
+    """Y^T Y as the upper row half's Gram plus the lower half's.  The halves
+    are fixed by the shape, so this is the same sum on one thread or two.
+    Overflow gives inf silently."""
+    N, n = Y.shape
+    h = N // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper, lower = _on_two_threads(
+            lambda a, b: Y[a:b].T @ Y[a:b], [0, h, N], parallel=h * n * n >= MIN_PIECE
+        )
+        return upper + lower
+
+
+def weighted_gram(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(Y * w[:, None])^T Y for an N-vector w, a block of its rows at a
+    time: M[a:c] = (Y[:, a:c] * w)^T Y, so no N x n weighted copy of Y is
+    made.  A block is about n/8 columns wide, at least two (numpy multiplies
+    a single column with gemv, not gemm) and at least MIN_PIECE
+    multiply-adds.
+
+    Each block packs all of Y again, so Y is read about n/width ~ 8 times:
+    at 40000 x 200 the statistic took 90 ms, against 76 ms with one weighted
+    copy of Y (one BLAS thread, 2 cores).  Row blocks of (Yb * wb)^T Yb would
+    read Y once, but they sum M in another order and move its bits.
+    """
+    N, n = Y.shape
+    width = max(2, -(-n // 8), -(-MIN_PIECE // (N * n)))
+    M = np.empty((n, n))
+
+    def rows(a: int, c: int) -> None:
+        M[a:c] = (Y[:, a:c] * w[:, None]).T @ Y
+
+    _on_two_threads(rows, _edges(n, width))
+    return M

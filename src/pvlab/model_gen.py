@@ -17,14 +17,16 @@ Samplers return plain arrays; the composite samplers return the observation
 and its planted vector as (Y, v), with v = None for a null draw.
 A planted vector is checked where it is drawn, under both models: an
 all-zero draw raises DegenerateDrawError, so no sampler returns v = 0.
-The composite samplers write Y @ Q, or the CholeskyQR2 passes, over the
+
+The products, Y @ Q and CholeskyQR2's Gram matrices and Y @ R^-1, are
+`pvlab._blas`'s, which cuts them into blocks and may run them on two
+threads with unchanged bits.  The composite samplers write them over the
 basis they draw, so a sample holds one N x n array; the public functions
 never write their input.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import numbers
 from dataclasses import dataclass
@@ -60,8 +62,7 @@ _LANE_VECTOR = 1
 _LANE_ROTATION = 2
 _LANE_BASIS = 3
 
-# Rows of the Gaussian columns drawn per rng call by _basis_from_rng, and
-# the unit of _times's row blocks.
+# Rows of the Gaussian columns drawn per rng call by _basis_from_rng.
 _FILL_ROWS = 1024
 
 
@@ -183,29 +184,7 @@ def apply_rotation(Y: np.ndarray, Q: np.ndarray) -> np.ndarray:
     n = Y.shape[1]
     if Q.shape != (n, n):
         raise ValueError(f"basis has {n} columns but rotation is {Q.shape}")
-    return _times(Y, Q)
-
-
-def _times(Y: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Y @ R for an n x n matrix R, with the bits of one full product,
-    written to `out` (a fresh array when None).  out may be Y: each row
-    block is multiplied before it is overwritten, so the product takes one
-    block's temporary, not a second N x n array.
-
-    Large products run as row blocks on two threads.  A block has a multiple
-    of _FILL_ROWS rows and at least MIN_PIECE multiply-adds (see
-    pvlab._blas), and a short remainder joins the last block; a basis with
-    room for one block only takes one product."""
-    N, n = Y.shape
-    rows = -(-_blas.MIN_PIECE // (_FILL_ROWS * n * n)) * _FILL_ROWS
-    if N < 2 * rows:
-        return np.matmul(Y, R, out=out)
-    if out is None:
-        out = np.empty((N, n), dtype=np.result_type(Y, R))
-    _blas.blocks_on_two_threads(
-        lambda a, b: np.matmul(Y[a:b], R, out=out[a:b]), [*range(0, N - rows + 1, rows), N]
-    )
-    return out
+    return _blas.times(Y, Q)
 
 
 def orthonormalize(Y: np.ndarray) -> np.ndarray:
@@ -218,8 +197,8 @@ def orthonormalize(Y: np.ndarray) -> np.ndarray:
     Y is never written: Q is computed over a float64 copy of it, so with Y
     two N x n arrays are held, and the samplers, which orthonormalize their
     own draw in place, hold one.  Gram matrices are the sum of the upper and
-    the lower row half's (see _gram), and large products run on two threads
-    with the bits of one call.
+    the lower row half's (see pvlab._blas.gram), and the products run on two
+    threads with the bits of one call.
 
     Raises RankDeficientError (with the offending column index) when a
     diagonal entry of R falls below the rank tolerance, and ValueError when
@@ -232,7 +211,7 @@ def _orthonormalize_over(Y: np.ndarray, original) -> np.ndarray:
     """orthonormalize(Y), with Q written over Y where CholeskyQR2 decides.
     Householder QR runs on original(), Y's values, since Y may already hold
     the first pass."""
-    G = _gram(Y)
+    G = _blas.gram(Y)
     if not np.isfinite(G).all():
         bad = np.flatnonzero(~np.isfinite(Y).all(axis=0))
         if bad.size:
@@ -242,32 +221,12 @@ def _orthonormalize_over(Y: np.ndarray, original) -> np.ndarray:
     return _householder_orthonormalize(original()) if Q is None else Q
 
 
-def _gram(Y: np.ndarray) -> np.ndarray:
-    """Y^T Y as the upper row half's Gram plus the lower half's, each
-    possibly on its own thread; the halves are fixed by the shape, so the
-    bits do not depend on where each ran.  Overflow gives inf silently."""
-    N, n = Y.shape
-    h = N // 2
-    upper, lower = _blas.on_two_threads(
-        functools.partial(_half_gram, Y[:h]),
-        functools.partial(_half_gram, Y[h:]),
-        parallel=h * n * n >= _blas.MIN_PIECE,
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        return upper + lower
-
-
-def _half_gram(rows: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):  # set on the thread that runs it
-        return rows.T @ rows
-
-
 def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     """Q from Gram, Cholesky and triangular inverse, given the finite Gram
     matrix G = Y^T Y; None when Householder QR must decide.  The first pass
     Q1 overwrites Y and is returned as it is when ||Q1^T Q1 - I||_F <= n * eps,
     the accuracy of Householder's Q; otherwise a second round runs on Q1
-    and overwrites it.  Both products are _times's, in place."""
+    and overwrites it.  Both products are written in place."""
     try:
         R1 = np.linalg.cholesky(G).T
     except np.linalg.LinAlgError:
@@ -276,8 +235,8 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     # Gram-based R loses about sqrt(eps)*||Y||, so near RANK_TOL only Householder can decide.
     if d.size == 0 or d.min() <= max(1e-5 * d.max(), 1e3 * RANK_TOL):
         return None
-    Q1 = _times(Y, np.linalg.inv(R1), out=Y)
-    G1 = _gram(Q1)
+    Q1 = _blas.times(Y, np.linalg.inv(R1), out=Y)
+    G1 = _blas.gram(Q1)
     error = np.linalg.norm(G1 - np.eye(d.size))
     if error <= d.size * np.finfo(np.float64).eps:
         return Q1
@@ -286,7 +245,7 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     # I, G1 has eigenvalues >= 0.5, so its Cholesky cannot fail.
     if error > 0.5:
         return None
-    return _times(Q1, np.linalg.inv(np.linalg.cholesky(G1).T), out=Q1)
+    return _blas.times(Q1, np.linalg.inv(np.linalg.cholesky(G1).T), out=Q1)
 
 
 def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
@@ -338,7 +297,7 @@ def sample_rotated_instance(
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=False)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
     Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
-    return _times(Y, Q, out=Y), v
+    return _blas.times(Y, Q, out=Y), v
 
 
 def sample_orthonormal_instance(
@@ -388,8 +347,8 @@ def load_instance(src: io.TextIOBase) -> tuple[np.ndarray, str, float, SeedSpec]
 
     Raises ValueError on a wrong header, a metadata line without six fields
     or with an unknown kind, an unparsable value, values outside the
-    samplers' domain (1 <= n <= N, rho in (0, 1]), or a matrix of another
-    shape than the metadata states."""
+    samplers' domain (1 <= n <= N, rho in (0, 1]), a matrix of another
+    shape than the metadata states, or a NaN or infinite matrix entry."""
     header = src.readline().strip()
     if header != _DUMP_HEADER:
         raise ValueError(f"bad instance header: {header!r}")
@@ -408,4 +367,8 @@ def load_instance(src: io.TextIOBase) -> tuple[np.ndarray, str, float, SeedSpec]
     Y = np.loadtxt(src, delimiter=",", ndmin=2)
     if Y.shape != (N, n):
         raise ValueError(f"expected a {N} x {n} matrix, got {Y.shape}")
+    bad = np.argwhere(~np.isfinite(Y))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"non-finite entry {Y[i, j]} in matrix row {i}, column {j}")
     return Y, kind, rho, seed

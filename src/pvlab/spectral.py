@@ -9,11 +9,12 @@ concentrate around (||v||_4^4 - 3/N) e e^T in the planted direction, so the
 eigenvector of largest |eigenvalue| points at the planted vector whenever its
 l4 norm differs from the Gaussian value 3/N.  The uncentered variant (without
 the -(3/N) I term) is kept for comparison; it loses the dense case rho = 1.
+
+M's one O(N n^2) product, sum_i w_i y_i y_i^T, is `pvlab._blas.weighted_gram`.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,32 +59,15 @@ def build_statistic(Y_obs: np.ndarray, centered: bool = True) -> np.ndarray:
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
 
-    The row weights ||y_i||^2 - (n-1)/N are one N-vector.  M is built a
-    block of its rows at a time, M[a:c] = (Y[:, a:c] * w)^T Y, so no N x n
-    weighted copy of Y is made: a block is about n/8 columns wide, at least
-    two (numpy multiplies a single column with gemv, not gemm) and at least
-    MIN_PIECE multiply-adds (see pvlab._blas), and a short remainder joins
-    the last block.  The blocks are split between two threads; every block
-    has the bits of its rows of one full product.
+    The row weights ||y_i||^2 - (n-1)/N are one N-vector, and
+    `pvlab._blas.weighted_gram` weights the rows without an N x n copy of Y.
     """
     Y = np.asarray(Y_obs, dtype=float)
     N, n = Y.shape
-    weights = np.einsum("ij,ij->i", Y, Y) - (n - 1) / N
-    width = max(2, -(-n // 8), -(-_blas.MIN_PIECE // (N * n)))
-    M = np.empty((n, n))
-    _blas.blocks_on_two_threads(
-        functools.partial(_weighted_gram_rows, Y, weights, M),
-        [*range(0, n - width + 1, width), n] if n >= 2 * width else [0, n],
-    )
+    M = _blas.weighted_gram(Y, np.einsum("ij,ij->i", Y, Y) - (n - 1) / N)
     if centered:
         M -= (3.0 / N) * np.eye(n)
     return 0.5 * (M + M.T)
-
-
-def _weighted_gram_rows(Y: np.ndarray, weights: np.ndarray, M: np.ndarray, a: int, c: int) -> None:
-    """M[a:c] = (Y[:, a:c] * weights)^T Y; the weighted block is freed as
-    soon as its product is taken."""
-    M[a:c] = (Y[:, a:c] * weights[:, None]).T @ Y
 
 
 def leading_eigenpair(M: np.ndarray) -> tuple[float, np.ndarray, float]:

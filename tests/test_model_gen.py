@@ -600,3 +600,16 @@ class TestSerialization:
         text = f"N,n,rho,kind,seed,stream\n{meta}\n" + "0.0,0.0\n" * 3
         with pytest.raises(ValueError, match="metadata"):
             load_instance(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "row, entries, where",
+        [(0, "nan,inf", "row 0, column 0"), (2, "1.0,-inf", "row 2, column 1")],
+        ids=["nan_first_row", "inf_last_row"],
+    )
+    def test_rejects_non_finite_entry(self, row, entries, where):
+        buf = io.StringIO()
+        dump_instance(np.ones((3, 2)), "null", 0.5, SeedSpec(51), buf)
+        lines = buf.getvalue().splitlines()
+        lines[2 + row] = entries
+        with pytest.raises(ValueError, match=f"non-finite entry .* {where}"):
+            load_instance(io.StringIO("\n".join(lines) + "\n"))

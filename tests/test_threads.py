@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvlab import _blas, spectral
+from pvlab import _blas
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.model_gen import (
     SeedSpec,
@@ -30,8 +30,13 @@ from pvlab.spectral import build_statistic
 from sampled import basis_around, first_pass_error, half_sum_gram, lane_rotation, unit_basis
 
 
-def in_order(first, second, parallel=True):
-    return first(), second()
+def in_order(block, edges, parallel=True):
+    return [block(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def on_two_threads(first, second):
+    """(first(), second()) as the two one-block pieces of the primitive."""
+    return tuple(_blas._on_two_threads(lambda a, b: (first, second)[a](), [0, 1, 2]))
 
 
 def basis(N, n, collinear=False):
@@ -70,6 +75,7 @@ def worker_calls(monkeypatch):
 
 
 PRODUCTS = {
+    "gram": lambda N, n: _blas.gram(basis(N, n)),
     "build_statistic": lambda N, n: build_statistic(basis(N, n)),
     "apply_rotation": lambda N, n: apply_rotation(basis(N, n), rotation(n)),
     "orthonormalize_one_pass": lambda N, n: orthonormalize(basis(N, n)),
@@ -90,7 +96,7 @@ def test_placement_never_moves_bits(product, N, n, worker_calls, monkeypatch):
     with _blas.one_blas_thread():
         two_threads = PRODUCTS[product](N, n)
         used_worker = len(worker_calls) > 0
-        monkeypatch.setattr(_blas, "on_two_threads", in_order)
+        monkeypatch.setattr(_blas, "_on_two_threads", in_order)
         one_thread = PRODUCTS[product](N, n)
     assert two_threads.tobytes() == one_thread.tobytes()
     if (N, n) in SPLIT_EVERY_PRODUCT:
@@ -112,10 +118,22 @@ def test_split_products_equal_one_call(n, N, seed):
 def placed(placement, monkeypatch):
     """Leave the pieces to the worker, or run both on the caller."""
     if placement == "in_order":
-        monkeypatch.setattr(_blas, "on_two_threads", in_order)
+        monkeypatch.setattr(_blas, "_on_two_threads", in_order)
 
 
 PLACEMENTS = ["worker", "in_order"]
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("N", [1, 2, 3, 1025, 20001])
+def test_gram_is_the_half_sum(N, placement, worker_calls, monkeypatch):
+    # An empty upper half (N = 1), odd N, and halves split on two threads.
+    Y = basis(N, 50)
+    with _blas.one_blas_thread():
+        placed(placement, monkeypatch)
+        assert _blas.gram(Y).tobytes() == half_sum_gram(Y).tobytes()
+    assert bool(worker_calls) == (placement == "worker" and N == 20001)
+
 
 # Column blocks of build_statistic with a remainder joining the last one:
 # widths 10, 19 and 3 (last blocks of 17, 36 and 4 columns).
@@ -185,8 +203,8 @@ class TestWorkerFailures:
 
         with _blas.one_blas_thread():
             with pytest.raises(RuntimeError, match="worker piece failed"):
-                _blas.on_two_threads(lambda: None, fail)
-            names = _blas.on_two_threads(
+                on_two_threads(lambda: None, fail)
+            names = on_two_threads(
                 lambda: threading.current_thread().name, lambda: threading.current_thread().name
             )
         assert names[0] != names[1] and names[1].startswith("pvlab-blas")
@@ -203,7 +221,7 @@ class TestWorkerFailures:
 
         with _blas.one_blas_thread():
             with pytest.raises(RuntimeError, match="caller piece failed"):
-                _blas.on_two_threads(fail, slow)
+                on_two_threads(fail, slow)
         assert finished
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -224,7 +242,7 @@ class TestWorkerFailures:
         with _blas.one_blas_thread():
             two_threads = orthonormalize(Y)
             assert worker_calls
-            monkeypatch.setattr(_blas, "on_two_threads", in_order)
+            monkeypatch.setattr(_blas, "_on_two_threads", in_order)
             one_thread = orthonormalize(Y)
         assert two_threads.tobytes() == one_thread.tobytes()
 
@@ -243,14 +261,17 @@ class TestWorkerFailures:
     def test_sweep_records_a_unit_whose_worker_piece_raised(self, monkeypatch):
         config = SweepConfig(Ns=[4000], ns=[100], rhos=[0.05], trials=2, tasks=("recover",))
         expected = run_sweep(config)
-        real = spectral._weighted_gram_rows
+        real = _blas._on_two_threads
 
-        def failing_on_worker(*args):
-            if threading.current_thread().name.startswith("pvlab-blas"):
-                raise FloatingPointError("overflow in the worker's piece")
-            return real(*args)
+        def failing_on_worker(block, edges, parallel=True):
+            def failing(a, b):
+                if threading.current_thread().name.startswith("pvlab-blas"):
+                    raise FloatingPointError("overflow in the worker's piece")
+                return block(a, b)
 
-        monkeypatch.setattr(spectral, "_weighted_gram_rows", failing_on_worker)
+            return real(failing, edges, parallel)
+
+        monkeypatch.setattr(_blas, "_on_two_threads", failing_on_worker)
         failed = run_sweep(config)
         assert [(r.success, r.l2_error, r.statistic_value) for r in failed] == [(False, None, None)] * 2
         monkeypatch.undo()
@@ -279,7 +300,7 @@ def test_callers_on_many_threads_share_the_one_worker():
                     workers.add(threading.current_thread().name)
                     return (i, j, "second")
 
-                got = _blas.on_two_threads(lambda i=i, j=j: (i, j, "first"), second)
+                got = on_two_threads(lambda i=i, j=j: (i, j, "first"), second)
                 results.append(got == ((i, j, "first"), (i, j, "second")))
         except BaseException as exc:  # reported by the assertion below
             errors.append(exc)
