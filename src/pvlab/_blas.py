@@ -1,11 +1,16 @@
 """A trial's O(N n^2) products on two threads, and the BLAS thread count.
 
-`times` (Y @ R), `gram` (Y^T Y) and `weighted_gram` ((Y * w)^T Y) are cut
-into blocks fixed by the shape, and `_on_two_threads` runs the blocks as two
-pieces, on the calling thread and on one worker thread, under one BLAS
-thread.  Where a piece runs never moves a bit.  Every block of `times` and
-`weighted_gram` does at least MIN_PIECE multiply-adds, so they keep the bits
-of one full product; `gram` is the sum of two row halves.
+`times` (Y @ R), `times_and_sum` (Y @ R and the weighted sum of its rows),
+`gram` (Y^T Y) and `weighted_gram` ((Y * w)^T Y) are cut into blocks fixed
+by the shape, and `_on_two_threads` runs the blocks as two pieces, on the
+calling thread and on one worker thread, under one BLAS thread.  Where a
+piece runs never moves a bit.  Every block of `times` and `weighted_gram`
+does at least MIN_PIECE multiply-adds, so they keep the bits of one full
+product; `gram` is the sum of two row halves, and `times_and_sum`'s sum
+adds the two pieces' sums.
+`orth` trials sum their statistic over the row blocks of `times_and_sum`,
+reading the basis once; `weighted_gram` reads Y once per column block and
+stays for the `gaussian` and `null` trials, whose bytes are pinned.
 
 numpy's wheels bundle OpenBLAS in a `numpy.libs` directory next to the
 package; its exported `scipy_openblas_{get,set}_num_threads64_` are called
@@ -103,6 +108,12 @@ def keep_pieces_on_this_thread() -> None:
     _this_thread.in_order = True
 
 
+def _middle(edges: list[int]) -> int:
+    """Index of the inner edge nearest the middle, where _on_two_threads
+    splits the blocks into its two pieces; 0 for a single block."""
+    return min(range(1, len(edges) - 1), key=lambda i: abs(2 * edges[i] - edges[-1]), default=0)
+
+
 def _on_two_threads(block, edges: list[int], parallel: bool = True) -> list:
     """[block(a, b) for each pair of consecutive edges], as two pieces split
     at the inner edge nearest the middle.
@@ -117,7 +128,7 @@ def _on_two_threads(block, edges: list[int], parallel: bool = True) -> list:
     worker would wait on itself.
     """
     pairs = list(zip(edges, edges[1:]))
-    middle = min(range(1, len(pairs)), key=lambda i: abs(2 * edges[i] - edges[-1]), default=0)
+    middle = _middle(edges)
 
     def blocks(lo: int, hi: int) -> list:
         return [block(a, b) for a, b in pairs[lo:hi]]
@@ -152,12 +163,32 @@ def times(Y: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.nda
     overwritten, so the product takes one block's temporary, not a second
     N x n array.  A block is a multiple of 1024 rows (bar the remainder it
     takes in) with at least MIN_PIECE multiply-adds."""
-    N, n = Y.shape
     if out is None:
-        out = np.empty((N, n), dtype=np.result_type(Y, R))
-    rows = -(-MIN_PIECE // (1024 * n * n)) * 1024
-    _on_two_threads(lambda a, b: np.matmul(Y[a:b], R, out=out[a:b]), _edges(N, rows))
+        out = np.empty(Y.shape, dtype=np.result_type(Y, R))
+    times_and_sum(Y, R, None, out)
     return out
+
+
+def times_and_sum(Y: np.ndarray, R: np.ndarray | None, weights, out: np.ndarray | None = None):
+    """Q = Y @ R written to `out` (over Y when None) in `times`' row blocks,
+    and T = sum_i w_i q_i q_i^T over Q's rows, where weights(Q_b) gives the
+    w_i of a row block Q_b; T is None when weights is None.  With R = None,
+    Q is Y and nothing is written.  Each block is summed while it is in
+    cache, so Q is read once.  Each piece sums its own blocks in order, and
+    T is the first piece's sum plus the second's, on one thread or two."""
+    N, n = Y.shape
+    out = Y if out is None else out
+    edges = _edges(N, -(-MIN_PIECE // (1024 * n * n)) * 1024)
+    split = edges[_middle(edges)]
+    sums = None if weights is None else np.zeros((2, n, n))
+
+    def block(a: int, b: int) -> None:
+        Q = Y[a:b] if R is None else np.matmul(Y[a:b], R, out=out[a:b])
+        if sums is not None:
+            sums[int(a >= split)] += (Q * weights(Q)[:, None]).T @ Q
+
+    _on_two_threads(block, edges)
+    return None if sums is None else sums[0] + sums[1]
 
 
 def gram(Y: np.ndarray) -> np.ndarray:
@@ -181,9 +212,12 @@ def weighted_gram(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     multiply-adds.
 
     Each block packs all of Y again, so Y is read about n/width ~ 8 times:
-    at 40000 x 200 the statistic took 90 ms, against 76 ms with one weighted
-    copy of Y (one BLAS thread, 2 cores).  Row blocks of (Yb * wb)^T Yb would
-    read Y once, but they sum M in another order and move its bits.
+    at 40000 x 200 this took 106-112 ms, against 53-54 ms for the row blocks
+    of `times_and_sum`, which read Y once (one BLAS thread, 2 cores, medians
+    of 9).  Only the `gaussian` and `null` trials still take it: a row-block
+    sum moves their statistic's bytes, which the benchmark's references pin.
+    Once those are regenerated, the gaussian rotation pass can sum the
+    statistic with `times_and_sum`, and this function can go.
     """
     N, n = Y.shape
     width = max(2, -(-n // 8), -(-MIN_PIECE // (N * n)))

@@ -10,10 +10,9 @@ import sys
 
 from . import harness
 from ._blas import one_blas_thread
-from .detection import DEFAULT_C1, error_rates, recover, sample_observation
+from .detection import DEFAULT_C1, error_rates, estimate_instance, recover, sample_observation
 from .lowdeg import advantage
 from .model_gen import SeedSpec, dump_instance
-from .spectral import estimate_direction
 
 
 def _add_cell_flags(p: argparse.ArgumentParser, seed=True, stream=False) -> None:
@@ -42,8 +41,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_estimate(args) -> int:
     seed = SeedSpec(args.seed, args.stream)
-    Y, v = sample_observation(args.model, args.N, args.n, args.rho, seed)
-    result = estimate_direction(Y, centered=not args.uncentered)
+    result, v = estimate_instance(
+        args.model, args.N, args.n, args.rho, seed, centered=not args.uncentered
+    )
     report = recover(args.model, result, v, args.rho)
     if args.dump_estimate is not None:  # written first, so a bad path prints no result
         with open(args.dump_estimate, "w") as f:

@@ -7,10 +7,11 @@ ratio deviates from the Gaussian value sqrt(2N/pi) by at least c1*sqrt(N)/4;
 fed with the spectral estimate it turns any good estimator into a detector.
 
 This module also holds the one model -> sampler -> rule dispatch
-(`sample_observation`, `recover`, `decide`) that the CLI, the sweep harness
-and `error_rates` all go through, and the one trial path of the sweep and
-`error_rates`: `estimator` samples and estimates each instance of a trial
-once, and `detect` makes the trial's null and planted calls.
+(`sample_observation`, `estimate_instance`, `recover`, `decide`) that the
+CLI, the sweep harness and `error_rates` all go through, and the one trial
+path of the sweep and `error_rates`: `estimator` samples and estimates each
+instance of a trial once, and `detect` makes the trial's null and planted
+calls.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "l1l2_test",
     "detect_via_estimation",
     "sample_observation",
+    "estimate_instance",
     "recover",
     "decide",
     "estimator",
@@ -139,6 +141,20 @@ def sample_observation(
     raise ValueError(f"unknown model {model!r}")
 
 
+def estimate_instance(
+    model: str, N: int, n: int, rho: float, seed: SeedSpec, centered: bool = True
+) -> tuple[SpectralResult, np.ndarray | None]:
+    """(result, v) for `model`'s instance on `seed`, for `pvlab estimate`
+    and the sweep alike.  An "orth" sampler sums the statistic in its last
+    pass over the basis, and the estimate finishes that sum."""
+    if model == "orth":
+        weighted_sum = np.empty((n, n))
+        Y, v = sample_orthonormal_instance(N, n, rho, seed, weighted_sum=weighted_sum)
+        return estimate_direction(Y, centered, weighted_sum=weighted_sum), v
+    Y, v = sample_observation(model, N, n, rho, seed)
+    return estimate_direction(Y, centered), v
+
+
 def recover(
     model: str, result: SpectralResult, truth: np.ndarray, rho: float
 ) -> ErrorReport:
@@ -169,8 +185,7 @@ def estimator(N: int, n: int, rho: float, seed: SeedSpec):
 
     @functools.cache
     def estimate(model: str) -> tuple[SpectralResult, np.ndarray | None]:
-        Y, v = sample_observation(model, N, n, rho, seed)
-        return estimate_direction(Y), v
+        return estimate_instance(model, N, n, rho, seed)
 
     return estimate
 

@@ -27,6 +27,7 @@ never write their input.
 
 from __future__ import annotations
 
+import functools
 import io
 import numbers
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
+from .spectral import _row_weights
 
 __all__ = [
     "DegenerateDrawError",
@@ -207,26 +209,40 @@ def orthonormalize(Y: np.ndarray) -> np.ndarray:
     return _orthonormalize_over(np.array(Y, dtype=float), lambda: Y)
 
 
-def _orthonormalize_over(Y: np.ndarray, original) -> np.ndarray:
+def _orthonormalize_over(
+    Y: np.ndarray, original, weighted_sum: np.ndarray | None = None
+) -> np.ndarray:
     """orthonormalize(Y), with Q written over Y where CholeskyQR2 decides.
     Householder QR runs on original(), Y's values, since Y may already hold
-    the first pass."""
+    the first pass.  A given `weighted_sum` is filled, unless this raises,
+    with build_statistic's sum over Q's rows, summed in the pass that writes
+    Q (in a pass of its own over Householder's Q)."""
+    weights = None if weighted_sum is None else functools.partial(_row_weights, N=len(Y))
     G = _blas.gram(Y)
-    if not np.isfinite(G).all():
+    if np.isfinite(G).all():
+        done = _cholesky_qr2(Y, G, weights)
+    else:
         bad = np.flatnonzero(~np.isfinite(Y).all(axis=0))
         if bad.size:
             raise ValueError(f"non-finite entry in column {int(bad[0])} of the basis")
-        return _householder_orthonormalize(original())  # finite Y whose Gram matrix overflows
-    Q = _cholesky_qr2(Y, G)
-    return _householder_orthonormalize(original()) if Q is None else Q
+        done = None  # finite Y whose Gram matrix overflows
+    if done is None:
+        Q = _householder_orthonormalize(original())
+        done = Q, (None if weights is None else _blas.times_and_sum(Q, None, weights))
+    Q, T = done
+    if weighted_sum is not None:
+        weighted_sum[...] = T
+    return Q
 
 
-def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
-    """Q from Gram, Cholesky and triangular inverse, given the finite Gram
-    matrix G = Y^T Y; None when Householder QR must decide.  The first pass
-    Q1 overwrites Y and is returned as it is when ||Q1^T Q1 - I||_F <= n * eps,
-    the accuracy of Householder's Q; otherwise a second round runs on Q1
-    and overwrites it.  Both products are written in place."""
+def _cholesky_qr2(Y: np.ndarray, G: np.ndarray, weights) -> tuple | None:
+    """(Q, T) from Gram, Cholesky and triangular inverse, given the finite
+    Gram matrix G = Y^T Y; None when Householder QR must decide.  The first
+    pass Q1 overwrites Y and is returned as it is when
+    ||Q1^T Q1 - I||_F <= n * eps, the accuracy of Householder's Q; otherwise
+    a second round runs on Q1 and overwrites it.  Both products are written
+    in place, and each sums T = sum_i w_i q_i q_i^T with w = weights(Q) over
+    its rows (T is None without weights)."""
     try:
         R1 = np.linalg.cholesky(G).T
     except np.linalg.LinAlgError:
@@ -235,17 +251,17 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     # Gram-based R loses about sqrt(eps)*||Y||, so near RANK_TOL only Householder can decide.
     if d.size == 0 or d.min() <= max(1e-5 * d.max(), 1e3 * RANK_TOL):
         return None
-    Q1 = _blas.times(Y, np.linalg.inv(R1), out=Y)
-    G1 = _blas.gram(Q1)
+    T = _blas.times_and_sum(Y, np.linalg.inv(R1), weights)
+    G1 = _blas.gram(Y)
     error = np.linalg.norm(G1 - np.eye(d.size))
     if error <= d.size * np.finfo(np.float64).eps:
-        return Q1
+        return Y, T
     # A first pass this far from orthonormal leaves the second pass inexact
     # (cond(Y) beyond about 1/sqrt(eps), e.g. a Kahan matrix).  Within 0.5 of
     # I, G1 has eigenvalues >= 0.5, so its Cholesky cannot fail.
     if error > 0.5:
         return None
-    return _blas.times(Q1, np.linalg.inv(np.linalg.cholesky(G1).T), out=Q1)
+    return Y, _blas.times_and_sum(Y, np.linalg.inv(np.linalg.cholesky(G1).T), weights)
 
 
 def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
@@ -305,17 +321,25 @@ def sample_orthonormal_instance(
     n: int,
     rho: float,
     seed: SeedSpec,
+    weighted_sum: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal-basis observation (Yhat, v) for a unit planted vector
     v = v'/||v'||, v' ~ BR(N, rho): Yhat is the orthonormalized basis whose
-    first column is v.  An all-zero v' raises DegenerateDrawError."""
+    first column is v.  An all-zero v' raises DegenerateDrawError.
+
+    A given n x n float64 array `weighted_sum` is filled with the statistic's
+    sum over Yhat's rows, summed in the last pass that writes Yhat, for
+    `build_statistic(Yhat, weighted_sum=...)`; Yhat's bytes do not change."""
     _check_instance_params(N, n, rho)
+    if weighted_sum is not None and (weighted_sum.shape, weighted_sum.dtype) != ((n, n), float):
+        got = f"{weighted_sum.shape} {weighted_sum.dtype}"
+        raise ValueError(f"weighted_sum must be a {n} x {n} float64 array, got {got}")
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=True)
 
     def basis() -> np.ndarray:
         return _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
 
-    return _orthonormalize_over(basis(), basis), v
+    return _orthonormalize_over(basis(), basis, weighted_sum), v
 
 
 # --- instance serialization (CLI `gen`) ---

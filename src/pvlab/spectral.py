@@ -10,7 +10,8 @@ eigenvector of largest |eigenvalue| points at the planted vector whenever its
 l4 norm differs from the Gaussian value 3/N.  The uncentered variant (without
 the -(3/N) I term) is kept for comparison; it loses the dense case rho = 1.
 
-M's one O(N n^2) product, sum_i w_i y_i y_i^T, is `pvlab._blas.weighted_gram`.
+M's one O(N n^2) product, sum_i w_i y_i y_i^T, is `pvlab._blas.weighted_gram`,
+or an `orth` sampler's sum of it over its last CholeskyQR pass.
 """
 
 from __future__ import annotations
@@ -53,18 +54,30 @@ class ErrorReport:
     exact_match: bool | None
 
 
-def build_statistic(Y_obs: np.ndarray, centered: bool = True) -> np.ndarray:
+def _row_weights(rows: np.ndarray, N: int) -> np.ndarray:
+    """The weights ||y_i||^2 - (n-1)/N of some rows of an N-row observation."""
+    return np.einsum("ij,ij->i", rows, rows) - (rows.shape[1] - 1) / N
+
+
+def build_statistic(
+    Y_obs: np.ndarray, centered: bool = True, weighted_sum: np.ndarray | None = None
+) -> np.ndarray:
     """Accumulate the degree-4 statistic M from the rows of the observation.
 
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
 
-    The row weights ||y_i||^2 - (n-1)/N are one N-vector, and
-    `pvlab._blas.weighted_gram` weights the rows without an N x n copy of Y.
+    The row weights are one N-vector, and `pvlab._blas.weighted_gram`
+    weights the rows without an N x n copy of Y.  A given `weighted_sum`,
+    sum_i w_i y_i y_i^T as `sample_orthonormal_instance` fills it, is only
+    centered and symmetrized, and Y_obs is not read.
     """
     Y = np.asarray(Y_obs, dtype=float)
     N, n = Y.shape
-    M = _blas.weighted_gram(Y, np.einsum("ij,ij->i", Y, Y) - (n - 1) / N)
+    if weighted_sum is None:
+        M = _blas.weighted_gram(Y, _row_weights(Y, N))
+    else:
+        M = np.array(weighted_sum, dtype=float)
     if centered:
         M -= (3.0 / N) * np.eye(n)
     return 0.5 * (M + M.T)
@@ -95,11 +108,13 @@ def _canonical_sign(u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0 else u
 
 
-def estimate_direction(Y_obs: np.ndarray, centered: bool = True) -> SpectralResult:
-    """Build the statistic, take its leading eigenpair, and lift the
-    eigenvector back to observation space via Y_obs @ u."""
+def estimate_direction(
+    Y_obs: np.ndarray, centered: bool = True, weighted_sum: np.ndarray | None = None
+) -> SpectralResult:
+    """Build the statistic (from `weighted_sum` when given), take its leading
+    eigenpair, and lift the eigenvector back to observation space via Y_obs @ u."""
     Y = np.asarray(Y_obs, dtype=float)
-    M = build_statistic(Y, centered=centered)
+    M = build_statistic(Y, centered=centered, weighted_sum=weighted_sum)
     lam, u, gap = leading_eigenpair(M)
     return SpectralResult(M, lam, Y @ u, gap)
 

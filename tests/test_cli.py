@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from pvlab import harness
+from pvlab._blas import one_blas_thread
 from pvlab.cli import main
-from pvlab.model_gen import load_instance
+from pvlab.detection import estimator
+from pvlab.model_gen import SeedSpec, load_instance, sample_orthonormal_instance
+from pvlab.spectral import estimate_direction
 
 
 GEN_DUMPS = {
@@ -119,6 +122,31 @@ class TestEstimate:
         )
         values = [float(x) for x in out.read_text().split()]
         assert len(values) == 500
+
+    ORTH = ["estimate", "--model", "orth", "--N", "20000", "--n", "50", "--rho", "0.05",
+            "--seed", "5", "--stream", "2"]
+
+    def test_orth_agrees_with_the_sweep_trial(self, tmp_path, capsys):
+        # The sampler sums the statistic in its last pass in both; 20000 x 50
+        # spans ten row blocks on two threads.
+        out = tmp_path / "est.csv"
+        assert main(self.ORTH + ["--dump-estimate", str(out)]) == 0
+        line = capsys.readouterr().out
+        with one_blas_thread():
+            result, _ = estimator(20000, 50, 0.05, SeedSpec(5, 2))("orth")
+        assert line.split()[0] == f"lambda={result.leading_value:.6e}"
+        assert out.read_text() == "\n".join(repr(float(x)) for x in result.raw_estimate) + "\n"
+
+    def test_orth_uncentered_on_the_summed_path(self, capsys):
+        main(self.ORTH)
+        centered = capsys.readouterr().out.split()[0]
+        main(self.ORTH + ["--uncentered"])
+        uncentered = capsys.readouterr().out.split()[0]
+        with one_blas_thread():
+            Q, _ = sample_orthonormal_instance(20000, 50, 0.05, SeedSpec(5, 2))
+            expected = estimate_direction(Q, centered=False).leading_value
+        assert uncentered != centered
+        assert float(uncentered.removeprefix("lambda=")) == pytest.approx(expected, rel=1e-6)
 
     def test_uncentered_flag_changes_lambda(self, capsys):
         args = ["estimate", "--N", "1000", "--n", "5", "--rho", "1.0", "--seed", "2"]

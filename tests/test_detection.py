@@ -11,6 +11,7 @@ from pvlab.detection import (
     decide,
     detect_via_estimation,
     error_rates,
+    estimator,
     l1l2_test,
     sample_observation,
     spectral_norm_outcome,
@@ -235,31 +236,31 @@ def traced_peak(fn):
 class TestMemoryBudget:
     N, n = 20000, 50
 
+    BOUND = {"gaussian": 1.5, "orth": 1.45, "null": 1.5}
+
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_trial_holds_at_most_two_observation_arrays(self, model):
-        # Sampling and estimating one N x n observation holds one N x n
-        # float64 array: the samplers write their products over the drawn
-        # basis, and the statistic weighs a block of columns at a time.  The
-        # rest is n x n matrices, N-vectors and the blocks on two threads.
+        # A sweep trial samples and estimates one N x n observation and holds
+        # one N x n float64 array: the samplers write their products over the
+        # drawn basis, and the statistic weighs a block of columns at a time,
+        # or, for "orth", is summed a block of rows at a time in the last
+        # CholeskyQR pass.  The rest is n x n matrices, N-vectors and the
+        # blocks on two threads.
         N, n = self.N, self.n
-        peak = traced_peak(
-            lambda: estimate_direction(sample_observation(model, N, n, 0.05, SeedSpec(19))[0])
-        )
-        assert peak <= 1.5 * N * n * 8
+        peak = traced_peak(lambda: estimator(N, n, 0.05, SeedSpec(19))(model))
+        assert peak <= self.BOUND[model] * N * n * 8
 
     def test_orth_second_pass_holds_at_most_two_observation_arrays(self):
         # At 200000 x 10 this basis's first CholeskyQR pass is not orthonormal
-        # to n * eps, so the second pass runs, in place on Q1.  (With the
-        # half-sum Gram matrices no stream of 100000 x 10 bases probed takes it.)
-        # At n = 10 a block of at least MIN_PIECE multiply-adds is wide: the
-        # statistic's two threads weigh 3 and 4 of the 10 columns at once.
+        # to n * eps, so the second pass runs, in place on Q1, and sums the
+        # statistic.  (With the half-sum Gram matrices no stream of
+        # 100000 x 10 bases probed takes it.)  At n = 10 a block of at least
+        # MIN_PIECE multiply-adds is 41984 rows, a fifth of the basis.
         N, n, seed = 200000, 10, SeedSpec(19, 1)
         with one_blas_thread():
             assert first_pass_error(unit_basis(N, n, 0.05, seed)) > n * np.finfo(np.float64).eps
-            peak = traced_peak(
-                lambda: estimate_direction(sample_observation("orth", N, n, 0.05, seed)[0])
-            )
-        assert peak <= 1.875 * N * n * 8
+            peak = traced_peak(lambda: estimator(N, n, 0.05, seed)("orth"))
+        assert peak <= 1.78 * N * n * 8
 
     def test_basis_fill_needs_no_full_size_temporary(self):
         N, n = self.N, self.n

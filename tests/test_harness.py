@@ -271,7 +271,9 @@ class TestBlasThreads:
         get, set_ = functions
         seen = []
         real = detection.estimate_direction
-        monkeypatch.setattr(detection, "estimate_direction", lambda Y: seen.append(get()) or real(Y))
+        monkeypatch.setattr(
+            detection, "estimate_direction", lambda Y, *a, **k: seen.append(get()) or real(Y, *a, **k)
+        )
         previous = get()
         set_(2)
         try:

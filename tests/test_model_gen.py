@@ -27,7 +27,7 @@ from pvlab.model_gen import (
     sample_rotated_instance,
     sample_orthonormal_instance,
 )
-from pvlab.spectral import estimate_direction
+from pvlab.spectral import build_statistic, estimate_direction
 
 from sampled import first_pass_error, haar_rotated, half_sum_gram, unit, unit_basis
 
@@ -291,6 +291,16 @@ def _with_entry(value):
     return make
 
 
+# One basis per CholeskyQR2 branch, and the non-finite inputs it rejects.
+BRANCHES = pytest.mark.parametrize(
+    "make",
+    [_well_conditioned, _nearly_collinear, _zero_column, _small_r_diagonal, _kahan,
+     _gram_overflow, _with_entry(np.nan), _with_entry(np.inf)],
+    ids=["one_pass", "two_passes", "cholesky_fails", "small_r_diagonal", "kahan",
+         "gram_overflow", "nan", "inf"],
+)
+
+
 class TestOrthonormalize:
     def test_columns_orthonormal(self):
         v = sample_br_vector(200, 0.2, SeedSpec(36))
@@ -379,8 +389,8 @@ class TestOrthonormalize:
         # values: the public function's input, or the sampler's redrawn lane.
         real = model_gen._cholesky_qr2
 
-        def refused_after_first_pass(Y, G):
-            real(Y, G)
+        def refused_after_first_pass(Y, G, weights=None):
+            real(Y, G, weights)
             return None
 
         monkeypatch.setattr(model_gen, "_cholesky_qr2", refused_after_first_pass)
@@ -413,13 +423,7 @@ class TestOrthonormalize:
         digest = "1fb5b907c9cf2a0ee07ac0e4e80024d49d1b787f547be9b718a1000b09a0fdb4"
         assert hashlib.sha256(Q.tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        "make",
-        [_well_conditioned, _nearly_collinear, _zero_column, _small_r_diagonal, _kahan,
-         _gram_overflow, _with_entry(np.nan), _with_entry(np.inf)],
-        ids=["one_pass", "two_passes", "cholesky_fails", "small_r_diagonal", "kahan",
-             "gram_overflow", "nan", "inf"],
-    )
+    @BRANCHES
     def test_never_writes_y(self, make):
         Y = make()
         before = Y.copy()
@@ -429,6 +433,26 @@ class TestOrthonormalize:
             Q = None
         assert Y.tobytes() == before.tobytes()
         assert Q is None or not np.shares_memory(Q, Y)
+
+    @BRANCHES
+    def test_weighted_sum_on_every_branch(self, make):
+        # sample_orthonormal_instance's path: the statistic's weighted sum is
+        # filled from the pass that writes Q, and never changes Q's bytes.
+        Y = make()
+        n = Y.shape[1]
+        T = np.full((n, n), -7.0)
+        try:
+            Q = model_gen._orthonormalize_over(Y.copy(), lambda: Y.copy(), T)
+        except ValueError:
+            with pytest.raises(ValueError):
+                orthonormalize(Y)
+            assert np.all(T == -7.0)  # raised before the sum was written
+            return
+        assert Q.tobytes() == orthonormalize(Y).tobytes()
+        for centered in (True, False):
+            M = build_statistic(Q, centered)
+            summed = build_statistic(Q, centered, weighted_sum=T)
+            assert np.max(np.abs(summed - M)) <= 1e-13 * np.max(np.abs(M))
 
     @pytest.mark.parametrize("layout", ["strided", "fortran", "readonly", "int"])
     def test_any_layout_matches_householder_and_stays_unwritten(self, layout):
@@ -560,6 +584,14 @@ class TestModelInstances:
     def test_rejects_out_of_domain(self, sample, N, n, rho):
         with pytest.raises(ValueError):
             sample(N, n, rho, SeedSpec(51))
+
+    @pytest.mark.parametrize(
+        "weighted_sum", [np.empty((4, 5)), np.empty((5, 5), dtype=np.float32)],
+        ids=["shape", "dtype"],
+    )
+    def test_rejects_a_weighted_sum_of_another_shape_or_dtype(self, weighted_sum):
+        with pytest.raises(ValueError, match="weighted_sum must be a 5 x 5 float64 array"):
+            sample_orthonormal_instance(50, 5, 0.5, SeedSpec(51), weighted_sum=weighted_sum)
 
 
 class TestSerialization:

@@ -8,6 +8,7 @@ check that a failure in the worker's piece reaches the caller and leaves
 the worker usable.
 """
 
+import functools
 import sys
 import threading
 import time
@@ -25,7 +26,7 @@ from pvlab.model_gen import (
     sample_orthonormal_instance,
     sample_rotated_instance,
 )
-from pvlab.spectral import build_statistic
+from pvlab.spectral import _row_weights, build_statistic
 
 from sampled import basis_around, first_pass_error, half_sum_gram, lane_rotation, unit_basis
 
@@ -74,8 +75,21 @@ def worker_calls(monkeypatch):
     return calls
 
 
+def weights_of(N):
+    """The statistic's row weights for blocks of rows of an N-row basis."""
+    return functools.partial(_row_weights, N=N)
+
+
+def times_and_sum(N, n):
+    """Y @ R written over Y and its weighted sum, as one array."""
+    Y = basis(N, n)
+    T = _blas.times_and_sum(Y, rotation(n), weights_of(N))
+    return np.concatenate([Y.ravel(), T.ravel()])
+
+
 PRODUCTS = {
     "gram": lambda N, n: _blas.gram(basis(N, n)),
+    "times_and_sum": times_and_sum,
     "build_statistic": lambda N, n: build_statistic(basis(N, n)),
     "apply_rotation": lambda N, n: apply_rotation(basis(N, n), rotation(n)),
     "orthonormalize_one_pass": lambda N, n: orthonormalize(basis(N, n)),
@@ -150,6 +164,25 @@ def test_blocked_statistic_equals_one_call(N, n, placement, worker_calls, monkey
     assert bool(worker_calls) == (placement == "worker")
 
 
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("N, n", BLOCKED_STATISTIC, ids=[f"{N}x{n}" for N, n in BLOCKED_STATISTIC])
+def test_times_and_sum_is_times_and_the_weighted_sum(N, n, placement, worker_calls, monkeypatch):
+    # Q keeps times' bytes; summing an existing Q (R = None) adds the same
+    # blocks in the same order and leaves Q unwritten; T is the statistic's
+    # sum up to rounding.
+    Y, R = basis(N, n), rotation(n)
+    with _blas.one_blas_thread():
+        placed(placement, monkeypatch)
+        Q = _blas.times(Y, R)
+        T = _blas.times_and_sum(Y, R, weights_of(N))
+        assert Y.tobytes() == Q.tobytes()
+        assert _blas.times_and_sum(Q, None, weights_of(N)).tobytes() == T.tobytes()
+        assert Q.tobytes() == Y.tobytes()
+    one_call = (Q * _row_weights(Q, N)[:, None]).T @ Q
+    assert np.max(np.abs(T - one_call)) <= 1e-13 * np.max(np.abs(one_call))
+    assert bool(worker_calls) == (placement == "worker")
+
+
 # One product (3000 x 40), row blocks (25000 x 20, 10000 x 100), and a
 # basis whose first CholeskyQR pass is not orthonormal (40000 x 2).
 SAMPLED = [(3000, 40), (25000, 20), (10000, 100), (40000, 2)]
@@ -168,6 +201,8 @@ def test_samplers_equal_the_out_of_place_products(N, n, placement, monkeypatch):
         assert rotated.tobytes() == out_of_place.tobytes()
         orth, _ = sample_orthonormal_instance(N, n, 0.05, seed)
         assert orth.tobytes() == orthonormalize(unit_basis(N, n, 0.05, seed)).tobytes()
+        summed, _ = sample_orthonormal_instance(N, n, 0.05, seed, weighted_sum=np.empty((n, n)))
+        assert summed.tobytes() == orth.tobytes()
 
 
 # Collinear bases whose second pass, taken as 1024-row blocks, differed
@@ -257,6 +292,28 @@ class TestWorkerFailures:
             with np.errstate(over="ignore", invalid="ignore"):
                 M = build_statistic(Y)
         assert np.isinf(M[:, 50:]).any() and np.isfinite(M[:50, :50]).all()
+
+    def test_weighted_sum_failures_in_the_worker_piece(self, worker_calls):
+        # A raising weight rule, and an overflow under the caller's error
+        # state, in the worker's row blocks only.
+        N, n = 20000, 50
+        Y, R = basis(N, n), rotation(n)
+
+        def fails_on_the_worker(rows):
+            if threading.current_thread().name.startswith("pvlab-blas"):
+                raise RuntimeError("worker piece failed")
+            return _row_weights(rows, N)
+
+        large = basis(N, n)
+        large[15000:] *= 1e90
+        with _blas.one_blas_thread():
+            with pytest.raises(RuntimeError, match="worker piece failed"):
+                _blas.times_and_sum(Y.copy(), R, fails_on_the_worker)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                _blas.times_and_sum(large, None, weights_of(N))
+            assert worker_calls
+            T = _blas.times_and_sum(Y.copy(), R, weights_of(N))
+            assert T.tobytes() == times_and_sum(N, n)[N * n:].tobytes()
 
     def test_sweep_records_a_unit_whose_worker_piece_raised(self, monkeypatch):
         config = SweepConfig(Ns=[4000], ns=[100], rhos=[0.05], trials=2, tasks=("recover",))
