@@ -12,17 +12,23 @@ CLI, the sweep harness and `error_rates` all go through, and the one trial
 path of the sweep and `error_rates`: `estimator` samples and estimates each
 instance of a trial once, and `detect` makes the trial's null and planted
 calls.
+
+`estimate_instance` samples into one reused float64 buffer per thread (see
+`_sample_buffer`), so a run of trials does not allocate and free an N x n
+array per trial.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model_gen import (
     SeedSpec,
+    _check_instance_params,
     sample_detection_pair,
     sample_orthonormal_instance,
     sample_rotated_instance,
@@ -127,18 +133,39 @@ def detect_via_estimation(Y_obs: np.ndarray, c1: float = DEFAULT_C1) -> Detectio
 
 
 def sample_observation(
-    model: str, N: int, n: int, rho: float, seed: SeedSpec
+    model: str, N: int, n: int, rho: float, seed: SeedSpec, *, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One observation and its planted vector (Y, v): "gaussian" (rotated
     Gaussian basis, also the planted detection instance), "orth" (orthonormal
-    basis) or "null" (pure noise, v = None)."""
+    basis) or "null" (pure noise, v = None).  Y is a fresh array, or `out`
+    sampled over."""
     if model == "gaussian":
-        return sample_rotated_instance(N, n, rho, seed)
+        return sample_rotated_instance(N, n, rho, seed, out=out)
     if model == "orth":
-        return sample_orthonormal_instance(N, n, rho, seed)
+        return sample_orthonormal_instance(N, n, rho, seed, out=out)
     if model == "null":
-        return sample_detection_pair(N, n, rho, seed, "null")
+        return sample_detection_pair(N, n, rho, seed, "null", out=out)
     raise ValueError(f"unknown model {model!r}")
+
+
+_this_thread = threading.local()
+
+
+def _sample_buffer(N: int, n: int) -> np.ndarray:
+    """An N x n view of this thread's sample buffer, a flat float64 array
+    allocated on first use and kept for the thread's life.  It only grows,
+    and the smaller one is dropped before the larger is allocated.
+
+    Kept, not freed after a trial, because of glibc's malloc: freeing an
+    mmapped block of up to 32 MiB raises its mmap threshold to that size,
+    so the next array of that size comes from the heap and stays resident
+    once freed.  A process alternating 40000 x 100 and 40000 x 200 `orth`
+    trials held a freed 30.5 MiB basis beside the next 61 MiB one."""
+    buffer = getattr(_this_thread, "buffer", None)
+    if buffer is None or buffer.size < N * n:
+        _this_thread.buffer = buffer = None  # freed before the larger one is allocated
+        _this_thread.buffer = buffer = np.empty(N * n)
+    return buffer[: N * n].reshape(N, n)
 
 
 def estimate_instance(
@@ -146,12 +173,18 @@ def estimate_instance(
 ) -> tuple[SpectralResult, np.ndarray | None]:
     """(result, v) for `model`'s instance on `seed`, for `pvlab estimate`
     and the sweep alike.  An "orth" sampler sums the statistic in its last
-    pass over the basis, and the estimate finishes that sum."""
+    pass over the basis, and the estimate finishes that sum.
+
+    The instance is sampled into this thread's buffer (`_sample_buffer`),
+    which the next call on the thread overwrites; the returned arrays are
+    fresh and never share its memory."""
+    _check_instance_params(N, n, rho)  # before the buffer takes a shape no sampler accepts
+    out = _sample_buffer(N, n)
     if model == "orth":
         weighted_sum = np.empty((n, n))
-        Y, v = sample_orthonormal_instance(N, n, rho, seed, weighted_sum=weighted_sum)
+        Y, v = sample_orthonormal_instance(N, n, rho, seed, weighted_sum, out=out)
         return estimate_direction(Y, centered, weighted_sum=weighted_sum), v
-    Y, v = sample_observation(model, N, n, rho, seed)
+    Y, v = sample_observation(model, N, n, rho, seed, out=out)
     return estimate_direction(Y, centered), v
 
 

@@ -244,6 +244,12 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     the BLAS thread count and workers do not oversubscribe the cores; the
     caller's count is restored on return.
 
+    Each thread samples its units' instances into its own reused buffer
+    (`detection.estimate_instance`).  The calling thread's outlives this
+    call, so later sweeps in the process reuse it instead of freeing and
+    reallocating N x n arrays; a pool thread's goes with the pool.  A sweep
+    whose tasks sample nothing (`advantage` only) allocates none.
+
     Per-unit failures (degenerate draws, or any other exception) are logged
     and recorded with success=False and empty values; they never abort the
     sweep.

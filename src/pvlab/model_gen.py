@@ -20,9 +20,10 @@ all-zero draw raises DegenerateDrawError, so no sampler returns v = 0.
 
 The products, Y @ Q and CholeskyQR2's Gram matrices and Y @ R^-1, are
 `pvlab._blas`'s, which cuts them into blocks and may run them on two
-threads with unchanged bits.  The composite samplers write them over the
-basis they draw, so a sample holds one N x n array; the public functions
-never write their input.
+threads with unchanged bits.  The composite samplers draw into one N x n
+array, a fresh one or the caller's `out`, and write their products over it,
+so a sample needs no second N x n array; the public functions never write
+their input.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ _LANE_VECTOR = 1
 _LANE_ROTATION = 2
 _LANE_BASIS = 3
 
-# Rows of the Gaussian columns drawn per rng call by _basis_from_rng.
+# Rows of Gaussian entries drawn per rng call by _fill_normal.
 _FILL_ROWS = 1024
 
 
@@ -127,17 +128,23 @@ def _br_from_rng(
     return entries / np.linalg.norm(entries) if normalize else entries
 
 
-def _basis_from_rng(rng: np.random.Generator, v: np.ndarray, n: int) -> np.ndarray:
-    N = v.size
-    Y = np.empty((N, n))
+def _fill_normal(rng: np.random.Generator, Y: np.ndarray) -> None:
+    """Fill Y, of N rows, with N(0, 1/N) entries.  Row blocks draw the same
+    stream in the same C order as one rng.normal call of Y's shape, without
+    a temporary of that shape."""
+    scale = 1.0 / np.sqrt(len(Y))
+    for start in range(0, len(Y), _FILL_ROWS):
+        block = Y[start : start + _FILL_ROWS]
+        block[...] = rng.normal(scale=scale, size=block.shape)
+
+
+def _basis_from_rng(
+    rng: np.random.Generator, v: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    Y = np.empty((v.size, n)) if out is None else out
     Y[:, 0] = v
     if n > 1:
-        # Row blocks draw the same stream in the same C order as one (N, n-1)
-        # call, without an N x (n-1) temporary.
-        scale = 1.0 / np.sqrt(N)
-        for start in range(0, N, _FILL_ROWS):
-            block = Y[start : start + _FILL_ROWS, 1:]
-            block[...] = rng.normal(scale=scale, size=block.shape)
+        _fill_normal(rng, Y[:, 1:])
     return Y
 
 
@@ -283,21 +290,42 @@ def _check_instance_params(N: int, n: int, rho: float) -> None:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
 
 
+def _check_output(name: str, array: np.ndarray | None, shape: tuple[int, int]) -> None:
+    """An output argument is None or a C-contiguous float64 array of `shape`."""
+    if array is None:
+        return
+    if (array.shape, array.dtype, array.flags.c_contiguous) != (shape, float, True):
+        got = f"{array.shape} {array.dtype}" + ("" if array.flags.c_contiguous else " strided")
+        raise ValueError(
+            f"{name} must be a {shape[0]} x {shape[1]} float64 array in C order, got {got}"
+        )
+
+
+# The composite samplers take a keyword-only `out`, a C-contiguous N x n
+# float64 array: the observation is drawn into it, written over it and
+# returned as Y.  Without it, Y is a fresh array.  The bytes are the same.
+
+
 def sample_detection_pair(
     N: int,
     n: int,
     rho: float,
     seed: SeedSpec,
     which: str,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One detection instance (Y, v): "null" gives i.i.d. N(0, 1/N) entries and
-    v = None, "planted" gives Y @ Q with v ~ BR(N, rho) and Haar Q."""
+    """One detection instance (Y, v): "null" gives i.i.d. N(0, 1/N) entries,
+    drawn in row blocks with the bytes of one (N, n) draw, and v = None;
+    "planted" gives Y @ Q with v ~ BR(N, rho) and Haar Q."""
     if which == "planted":
-        return sample_rotated_instance(N, n, rho, seed)
+        return sample_rotated_instance(N, n, rho, seed, out=out)
     if which == "null":
         _check_instance_params(N, n, rho)
-        rng = seed.generator(_LANE_NULL)
-        return rng.normal(scale=1.0 / np.sqrt(N), size=(N, n)), None
+        _check_output("out", out, (N, n))
+        Y = np.empty((N, n)) if out is None else out
+        _fill_normal(seed.generator(_LANE_NULL), Y)
+        return Y, None
     raise ValueError(f"which must be 'null' or 'planted', got {which!r}")
 
 
@@ -306,12 +334,15 @@ def sample_rotated_instance(
     n: int,
     rho: float,
     seed: SeedSpec,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-basis observation (Y @ Q, v) with v ~ BR(N, rho), not
-    rescaled, and Haar Q."""
+    rescaled, and Haar Q; Y @ Q is written over the drawn basis."""
     _check_instance_params(N, n, rho)
+    _check_output("out", out, (N, n))
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=False)
-    Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
+    Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n, out)
     Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
     return _blas.times(Y, Q, out=Y), v
 
@@ -322,24 +353,30 @@ def sample_orthonormal_instance(
     rho: float,
     seed: SeedSpec,
     weighted_sum: np.ndarray | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal-basis observation (Yhat, v) for a unit planted vector
     v = v'/||v'||, v' ~ BR(N, rho): Yhat is the orthonormalized basis whose
-    first column is v.  An all-zero v' raises DegenerateDrawError.
+    first column is v, written over the drawn basis.  An all-zero v' raises
+    DegenerateDrawError.
 
     A given n x n float64 array `weighted_sum` is filled with the statistic's
     sum over Yhat's rows, summed in the last pass that writes Yhat, for
     `build_statistic(Yhat, weighted_sum=...)`; Yhat's bytes do not change."""
     _check_instance_params(N, n, rho)
-    if weighted_sum is not None and (weighted_sum.shape, weighted_sum.dtype) != ((n, n), float):
-        got = f"{weighted_sum.shape} {weighted_sum.dtype}"
-        raise ValueError(f"weighted_sum must be a {n} x {n} float64 array, got {got}")
+    _check_output("weighted_sum", weighted_sum, (n, n))
+    _check_output("out", out, (N, n))
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=True)
+    Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n, out)
 
-    def basis() -> np.ndarray:
-        return _basis_from_rng(seed.generator(_LANE_BASIS), v, n)
+    def redraw() -> np.ndarray:
+        return _basis_from_rng(seed.generator(_LANE_BASIS), v, n, Y)
 
-    return _orthonormalize_over(basis(), basis, weighted_sum), v
+    Q = _orthonormalize_over(Y, redraw, weighted_sum)
+    if Q is not Y:  # Householder's
+        Y[...] = Q
+    return Y, v
 
 
 # --- instance serialization (CLI `gen`) ---

@@ -2,6 +2,7 @@
 harness."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -233,6 +234,13 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def on_a_fresh_thread(fn):
+    """fn() on a new thread.  It starts without a sample buffer, so the first
+    trial it runs allocates one, and the buffer goes when the thread ends."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
+
+
 class TestMemoryBudget:
     N, n = 20000, 50
 
@@ -241,13 +249,42 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_trial_holds_at_most_two_observation_arrays(self, model):
         # A sweep trial samples and estimates one N x n observation and holds
-        # one N x n float64 array: the samplers write their products over the
+        # one N x n float64 array, its thread's sample buffer, allocated here
+        # on a fresh thread: the samplers write their products over the
         # drawn basis, and the statistic weighs a block of columns at a time,
         # or, for "orth", is summed a block of rows at a time in the last
         # CholeskyQR pass.  The rest is n x n matrices, N-vectors and the
         # blocks on two threads.
         N, n = self.N, self.n
-        peak = traced_peak(lambda: estimator(N, n, 0.05, SeedSpec(19))(model))
+        trial = lambda: estimator(N, n, 0.05, SeedSpec(19))(model)  # noqa: E731
+        peak = on_a_fresh_thread(lambda: traced_peak(trial))
+        assert peak <= self.BOUND[model] * N * n * 8
+
+    @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
+    def test_second_trial_of_a_shape_reuses_the_buffer(self, model):
+        # The thread's buffer already has room for the observation, so a
+        # trial allocates only n x n matrices, N-vectors and blocks.
+        N, n = self.N, self.n
+
+        def trials():
+            estimator(N, n, 0.05, SeedSpec(19))(model)
+            return traced_peak(lambda: estimator(N, n, 0.05, SeedSpec(20))(model))
+
+        assert on_a_fresh_thread(trials) <= 0.5 * N * n * 8
+
+    @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
+    def test_a_larger_trial_frees_the_smaller_buffer_first(self, model):
+        # A trial of half the columns, then a full one, on one thread: the
+        # half-size buffer is freed before the full one is made, so the two
+        # trials hold no more than the full trial alone (both buffers would
+        # be 1.5 N x n before the trial's own blocks).
+        N, n = self.N, self.n
+
+        def trials():
+            estimator(N, n // 2, 0.05, SeedSpec(19))(model)
+            estimator(N, n, 0.05, SeedSpec(20))(model)
+
+        peak = on_a_fresh_thread(lambda: traced_peak(trials))
         assert peak <= self.BOUND[model] * N * n * 8
 
     def test_orth_second_pass_holds_at_most_two_observation_arrays(self):
@@ -259,7 +296,7 @@ class TestMemoryBudget:
         N, n, seed = 200000, 10, SeedSpec(19, 1)
         with one_blas_thread():
             assert first_pass_error(unit_basis(N, n, 0.05, seed)) > n * np.finfo(np.float64).eps
-            peak = traced_peak(lambda: estimator(N, n, 0.05, seed)("orth"))
+            peak = on_a_fresh_thread(lambda: traced_peak(lambda: estimator(N, n, 0.05, seed)("orth")))
         assert peak <= 1.78 * N * n * 8
 
     def test_basis_fill_needs_no_full_size_temporary(self):

@@ -402,6 +402,19 @@ class TestOrthonormalize:
         Yh, _ = sample_orthonormal_instance(3000, 20, 0.05, seed)
         assert np.array_equal(Yh, householder_oracle(before))
 
+    def test_householder_q_is_written_over_out(self, monkeypatch):
+        # Householder's Q is a fresh array; a sampler given `out` copies it
+        # there, so the observation is always the caller's array.
+        monkeypatch.setattr(model_gen, "_cholesky_qr2", lambda Y, G, weights=None: None)
+        seed = SeedSpec(59)
+        expected = householder_oracle(unit_basis(3000, 20, 0.05, seed))
+        out = np.full((3000, 20), np.nan)
+        T = np.empty((20, 20))
+        Yh, _ = sample_orthonormal_instance(3000, 20, 0.05, seed, T, out=out)
+        assert Yh is out
+        assert out.tobytes() == expected.tobytes()
+        assert np.allclose(T, build_statistic(expected, centered=False), rtol=0, atol=1e-15)
+
     def test_nearly_collinear_basis_takes_the_second_pass(self):
         Y = _nearly_collinear()
         assert first_pass_error(Y) > 12 * np.finfo(np.float64).eps
@@ -522,6 +535,32 @@ class TestDetectionPair:
         with pytest.raises(ValueError):
             sample_detection_pair(10, 2, 0.5, SeedSpec(46), "both")
 
+    @pytest.mark.parametrize(
+        "N, n",
+        [(N, n) for N in (1, 1023, 1024, 1025, 3000, 10000) for n in (1, 2, 17, 100) if n <= N],
+    )
+    def test_null_row_blocked_draw_matches_one_call(self, N, n):
+        # The null draw fills its rows a block at a time, into `out` or a
+        # fresh array; its bytes must equal one normal(size=(N, n)) call.
+        seed = SeedSpec(60, N)
+        rng = seed.generator(model_gen._LANE_NULL)
+        expected = rng.normal(scale=1.0 / np.sqrt(N), size=(N, n))
+        fresh, _ = sample_detection_pair(N, n, 0.5, seed, "null")
+        out = np.full((N, n), np.nan)
+        Y, v = sample_detection_pair(N, n, 0.5, seed, "null", out=out)
+        assert Y is out and v is None
+        assert fresh.tobytes() == expected.tobytes()
+        assert out.tobytes() == expected.tobytes()
+
+
+SAMPLERS = [
+    sample_rotated_instance,
+    sample_orthonormal_instance,
+    lambda N, n, rho, seed, **kw: sample_detection_pair(N, n, rho, seed, "null", **kw),
+    lambda N, n, rho, seed, **kw: sample_detection_pair(N, n, rho, seed, "planted", **kw),
+]
+SAMPLER_IDS = ["rotated", "orthonormal", "null", "planted"]
+
 
 class TestModelInstances:
     def test_model1_span_contains_v(self):
@@ -592,6 +631,38 @@ class TestModelInstances:
     def test_rejects_a_weighted_sum_of_another_shape_or_dtype(self, weighted_sum):
         with pytest.raises(ValueError, match="weighted_sum must be a 5 x 5 float64 array"):
             sample_orthonormal_instance(50, 5, 0.5, SeedSpec(51), weighted_sum=weighted_sum)
+
+    @pytest.mark.parametrize("sample", SAMPLERS, ids=SAMPLER_IDS)
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((50, 4)),
+            np.empty((5, 50)),
+            np.empty((50, 5), dtype=np.float32),
+            np.empty((50, 5), dtype=np.complex128),
+            np.empty((5, 50)).T,
+            np.empty((50, 10))[:, ::2],
+        ],
+        ids=["shape", "transposed_shape", "float32", "complex", "fortran", "strided"],
+    )
+    def test_rejects_a_bad_out(self, sample, out):
+        before = out.copy()
+        with pytest.raises(ValueError, match="out must be a 50 x 5 float64 array in C order"):
+            sample(50, 5, 0.5, SeedSpec(51), out=out)
+        assert out.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("sample", SAMPLERS, ids=SAMPLER_IDS)
+    @pytest.mark.parametrize("N, n", [(3000, 40), (1, 1), (2049, 3)])
+    def test_out_gives_the_fresh_arrays_bytes(self, sample, N, n):
+        seed = SeedSpec(61)
+        with one_blas_thread():
+            fresh, v_fresh = sample(N, n, 1.0, seed)
+            out = np.full((N, n), np.nan)
+            Y, v = sample(N, n, 1.0, seed, out=out)
+        assert Y is out
+        assert out.tobytes() == fresh.tobytes()
+        assert (v is None and v_fresh is None) or v.tobytes() == v_fresh.tobytes()
+        assert v is None or not np.shares_memory(v, out)
 
 
 class TestSerialization:

@@ -8,9 +8,10 @@ count the references were written with) in-process, so these runs inherit
 the caller's BLAS environment, and one run asks for two BLAS threads.
 `orth_recover_large` takes several seconds and is checked by the benchmark
 instead; a small `orth` sweep whose basis spans several fill blocks is
-pinned here in its place.  Every other command runs under the same pin, so
-`gen` and `estimate` print the same bytes under one and two BLAS threads,
-and so does a library call of a sampler inside the pin.
+pinned here in its place, serially and on two worker threads.  Every other
+command runs under the same pin, so `gen` and `estimate` print the same
+bytes under one and two BLAS threads, and so does a library call of a
+sampler inside the pin.
 """
 
 import hashlib
@@ -127,10 +128,20 @@ N,n,rho,trial,task,success,l2_error,entrywise_err,statistic,adv,elapsed_ms
 """
 
 
-def test_small_orth_sweep_pinned(tmp_path):
+def _orth_sweep_config(tmp_path):
     config = tmp_path / "orth.json"
     config.write_text(json.dumps(
         {"Ns": [3000], "ns": [40], "rhos": [0.02, 0.05], "trials": 2, "model": "orth",
          "tasks": ["recover"], "seed": 0}
     ))
-    assert _sweep(config, tmp_path).stdout.decode() == ORTH_SWEEP_CSV
+    return config
+
+
+def test_small_orth_sweep_pinned(tmp_path):
+    assert _sweep(_orth_sweep_config(tmp_path), tmp_path).stdout.decode() == ORTH_SWEEP_CSV
+
+
+def test_small_orth_sweep_pinned_on_two_workers(tmp_path):
+    # Each worker thread samples its cell's trials into its own buffer.
+    done = _sweep(_orth_sweep_config(tmp_path), tmp_path, "--workers", "2")
+    assert done.stdout.decode() == ORTH_SWEEP_CSV
