@@ -1,16 +1,13 @@
 """A trial's O(N n^2) products on two threads, and the BLAS thread count.
 
-`times` (Y @ R), `times_and_sum` (Y @ R and the weighted sum of its rows),
-`gram` (Y^T Y) and `weighted_gram` ((Y * w)^T Y) are cut into blocks fixed
-by the shape, and `_on_two_threads` runs the blocks as two pieces, on the
-calling thread and on one worker thread, under one BLAS thread.  Where a
-piece runs never moves a bit.  Every block of `times` and `weighted_gram`
-does at least MIN_PIECE multiply-adds, so they keep the bits of one full
-product; `gram` is the sum of two row halves, and `times_and_sum`'s sum
-adds the two pieces' sums.
-`orth` trials sum their statistic over the row blocks of `times_and_sum`,
-reading the basis once; `weighted_gram` reads Y once per column block and
-stays for the `gaussian` and `null` trials, whose bytes are pinned.
+`times` (Y @ R), `gram` (Y^T Y), `weighted_gram` ((Y * w)^T Y in column
+blocks) and `weighted_gram_by_rows` (that sum in `times`' row blocks) are
+cut into blocks fixed by the shape, and `_on_two_threads` runs the blocks
+as two pieces, on the calling thread and on one worker thread, under one
+BLAS thread.  Where a piece runs never moves a bit.  Every block of `times`
+and `weighted_gram` does at least MIN_PIECE multiply-adds, so they keep the
+bits of one full product; `gram` is the sum of two row halves, and
+`weighted_gram_by_rows` the sum of its two pieces' sums.
 
 numpy's wheels bundle OpenBLAS in a `numpy.libs` directory next to the
 package; its exported `scipy_openblas_{get,set}_num_threads64_` are called
@@ -157,6 +154,11 @@ def _edges(length: int, size: int) -> list[int]:
     return [*range(0, length - size + 1, size), length] if length >= 2 * size else [0, length]
 
 
+def _row_edges(N: int, n: int) -> list[int]:
+    """Edges of the row blocks of `times` and `weighted_gram_by_rows`."""
+    return _edges(N, -(-MIN_PIECE // (1024 * n * n)) * 1024)
+
+
 def times(Y: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Y @ R for an n x n matrix R, written to `out` (a fresh array when
     None).  out may be Y: each row block is multiplied before it is
@@ -165,30 +167,8 @@ def times(Y: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.nda
     takes in) with at least MIN_PIECE multiply-adds."""
     if out is None:
         out = np.empty(Y.shape, dtype=np.result_type(Y, R))
-    times_and_sum(Y, R, None, out)
+    _on_two_threads(lambda a, b: np.matmul(Y[a:b], R, out=out[a:b]), _row_edges(*Y.shape))
     return out
-
-
-def times_and_sum(Y: np.ndarray, R: np.ndarray | None, weights, out: np.ndarray | None = None):
-    """Q = Y @ R written to `out` (over Y when None) in `times`' row blocks,
-    and T = sum_i w_i q_i q_i^T over Q's rows, where weights(Q_b) gives the
-    w_i of a row block Q_b; T is None when weights is None.  With R = None,
-    Q is Y and nothing is written.  Each block is summed while it is in
-    cache, so Q is read once.  Each piece sums its own blocks in order, and
-    T is the first piece's sum plus the second's, on one thread or two."""
-    N, n = Y.shape
-    out = Y if out is None else out
-    edges = _edges(N, -(-MIN_PIECE // (1024 * n * n)) * 1024)
-    split = edges[_middle(edges)]
-    sums = None if weights is None else np.zeros((2, n, n))
-
-    def block(a: int, b: int) -> None:
-        Q = Y[a:b] if R is None else np.matmul(Y[a:b], R, out=out[a:b])
-        if sums is not None:
-            sums[int(a >= split)] += (Q * weights(Q)[:, None]).T @ Q
-
-    _on_two_threads(block, edges)
-    return None if sums is None else sums[0] + sums[1]
 
 
 def gram(Y: np.ndarray) -> np.ndarray:
@@ -213,11 +193,10 @@ def weighted_gram(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Each block packs all of Y again, so Y is read about n/width ~ 8 times:
     at 40000 x 200 this took 106-112 ms, against 53-54 ms for the row blocks
-    of `times_and_sum`, which read Y once (one BLAS thread, 2 cores, medians
-    of 9).  Only the `gaussian` and `null` trials still take it: a row-block
-    sum moves their statistic's bytes, which the benchmark's references pin.
-    Once those are regenerated, the gaussian rotation pass can sum the
-    statistic with `times_and_sum`, and this function can go.
+    of `weighted_gram_by_rows`, which read Y once (one BLAS thread, 2 cores,
+    medians of 9).  Only the `gaussian` and `null` trials still take it: a
+    row-block sum moves their statistic's bytes, which the benchmark's
+    references pin.  Once those are regenerated, this function can go.
     """
     N, n = Y.shape
     width = max(2, -(-n // 8), -(-MIN_PIECE // (N * n)))
@@ -228,3 +207,24 @@ def weighted_gram(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     _on_two_threads(rows, _edges(n, width))
     return M
+
+
+def weighted_gram_by_rows(Y: np.ndarray, weights) -> np.ndarray:
+    """sum_i w_i y_i y_i^T over Y's rows, where weights(rows) gives the w_i
+    of a block of rows: `weighted_gram`'s sum over the row blocks of
+    `times`, so Y is read once.  The weights are made a block at a time:
+    at 200000 x 10 an N-vector of them took an `orth` trial's usual peak
+    from 1.68-1.75 to 1.79-1.83 N x n.  Each piece sums its own blocks in order,
+    and the result is the first piece's sum plus the second's, on one
+    thread or two."""
+    N, n = Y.shape
+    edges = _row_edges(N, n)
+    split = edges[_middle(edges)]
+    sums = np.zeros((2, n, n))
+
+    def block(a: int, b: int) -> None:
+        rows = Y[a:b]
+        sums[int(a >= split)] += (rows * weights(rows)[:, None]).T @ rows
+
+    _on_two_threads(block, edges)
+    return sums[0] + sums[1]

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .model_gen import (
     SeedSpec,
     _check_instance_params,
@@ -36,6 +37,7 @@ from .model_gen import (
 from .spectral import (
     ErrorReport,
     SpectralResult,
+    _row_weights,
     build_statistic,
     estimate_direction,
     recover_gaussian_rule,
@@ -172,20 +174,20 @@ def estimate_instance(
     model: str, N: int, n: int, rho: float, seed: SeedSpec, centered: bool = True
 ) -> tuple[SpectralResult, np.ndarray | None]:
     """(result, v) for `model`'s instance on `seed`, for `pvlab estimate`
-    and the sweep alike.  An "orth" sampler sums the statistic in its last
-    pass over the basis, and the estimate finishes that sum.
+    and the sweep alike.  An "orth" statistic is summed over the basis's row
+    blocks (`pvlab._blas.weighted_gram_by_rows`), reading it once; the other
+    models keep `build_statistic`'s column blocks, whose bytes the
+    benchmark's references pin.
 
     The instance is sampled into this thread's buffer (`_sample_buffer`),
     which the next call on the thread overwrites; the returned arrays are
     fresh and never share its memory."""
     _check_instance_params(N, n, rho)  # before the buffer takes a shape no sampler accepts
-    out = _sample_buffer(N, n)
+    Y, v = sample_observation(model, N, n, rho, seed, out=_sample_buffer(N, n))
+    weighted_sum = None
     if model == "orth":
-        weighted_sum = np.empty((n, n))
-        Y, v = sample_orthonormal_instance(N, n, rho, seed, weighted_sum, out=out)
-        return estimate_direction(Y, centered, weighted_sum=weighted_sum), v
-    Y, v = sample_observation(model, N, n, rho, seed, out=out)
-    return estimate_direction(Y, centered), v
+        weighted_sum = _blas.weighted_gram_by_rows(Y, functools.partial(_row_weights, N=N))
+    return estimate_direction(Y, centered, weighted_sum=weighted_sum), v
 
 
 def recover(

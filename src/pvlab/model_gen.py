@@ -13,8 +13,9 @@ and distinct stream indices give independent draws.  `pvlab` commands and
 library caller that wants their bytes calls the samplers under that pin.
 Sampling does not pin the count itself: the count is process-global, so a
 pin per sampler would race with the samplers of other threads.
-Samplers return plain arrays; the composite samplers return the observation
-and its planted vector as (Y, v), with v = None for a null draw.
+Samplers only sample and return plain arrays; the composite samplers return
+the observation and its planted vector as (Y, v), with v = None for a null
+draw.  The statistic is summed over the returned observation (`pvlab.spectral`).
 A planted vector is checked where it is drawn, under both models: an
 all-zero draw raises DegenerateDrawError, so no sampler returns v = 0.
 
@@ -28,7 +29,6 @@ their input.
 
 from __future__ import annotations
 
-import functools
 import io
 import numbers
 from dataclasses import dataclass
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .spectral import _row_weights
 
 __all__ = [
     "DegenerateDrawError",
@@ -216,40 +215,26 @@ def orthonormalize(Y: np.ndarray) -> np.ndarray:
     return _orthonormalize_over(np.array(Y, dtype=float), lambda: Y)
 
 
-def _orthonormalize_over(
-    Y: np.ndarray, original, weighted_sum: np.ndarray | None = None
-) -> np.ndarray:
+def _orthonormalize_over(Y: np.ndarray, original) -> np.ndarray:
     """orthonormalize(Y), with Q written over Y where CholeskyQR2 decides.
     Householder QR runs on original(), Y's values, since Y may already hold
-    the first pass.  A given `weighted_sum` is filled, unless this raises,
-    with build_statistic's sum over Q's rows, summed in the pass that writes
-    Q (in a pass of its own over Householder's Q)."""
-    weights = None if weighted_sum is None else functools.partial(_row_weights, N=len(Y))
+    the first pass."""
     G = _blas.gram(Y)
-    if np.isfinite(G).all():
-        done = _cholesky_qr2(Y, G, weights)
-    else:
+    if not np.isfinite(G).all():
         bad = np.flatnonzero(~np.isfinite(Y).all(axis=0))
         if bad.size:
             raise ValueError(f"non-finite entry in column {int(bad[0])} of the basis")
-        done = None  # finite Y whose Gram matrix overflows
-    if done is None:
-        Q = _householder_orthonormalize(original())
-        done = Q, (None if weights is None else _blas.times_and_sum(Q, None, weights))
-    Q, T = done
-    if weighted_sum is not None:
-        weighted_sum[...] = T
-    return Q
+        return _householder_orthonormalize(original())  # finite Y whose Gram matrix overflows
+    Q = _cholesky_qr2(Y, G)
+    return _householder_orthonormalize(original()) if Q is None else Q
 
 
-def _cholesky_qr2(Y: np.ndarray, G: np.ndarray, weights) -> tuple | None:
-    """(Q, T) from Gram, Cholesky and triangular inverse, given the finite
-    Gram matrix G = Y^T Y; None when Householder QR must decide.  The first
-    pass Q1 overwrites Y and is returned as it is when
-    ||Q1^T Q1 - I||_F <= n * eps, the accuracy of Householder's Q; otherwise
-    a second round runs on Q1 and overwrites it.  Both products are written
-    in place, and each sums T = sum_i w_i q_i q_i^T with w = weights(Q) over
-    its rows (T is None without weights)."""
+def _cholesky_qr2(Y: np.ndarray, G: np.ndarray) -> np.ndarray | None:
+    """Q from Gram, Cholesky and triangular inverse, given the finite Gram
+    matrix G = Y^T Y; None when Householder QR must decide.  The first pass
+    Q1 overwrites Y and is returned as it is when ||Q1^T Q1 - I||_F <= n * eps,
+    the accuracy of Householder's Q; otherwise a second round runs on Q1
+    and overwrites it.  Both products are written in place."""
     try:
         R1 = np.linalg.cholesky(G).T
     except np.linalg.LinAlgError:
@@ -258,17 +243,17 @@ def _cholesky_qr2(Y: np.ndarray, G: np.ndarray, weights) -> tuple | None:
     # Gram-based R loses about sqrt(eps)*||Y||, so near RANK_TOL only Householder can decide.
     if d.size == 0 or d.min() <= max(1e-5 * d.max(), 1e3 * RANK_TOL):
         return None
-    T = _blas.times_and_sum(Y, np.linalg.inv(R1), weights)
-    G1 = _blas.gram(Y)
+    Q1 = _blas.times(Y, np.linalg.inv(R1), out=Y)
+    G1 = _blas.gram(Q1)
     error = np.linalg.norm(G1 - np.eye(d.size))
     if error <= d.size * np.finfo(np.float64).eps:
-        return Y, T
+        return Q1
     # A first pass this far from orthonormal leaves the second pass inexact
     # (cond(Y) beyond about 1/sqrt(eps), e.g. a Kahan matrix).  Within 0.5 of
     # I, G1 has eigenvalues >= 0.5, so its Cholesky cannot fail.
     if error > 0.5:
         return None
-    return Y, _blas.times_and_sum(Y, np.linalg.inv(np.linalg.cholesky(G1).T), weights)
+    return _blas.times(Q1, np.linalg.inv(np.linalg.cholesky(G1).T), out=Q1)
 
 
 def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
@@ -352,20 +337,14 @@ def sample_orthonormal_instance(
     n: int,
     rho: float,
     seed: SeedSpec,
-    weighted_sum: np.ndarray | None = None,
     *,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal-basis observation (Yhat, v) for a unit planted vector
     v = v'/||v'||, v' ~ BR(N, rho): Yhat is the orthonormalized basis whose
     first column is v, written over the drawn basis.  An all-zero v' raises
-    DegenerateDrawError.
-
-    A given n x n float64 array `weighted_sum` is filled with the statistic's
-    sum over Yhat's rows, summed in the last pass that writes Yhat, for
-    `build_statistic(Yhat, weighted_sum=...)`; Yhat's bytes do not change."""
+    DegenerateDrawError."""
     _check_instance_params(N, n, rho)
-    _check_output("weighted_sum", weighted_sum, (n, n))
     _check_output("out", out, (N, n))
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=True)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n, out)
@@ -373,7 +352,7 @@ def sample_orthonormal_instance(
     def redraw() -> np.ndarray:
         return _basis_from_rng(seed.generator(_LANE_BASIS), v, n, Y)
 
-    Q = _orthonormalize_over(Y, redraw, weighted_sum)
+    Q = _orthonormalize_over(Y, redraw)
     if Q is not Y:  # Householder's
         Y[...] = Q
     return Y, v

@@ -10,8 +10,9 @@ eigenvector of largest |eigenvalue| points at the planted vector whenever its
 l4 norm differs from the Gaussian value 3/N.  The uncentered variant (without
 the -(3/N) I term) is kept for comparison; it loses the dense case rho = 1.
 
-M's one O(N n^2) product, sum_i w_i y_i y_i^T, is `pvlab._blas.weighted_gram`,
-or an `orth` sampler's sum of it over its last CholeskyQR pass.
+M's one O(N n^2) product, sum_i w_i y_i y_i^T, is `pvlab._blas.weighted_gram`;
+an `orth` trial passes in the same sum over row blocks instead (see
+`pvlab.detection.estimate_instance`).
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def build_statistic(
 
     The row weights are one N-vector, and `pvlab._blas.weighted_gram`
     weights the rows without an N x n copy of Y.  A given `weighted_sum`,
-    sum_i w_i y_i y_i^T as `sample_orthonormal_instance` fills it, is only
-    centered and symmetrized, and Y_obs is not read.
+    sum_i w_i y_i y_i^T as `pvlab.detection.estimate_instance` sums it for
+    an `orth` trial, is only centered and symmetrized, and Y_obs is not read.
     """
     Y = np.asarray(Y_obs, dtype=float)
     N, n = Y.shape

@@ -6,13 +6,16 @@ orthonormal basis of a sampled span build it here from the same lanes and
 private draws (`_br_from_rng`, `_basis_from_rng`, `_haar_from_rng`), so the
 arrays are the bytes those tests have always seen.  `planted_support` reads
 the vector lane itself, so it also sees the all-zero draws the samplers
-reject.
+reject.  `row_block_statistic` is the statistic as an `orth` trial sums it.
 """
+
+import functools
 
 import numpy as np
 
-from pvlab import model_gen
+from pvlab import _blas, model_gen
 from pvlab.model_gen import SeedSpec, apply_rotation
+from pvlab.spectral import _row_weights, build_statistic
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -68,3 +71,14 @@ def first_pass_error(Y: np.ndarray) -> float:
     pass runs where this exceeds n * eps."""
     Q1 = Y @ np.linalg.inv(np.linalg.cholesky(half_sum_gram(Y)).T)
     return float(np.linalg.norm(half_sum_gram(Q1) - np.eye(Y.shape[1])))
+
+
+def row_block_sum(Y: np.ndarray) -> np.ndarray:
+    """sum_i w_i y_i y_i^T over the row blocks of `pvlab._blas.times`, as
+    `detection.estimate_instance` sums it for an `orth` trial."""
+    return _blas.weighted_gram_by_rows(Y, functools.partial(_row_weights, N=len(Y)))
+
+
+def row_block_statistic(Y: np.ndarray, centered: bool = True) -> np.ndarray:
+    """build_statistic(Y, centered) from the row-block sum of an `orth` trial."""
+    return build_statistic(Y, centered, weighted_sum=row_block_sum(Y))

@@ -22,9 +22,10 @@ from pvlab import detection
 from pvlab._blas import one_blas_thread
 from pvlab.detection import estimate_instance, sample_observation
 from pvlab.harness import SweepConfig, run_sweep
-from pvlab.model_gen import SeedSpec, sample_orthonormal_instance
+from pvlab.model_gen import SeedSpec
 from pvlab.spectral import estimate_direction
 
+from sampled import row_block_sum
 from test_detection import on_a_fresh_thread
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,12 +39,8 @@ def this_threads_buffer():
 
 def fresh_estimate(model, N, n, rho, seed):
     """estimate_instance's (result, v) from a freshly allocated sample."""
-    if model == "orth":
-        weighted_sum = np.empty((n, n))
-        Y, v = sample_orthonormal_instance(N, n, rho, seed, weighted_sum)
-        return estimate_direction(Y, weighted_sum=weighted_sum), v
     Y, v = sample_observation(model, N, n, rho, seed)
-    return estimate_direction(Y), v
+    return estimate_direction(Y, weighted_sum=row_block_sum(Y) if model == "orth" else None), v
 
 
 def returned_arrays(result, v):

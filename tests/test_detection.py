@@ -252,9 +252,9 @@ class TestMemoryBudget:
         # one N x n float64 array, its thread's sample buffer, allocated here
         # on a fresh thread: the samplers write their products over the
         # drawn basis, and the statistic weighs a block of columns at a time,
-        # or, for "orth", is summed a block of rows at a time in the last
-        # CholeskyQR pass.  The rest is n x n matrices, N-vectors and the
-        # blocks on two threads.
+        # or, for "orth", is summed over the returned basis a block of rows
+        # at a time.  The rest is n x n matrices, N-vectors and the blocks on
+        # two threads.
         N, n = self.N, self.n
         trial = lambda: estimator(N, n, 0.05, SeedSpec(19))(model)  # noqa: E731
         peak = on_a_fresh_thread(lambda: traced_peak(trial))
@@ -289,10 +289,10 @@ class TestMemoryBudget:
 
     def test_orth_second_pass_holds_at_most_two_observation_arrays(self):
         # At 200000 x 10 this basis's first CholeskyQR pass is not orthonormal
-        # to n * eps, so the second pass runs, in place on Q1, and sums the
-        # statistic.  (With the half-sum Gram matrices no stream of
-        # 100000 x 10 bases probed takes it.)  At n = 10 a block of at least
-        # MIN_PIECE multiply-adds is 41984 rows, a fifth of the basis.
+        # to n * eps, so the second pass runs, in place on Q1, before the
+        # statistic's row-block sum.  (With the half-sum Gram matrices no
+        # stream of 100000 x 10 bases probed takes it.)  At n = 10 a block of
+        # at least MIN_PIECE multiply-adds is 41984 rows, a fifth of the basis.
         N, n, seed = 200000, 10, SeedSpec(19, 1)
         with one_blas_thread():
             assert first_pass_error(unit_basis(N, n, 0.05, seed)) > n * np.finfo(np.float64).eps

@@ -29,7 +29,15 @@ from pvlab.model_gen import (
 )
 from pvlab.spectral import build_statistic, estimate_direction
 
-from sampled import first_pass_error, haar_rotated, half_sum_gram, unit, unit_basis
+from sampled import (
+    first_pass_error,
+    haar_rotated,
+    half_sum_gram,
+    row_block_statistic,
+    row_block_sum,
+    unit,
+    unit_basis,
+)
 
 
 class TestSeedSpec:
@@ -389,8 +397,8 @@ class TestOrthonormalize:
         # values: the public function's input, or the sampler's redrawn lane.
         real = model_gen._cholesky_qr2
 
-        def refused_after_first_pass(Y, G, weights=None):
-            real(Y, G, weights)
+        def refused_after_first_pass(Y, G):
+            real(Y, G)
             return None
 
         monkeypatch.setattr(model_gen, "_cholesky_qr2", refused_after_first_pass)
@@ -404,15 +412,16 @@ class TestOrthonormalize:
 
     def test_householder_q_is_written_over_out(self, monkeypatch):
         # Householder's Q is a fresh array; a sampler given `out` copies it
-        # there, so the observation is always the caller's array.
-        monkeypatch.setattr(model_gen, "_cholesky_qr2", lambda Y, G, weights=None: None)
+        # there, so the observation is always the caller's array, and the
+        # statistic an `orth` trial sums over it is Q's.
+        monkeypatch.setattr(model_gen, "_cholesky_qr2", lambda Y, G: None)
         seed = SeedSpec(59)
         expected = householder_oracle(unit_basis(3000, 20, 0.05, seed))
         out = np.full((3000, 20), np.nan)
-        T = np.empty((20, 20))
-        Yh, _ = sample_orthonormal_instance(3000, 20, 0.05, seed, T, out=out)
+        Yh, _ = sample_orthonormal_instance(3000, 20, 0.05, seed, out=out)
         assert Yh is out
         assert out.tobytes() == expected.tobytes()
+        T = row_block_sum(Yh)
         assert np.allclose(T, build_statistic(expected, centered=False), rtol=0, atol=1e-15)
 
     def test_nearly_collinear_basis_takes_the_second_pass(self):
@@ -449,22 +458,20 @@ class TestOrthonormalize:
 
     @BRANCHES
     def test_weighted_sum_on_every_branch(self, make):
-        # sample_orthonormal_instance's path: the statistic's weighted sum is
-        # filled from the pass that writes Q, and never changes Q's bytes.
+        # An `orth` trial's path: the sampler writes Q over the drawn basis
+        # with orthonormalize's bytes, and the statistic summed over Q's row
+        # blocks is build_statistic's up to rounding.
         Y = make()
-        n = Y.shape[1]
-        T = np.full((n, n), -7.0)
         try:
-            Q = model_gen._orthonormalize_over(Y.copy(), lambda: Y.copy(), T)
+            Q = model_gen._orthonormalize_over(Y.copy(), lambda: Y.copy())
         except ValueError:
             with pytest.raises(ValueError):
                 orthonormalize(Y)
-            assert np.all(T == -7.0)  # raised before the sum was written
             return
         assert Q.tobytes() == orthonormalize(Y).tobytes()
         for centered in (True, False):
             M = build_statistic(Q, centered)
-            summed = build_statistic(Q, centered, weighted_sum=T)
+            summed = row_block_statistic(Q, centered)
             assert np.max(np.abs(summed - M)) <= 1e-13 * np.max(np.abs(M))
 
     @pytest.mark.parametrize("layout", ["strided", "fortran", "readonly", "int"])
@@ -623,14 +630,6 @@ class TestModelInstances:
     def test_rejects_out_of_domain(self, sample, N, n, rho):
         with pytest.raises(ValueError):
             sample(N, n, rho, SeedSpec(51))
-
-    @pytest.mark.parametrize(
-        "weighted_sum", [np.empty((4, 5)), np.empty((5, 5), dtype=np.float32)],
-        ids=["shape", "dtype"],
-    )
-    def test_rejects_a_weighted_sum_of_another_shape_or_dtype(self, weighted_sum):
-        with pytest.raises(ValueError, match="weighted_sum must be a 5 x 5 float64 array"):
-            sample_orthonormal_instance(50, 5, 0.5, SeedSpec(51), weighted_sum=weighted_sum)
 
     @pytest.mark.parametrize("sample", SAMPLERS, ids=SAMPLER_IDS)
     @pytest.mark.parametrize(

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pvlab.detection import estimator
 from pvlab.model_gen import (
     SeedSpec,
     sample_br_vector,
+    sample_detection_pair,
     sample_haar_rotation,
     sample_rotated_instance,
     sample_orthonormal_instance,
@@ -27,7 +29,7 @@ from pvlab.spectral import (
 )
 
 from oracles import rank_one_bound_check
-from sampled import haar_rotated, unit, unit_rotated_instance
+from sampled import haar_rotated, row_block_statistic, unit, unit_rotated_instance
 
 
 class TestBuildStatistic:
@@ -336,3 +338,25 @@ class TestStatisticalBehaviour:
             obs, _ = sample_rotated_instance(10000, 20, 1.0, SeedSpec(22, t))
             hits += estimate_direction(obs).leading_value < 0
         assert hits == 10
+
+    @pytest.mark.parametrize("path", ["build_statistic", "row_blocks", "sweep"])
+    def test_null_statistic_is_unbiased(self, path):
+        # Under the null E[M] = 0 exactly: per row E[||y||^2 y y^T] is
+        # (n+2)/N^2 I, which the weight's -(n-1)/N and the -(3/N) I cancel.
+        # Fixed in advance: 200 draws at N=2000, n=10, rho=0.1; every
+        # upper-triangle entry of the mean M lies within 5 standard errors
+        # of 0.  Dropping -(3/N) I reads about 168 standard errors, and
+        # (n-1)/N -> n/N about 61.
+        N, n, rho, K = 2000, 10, 0.1, 200
+
+        def null_statistic(seed):
+            if path == "sweep":
+                return estimator(N, n, rho, seed)("null")[0].statistic
+            Y, _ = sample_detection_pair(N, n, rho, seed, "null")
+            return build_statistic(Y) if path == "build_statistic" else row_block_statistic(Y)
+
+        Ms = np.array([null_statistic(SeedSpec(2022, t)) for t in range(K)])
+        upper = np.triu_indices(n)
+        mean = Ms.mean(axis=0)[upper]
+        standard_error = Ms.std(axis=0, ddof=1)[upper] / np.sqrt(K)
+        assert np.max(np.abs(mean) / standard_error) <= 5

@@ -8,7 +8,6 @@ check that a failure in the worker's piece reaches the caller and leaves
 the worker usable.
 """
 
-import functools
 import sys
 import threading
 import time
@@ -28,7 +27,14 @@ from pvlab.model_gen import (
 )
 from pvlab.spectral import _row_weights, build_statistic
 
-from sampled import basis_around, first_pass_error, half_sum_gram, lane_rotation, unit_basis
+from sampled import (
+    basis_around,
+    first_pass_error,
+    half_sum_gram,
+    lane_rotation,
+    row_block_sum,
+    unit_basis,
+)
 
 
 def in_order(block, edges, parallel=True):
@@ -75,15 +81,12 @@ def worker_calls(monkeypatch):
     return calls
 
 
-def weights_of(N):
-    """The statistic's row weights for blocks of rows of an N-row basis."""
-    return functools.partial(_row_weights, N=N)
-
-
 def times_and_sum(N, n):
-    """Y @ R written over Y and its weighted sum, as one array."""
+    """Y @ R written over Y, then the statistic's sum over its row blocks,
+    as one array: an `orth` trial's last product and its sum."""
     Y = basis(N, n)
-    T = _blas.times_and_sum(Y, rotation(n), weights_of(N))
+    _blas.times(Y, rotation(n), out=Y)
+    T = row_block_sum(Y)
     return np.concatenate([Y.ravel(), T.ravel()])
 
 
@@ -167,16 +170,16 @@ def test_blocked_statistic_equals_one_call(N, n, placement, worker_calls, monkey
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("N, n", BLOCKED_STATISTIC, ids=[f"{N}x{n}" for N, n in BLOCKED_STATISTIC])
 def test_times_and_sum_is_times_and_the_weighted_sum(N, n, placement, worker_calls, monkeypatch):
-    # Q keeps times' bytes; summing an existing Q (R = None) adds the same
-    # blocks in the same order and leaves Q unwritten; T is the statistic's
-    # sum up to rounding.
+    # times written over Y keeps the fresh product's bytes; the row-block
+    # sum over Q leaves Q unwritten and is the statistic's sum up to
+    # rounding.
     Y, R = basis(N, n), rotation(n)
     with _blas.one_blas_thread():
         placed(placement, monkeypatch)
         Q = _blas.times(Y, R)
-        T = _blas.times_and_sum(Y, R, weights_of(N))
+        assert _blas.times(Y, R, out=Y) is Y
         assert Y.tobytes() == Q.tobytes()
-        assert _blas.times_and_sum(Q, None, weights_of(N)).tobytes() == T.tobytes()
+        T = row_block_sum(Q)
         assert Q.tobytes() == Y.tobytes()
     one_call = (Q * _row_weights(Q, N)[:, None]).T @ Q
     assert np.max(np.abs(T - one_call)) <= 1e-13 * np.max(np.abs(one_call))
@@ -201,8 +204,6 @@ def test_samplers_equal_the_out_of_place_products(N, n, placement, monkeypatch):
         assert rotated.tobytes() == out_of_place.tobytes()
         orth, _ = sample_orthonormal_instance(N, n, 0.05, seed)
         assert orth.tobytes() == orthonormalize(unit_basis(N, n, 0.05, seed)).tobytes()
-        summed, _ = sample_orthonormal_instance(N, n, 0.05, seed, weighted_sum=np.empty((n, n)))
-        assert summed.tobytes() == orth.tobytes()
 
 
 # Collinear bases whose second pass, taken as 1024-row blocks, differed
@@ -307,12 +308,13 @@ class TestWorkerFailures:
         large = basis(N, n)
         large[15000:] *= 1e90
         with _blas.one_blas_thread():
+            Q = _blas.times(Y, R)
             with pytest.raises(RuntimeError, match="worker piece failed"):
-                _blas.times_and_sum(Y.copy(), R, fails_on_the_worker)
+                _blas.weighted_gram_by_rows(Q, fails_on_the_worker)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                _blas.times_and_sum(large, None, weights_of(N))
+                row_block_sum(large)
             assert worker_calls
-            T = _blas.times_and_sum(Y.copy(), R, weights_of(N))
+            T = row_block_sum(Q)
             assert T.tobytes() == times_and_sum(N, n)[N * n:].tobytes()
 
     def test_sweep_records_a_unit_whose_worker_piece_raised(self, monkeypatch):
