@@ -1,13 +1,13 @@
 """A trial's O(N n^2) products on two threads, and the BLAS thread count.
 
-`times` (Y @ R), `gram` (Y^T Y), `weighted_gram` ((Y * w)^T Y in column
-blocks) and `weighted_gram_by_rows` (that sum in `times`' row blocks) are
-cut into blocks fixed by the shape, and `_on_two_threads` runs the blocks
-as two pieces, on the calling thread and on one worker thread, under one
-BLAS thread.  Where a piece runs never moves a bit.  Every block of `times`
-and `weighted_gram` does at least MIN_PIECE multiply-adds, so they keep the
-bits of one full product; `gram` is the sum of two row halves, and
-`weighted_gram_by_rows` the sum of its two pieces' sums.
+`times` (Y @ R), `gram` (Y^T Y) and `build_statistic`'s kernels,
+`weighted_gram` ((Y * w)^T Y in column blocks) and `weighted_gram_by_rows`
+(that sum in `times`' row blocks), are cut into blocks fixed by the shape, and
+`_on_two_threads` runs the blocks as two pieces, on the calling thread and on
+one worker thread, under one BLAS thread.  Where a piece runs never moves a
+bit.  Every block of `times` and `weighted_gram` does at least MIN_PIECE
+multiply-adds, so they keep the bits of one full product; `gram` is the sum of
+two row halves, and `weighted_gram_by_rows` the sum of its two pieces' sums.
 
 numpy's wheels bundle OpenBLAS in a `numpy.libs` directory next to the
 package; its exported `scipy_openblas_{get,set}_num_threads64_` are called
@@ -184,22 +184,23 @@ def gram(Y: np.ndarray) -> np.ndarray:
         return upper + lower
 
 
-def weighted_gram(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(Y * w[:, None])^T Y for an N-vector w, a block of its rows at a
-    time: M[a:c] = (Y[:, a:c] * w)^T Y, so no N x n weighted copy of Y is
-    made.  A block is about n/8 columns wide, at least two (numpy multiplies
-    a single column with gemv, not gemm) and at least MIN_PIECE
+def weighted_gram(Y: np.ndarray, weights) -> np.ndarray:
+    """(Y * w[:, None])^T Y for w = weights(Y), an N-vector, a block of its
+    rows at a time: M[a:c] = (Y[:, a:c] * w)^T Y, so no N x n weighted copy
+    of Y is made.  A block is about n/8 columns wide, at least two (numpy
+    multiplies a single column with gemv, not gemm) and at least MIN_PIECE
     multiply-adds.
 
     Each block packs all of Y again, so Y is read about n/width ~ 8 times:
     at 40000 x 200 this took 106-112 ms, against 53-54 ms for the row blocks
     of `weighted_gram_by_rows`, which read Y once (one BLAS thread, 2 cores,
-    medians of 9).  Only the `gaussian` and `null` trials still take it: a
-    row-block sum moves their statistic's bytes, which the benchmark's
-    references pin.  Once those are regenerated, this function can go.
+    medians of 9).  `build_statistic` takes it unless by_rows: a row-block
+    sum moves the `gaussian` and `null` statistics' bytes, which the
+    benchmark's references pin; once they are regenerated, both can go.
     """
     N, n = Y.shape
     width = max(2, -(-n // 8), -(-MIN_PIECE // (N * n)))
+    w = weights(Y)
     M = np.empty((n, n))
 
     def rows(a: int, c: int) -> None:

@@ -15,7 +15,7 @@ calls.
 
 `estimate_instance` samples into one reused float64 buffer per thread (see
 `_sample_buffer`), so a run of trials does not allocate and free an N x n
-array per trial.
+array per trial; only `spectral.build_statistic` builds M, from the sample.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas
 from .model_gen import (
     SeedSpec,
     _check_instance_params,
@@ -37,7 +36,6 @@ from .model_gen import (
 from .spectral import (
     ErrorReport,
     SpectralResult,
-    _row_weights,
     build_statistic,
     estimate_direction,
     recover_gaussian_rule,
@@ -98,6 +96,10 @@ def spectral_norm_outcome(
 ) -> DetectionOutcome:
     """Decision rule: planted iff the statistic exceeds c1/(6*N*rho)."""
     _check_c1(c1)
+    if not 0 < rho <= 1:
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    if not np.isfinite(stat_value):
+        raise ValueError(f"statistic must be finite, got {stat_value}")
     threshold = c1 / (6.0 * N * rho)
     decision = "planted" if stat_value > threshold else "null"
     return DetectionOutcome(stat_value, threshold, decision)
@@ -118,8 +120,8 @@ def l1l2_test(candidate: np.ndarray, c1: float = DEFAULT_C1) -> DetectionOutcome
     _check_c1(c1)
     v = np.asarray(candidate, dtype=float)
     l2 = float(np.linalg.norm(v))
-    if l2 == 0.0:
-        raise ValueError("l1/l2 test needs a nonzero candidate vector")
+    if not 0 < l2 < np.inf:  # a nan or an inf entry makes l2 nan or inf
+        raise ValueError(f"l1/l2 test needs a nonzero candidate with a finite norm, got {l2}")
     N = v.size
     deviation = abs(float(np.abs(v).sum()) / l2 - np.sqrt(2.0 * N / np.pi))
     threshold = c1 * np.sqrt(N) / 4.0
@@ -174,20 +176,17 @@ def estimate_instance(
     model: str, N: int, n: int, rho: float, seed: SeedSpec, centered: bool = True
 ) -> tuple[SpectralResult, np.ndarray | None]:
     """(result, v) for `model`'s instance on `seed`, for `pvlab estimate`
-    and the sweep alike.  An "orth" statistic is summed over the basis's row
-    blocks (`pvlab._blas.weighted_gram_by_rows`), reading it once; the other
-    models keep `build_statistic`'s column blocks, whose bytes the
-    benchmark's references pin.
+    and the sweep alike: check the domain, sample, and estimate.  An "orth"
+    statistic is summed over the basis's row blocks (`build_statistic`'s
+    by_rows), reading it once; the other models keep its column blocks,
+    whose bytes the benchmark's references pin.
 
     The instance is sampled into this thread's buffer (`_sample_buffer`),
     which the next call on the thread overwrites; the returned arrays are
     fresh and never share its memory."""
     _check_instance_params(N, n, rho)  # before the buffer takes a shape no sampler accepts
     Y, v = sample_observation(model, N, n, rho, seed, out=_sample_buffer(N, n))
-    weighted_sum = None
-    if model == "orth":
-        weighted_sum = _blas.weighted_gram_by_rows(Y, functools.partial(_row_weights, N=N))
-    return estimate_direction(Y, centered, weighted_sum=weighted_sum), v
+    return estimate_direction(Y, centered, by_rows=model == "orth"), v
 
 
 def recover(

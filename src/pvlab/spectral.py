@@ -10,13 +10,14 @@ eigenvector of largest |eigenvalue| points at the planted vector whenever its
 l4 norm differs from the Gaussian value 3/N.  The uncentered variant (without
 the -(3/N) I term) is kept for comparison; it loses the dense case rho = 1.
 
-M's one O(N n^2) product, sum_i w_i y_i y_i^T, is `pvlab._blas.weighted_gram`;
-an `orth` trial passes in the same sum over row blocks instead (see
-`pvlab.detection.estimate_instance`).
+M's one O(N n^2) product, sum_i w_i y_i y_i^T, is summed only in
+`build_statistic`, from Y: over `pvlab._blas.weighted_gram`'s column
+blocks, or over `weighted_gram_by_rows`' row blocks for an `orth` trial.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,24 +62,22 @@ def _row_weights(rows: np.ndarray, N: int) -> np.ndarray:
 
 
 def build_statistic(
-    Y_obs: np.ndarray, centered: bool = True, weighted_sum: np.ndarray | None = None
+    Y_obs: np.ndarray, centered: bool = True, *, by_rows: bool = False
 ) -> np.ndarray:
     """Accumulate the degree-4 statistic M from the rows of the observation.
 
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
 
-    The row weights are one N-vector, and `pvlab._blas.weighted_gram`
-    weights the rows without an N x n copy of Y.  A given `weighted_sum`,
-    sum_i w_i y_i y_i^T as `pvlab.detection.estimate_instance` sums it for
-    an `orth` trial, is only centered and symmetrized, and Y_obs is not read.
+    Neither kernel makes an N x n weighted copy of Y.  The column blocks of
+    `pvlab._blas.weighted_gram` are the default; by_rows=True takes the row
+    blocks of `weighted_gram_by_rows`, which read Y once.  `orth` trials take
+    the row blocks; the benchmark's references pin the others' bytes.
     """
     Y = np.asarray(Y_obs, dtype=float)
     N, n = Y.shape
-    if weighted_sum is None:
-        M = _blas.weighted_gram(Y, _row_weights(Y, N))
-    else:
-        M = np.array(weighted_sum, dtype=float)
+    weighted_gram = _blas.weighted_gram_by_rows if by_rows else _blas.weighted_gram
+    M = weighted_gram(Y, functools.partial(_row_weights, N=N))
     if centered:
         M -= (3.0 / N) * np.eye(n)
     return 0.5 * (M + M.T)
@@ -110,12 +109,12 @@ def _canonical_sign(u: np.ndarray) -> np.ndarray:
 
 
 def estimate_direction(
-    Y_obs: np.ndarray, centered: bool = True, weighted_sum: np.ndarray | None = None
+    Y_obs: np.ndarray, centered: bool = True, *, by_rows: bool = False
 ) -> SpectralResult:
-    """Build the statistic (from `weighted_sum` when given), take its leading
+    """Build the statistic (over row blocks when by_rows), take its leading
     eigenpair, and lift the eigenvector back to observation space via Y_obs @ u."""
     Y = np.asarray(Y_obs, dtype=float)
-    M = build_statistic(Y, centered=centered, weighted_sum=weighted_sum)
+    M = build_statistic(Y, centered=centered, by_rows=by_rows)
     lam, u, gap = leading_eigenpair(M)
     return SpectralResult(M, lam, Y @ u, gap)
 

@@ -3,8 +3,10 @@
 The brute-force enumeration of adv^2 checks the low-degree dynamic program
 (`pvlab.lowdeg.advantage`), the exact integer Hermite coefficients and their
 Gaussian integration check the Hermite recurrence, and the rank-one
-eigenvector perturbation bound is checked on explicit instances.  None of
-these runs in a `pvlab` command or sweep, so they live with the tests.
+eigenvector perturbation bound is checked on explicit instances.  The
+statistic's two scales in closed form, the planted signal and the null
+spectral norm, are checked against sampled statistics.  None of these runs
+in a `pvlab` command or sweep, so they live with the tests.
 """
 
 import math
@@ -161,3 +163,17 @@ def rank_one_bound_check(
     else:
         rhs = np.inf
     return lhs, float(rhs), applicable
+
+
+def planted_signal(v: np.ndarray) -> float:
+    """||v||_4^4 - 3/N: in the hidden basis, E[M]'s entry in the planted
+    direction, for a unit-norm planted vector v."""
+    return float(np.sum(v**4) - 3.0 / v.size)
+
+
+def null_norm_scale(N: int, n: int) -> float:
+    """2 sqrt(n (2n + 33)) N^(-3/2), the null spectral norm of M predicted
+    by the semicircle edge: an off-diagonal entry of M has variance
+    (2n + 33) / N^3 under the null, from the Gaussian fourth and sixth
+    moments.  It fails as n/N grows (at n/N = 1/2)."""
+    return 2.0 * np.sqrt(n * (2 * n + 33)) * N**-1.5

@@ -6,7 +6,8 @@ orthonormal basis of a sampled span build it here from the same lanes and
 private draws (`_br_from_rng`, `_basis_from_rng`, `_haar_from_rng`), so the
 arrays are the bytes those tests have always seen.  `planted_support` reads
 the vector lane itself, so it also sees the all-zero draws the samplers
-reject.  `row_block_statistic` is the statistic as an `orth` trial sums it.
+reject.  `row_block_statistic` is the statistic as an `orth` trial sums it,
+built from `pvlab._blas` directly, not through `build_statistic`.
 """
 
 import functools
@@ -15,7 +16,7 @@ import numpy as np
 
 from pvlab import _blas, model_gen
 from pvlab.model_gen import SeedSpec, apply_rotation
-from pvlab.spectral import _row_weights, build_statistic
+from pvlab.spectral import _row_weights
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -79,6 +80,18 @@ def row_block_sum(Y: np.ndarray) -> np.ndarray:
     return _blas.weighted_gram_by_rows(Y, functools.partial(_row_weights, N=len(Y)))
 
 
+def column_block_sum(Y: np.ndarray) -> np.ndarray:
+    """sum_i w_i y_i y_i^T over the column blocks of `pvlab._blas.weighted_gram`,
+    as `build_statistic` sums it for a `gaussian` or `null` trial."""
+    return _blas.weighted_gram(Y, functools.partial(_row_weights, N=len(Y)))
+
+
+def centered_statistic(T: np.ndarray, N: int, centered: bool = True) -> np.ndarray:
+    """A weighted sum T centered and symmetrized as `build_statistic` does."""
+    M = T - (3.0 / N) * np.eye(len(T)) if centered else T
+    return 0.5 * (M + M.T)
+
+
 def row_block_statistic(Y: np.ndarray, centered: bool = True) -> np.ndarray:
-    """build_statistic(Y, centered) from the row-block sum of an `orth` trial."""
-    return build_statistic(Y, centered, weighted_sum=row_block_sum(Y))
+    """The statistic of an `orth` trial, from the row-block sum itself."""
+    return centered_statistic(row_block_sum(Y), len(Y), centered)

@@ -23,9 +23,9 @@ from pvlab._blas import one_blas_thread
 from pvlab.detection import estimate_instance, sample_observation
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.model_gen import SeedSpec
-from pvlab.spectral import estimate_direction
+from pvlab.spectral import SpectralResult, estimate_direction, leading_eigenpair
 
-from sampled import row_block_sum
+from sampled import row_block_statistic
 from test_detection import on_a_fresh_thread
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,9 +38,14 @@ def this_threads_buffer():
 
 
 def fresh_estimate(model, N, n, rho, seed):
-    """estimate_instance's (result, v) from a freshly allocated sample."""
+    """estimate_instance's (result, v) from a freshly allocated sample, an
+    `orth` statistic summed over row blocks by `_blas` directly."""
     Y, v = sample_observation(model, N, n, rho, seed)
-    return estimate_direction(Y, weighted_sum=row_block_sum(Y) if model == "orth" else None), v
+    if model != "orth":
+        return estimate_direction(Y), v
+    M = row_block_statistic(Y)
+    lam, u, gap = leading_eigenpair(M)
+    return SpectralResult(M, lam, Y @ u, gap), v
 
 
 def returned_arrays(result, v):

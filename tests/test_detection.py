@@ -7,11 +7,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from pvlab import _blas, detection, spectral
 from pvlab._blas import one_blas_thread
 from pvlab.detection import (
     decide,
     detect_via_estimation,
     error_rates,
+    estimate_instance,
     estimator,
     l1l2_test,
     sample_observation,
@@ -25,9 +27,16 @@ from pvlab.model_gen import (
     sample_gaussian_basis,
     sample_haar_rotation,
 )
-from pvlab.spectral import estimate_direction
+from pvlab.harness import SweepConfig, run_sweep
+from pvlab.spectral import SpectralResult, estimate_direction
 
-from sampled import first_pass_error, unit_basis
+from sampled import (
+    centered_statistic,
+    column_block_sum,
+    first_pass_error,
+    row_block_sum,
+    unit_basis,
+)
 
 
 class TestSpectralNormTest:
@@ -108,6 +117,15 @@ class TestL1L2Test:
             g = SeedSpec(6, t).generator().normal(size=10000)
             hits += l1l2_test(g).decision == "null"
         assert hits >= 99
+
+    def test_deviation_at_the_threshold_is_planted(self):
+        # At N = 16 the threshold c1*sqrt(N)/4 is c1 exactly, so c1 can be
+        # set to the deviation itself: "at least" the threshold is planted.
+        v = SeedSpec(5).generator().normal(size=16)
+        deviation = l1l2_test(v).statistic_value
+        out = l1l2_test(v, c1=deviation)
+        assert out.threshold == out.statistic_value
+        assert out.decision == "planted"
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
@@ -220,6 +238,99 @@ class TestDispatch:
         ):
             with pytest.raises(ValueError, match="c1 must be positive and finite"):
                 call()
+
+    @pytest.mark.parametrize("rho", [0.0, -0.1, 1.5, float("nan"), float("inf")])
+    def test_rho_outside_the_domain_rejected(self, rho):
+        # rho = 0 divided by zero; rho < 0 gave a negative threshold and
+        # "planted", and rho = nan a nan threshold and "null".
+        obs, _ = sample_observation("null", 50, 2, 0.5, SeedSpec(19))
+        result = estimate_direction(obs)
+        for call in (
+            lambda: spectral_norm_outcome(1e-3, 1000, rho),
+            lambda: spectral_norm_test(obs, rho),
+            lambda: decide("spectral", result, rho),
+        ):
+            with pytest.raises(ValueError, match=r"rho must be in \(0, 1\]"):
+                call()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_statistic_rejected(self, value):
+        # A nan statistic was called "null".
+        with pytest.raises(ValueError, match="statistic must be finite"):
+            spectral_norm_outcome(value, 1000, 0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_candidate_rejected(self, value):
+        # A candidate holding a nan or an inf was called "null".
+        candidate = SeedSpec(19).generator().normal(size=100)
+        candidate[7] = value
+        with pytest.raises(ValueError, match="finite norm"):
+            l1l2_test(candidate)
+        result = SpectralResult(np.eye(2), 1.0, candidate, 0.5)
+        with pytest.raises(ValueError, match="finite norm"):
+            decide("l1l2", result, 0.1)
+        with pytest.raises(ValueError, match="statistic must be finite"):
+            decide("spectral", SpectralResult(np.full((2, 2), value), 1.0, candidate, 0.5), 0.1)
+
+
+class TestStatisticKernel:
+    # At 8000 x 40 the row blocks (3072 rows) and the column blocks (14
+    # columns) are two blocks each, and the two sums differ at roundoff; at
+    # 3000 x 40 each is one block and they agree bit for bit.
+    N, n, rho = 8000, 40, 0.05
+
+    @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
+    def test_each_model_sums_over_its_own_blocks(self, model):
+        N, n, rho, seed = self.N, self.n, self.rho, SeedSpec(23)
+        with one_blas_thread():
+            Y, _ = sample_observation(model, N, n, rho, seed)
+            by_rows = centered_statistic(row_block_sum(Y), N)
+            by_columns = centered_statistic(column_block_sum(Y), N)
+            M = estimate_instance(model, N, n, rho, seed)[0].statistic
+        assert by_rows.tobytes() != by_columns.tobytes()
+        expected = by_rows if model == "orth" else by_columns
+        assert M.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", ["gaussian", "orth"])
+    def test_a_unit_builds_one_statistic_per_instance(self, model, monkeypatch):
+        # The tier-1 stand-in for the benchmark's per-unit counts: one
+        # build_statistic per distinct instance, and the row-block kernel
+        # only inside it, and only for "orth".
+        events = []
+        depth = 0
+        sample, build, rows = (
+            detection.sample_observation, spectral.build_statistic, _blas.weighted_gram_by_rows
+        )
+
+        def sample_recorder(model, *args, **kwargs):
+            events.append(("sample", model))
+            return sample(model, *args, **kwargs)
+
+        def build_recorder(*args, **kwargs):
+            nonlocal depth
+            events.append(("statistic",))
+            depth += 1
+            try:
+                return build(*args, **kwargs)
+            finally:
+                depth -= 1
+
+        def rows_recorder(*args, **kwargs):
+            events.append(("rows", depth))
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "sample_observation", sample_recorder)
+        monkeypatch.setattr(spectral, "build_statistic", build_recorder)
+        monkeypatch.setattr(_blas, "weighted_gram_by_rows", rows_recorder)
+        tasks = ["recover", "detect_spectral", "detect_l1l2"]
+        config = SweepConfig([self.N], [self.n], [self.rho], trials=1, model=model, tasks=tasks)
+        run_sweep(config)
+        sampled = [event[1] for event in events if event[0] == "sample"]
+        assert sorted(sampled) == sorted({model, "null", "gaussian"})
+        expected = []
+        for m in sampled:
+            expected += [("sample", m), ("statistic",)] + ([("rows", 1)] if m == "orth" else [])
+        assert events == expected
 
 
 def traced_peak(fn):

@@ -28,7 +28,7 @@ from pvlab.spectral import (
     signs_match,
 )
 
-from oracles import rank_one_bound_check
+from oracles import null_norm_scale, planted_signal, rank_one_bound_check
 from sampled import haar_rotated, row_block_statistic, unit, unit_rotated_instance
 
 
@@ -41,8 +41,7 @@ class TestBuildStatistic:
     def test_single_column_is_l4_minus_center(self):
         v = unit(sample_br_vector(50, 0.4, SeedSpec(1)))
         M = build_statistic(v[:, None])
-        expected = np.sum(v**4) - 3.0 / 50
-        assert M[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert M[0, 0] == pytest.approx(planted_signal(v), rel=1e-12)
 
     def test_centered_vs_uncentered_differ_by_identity(self):
         obs, _ = sample_rotated_instance(300, 6, 0.2, SeedSpec(2))
@@ -218,6 +217,16 @@ class TestRecoveryRules:
         out = recover_gaussian_rule(v + noise, 0.1)
         assert np.array_equal(out, v)
 
+    def test_gaussian_rule_threshold_is_half_the_magnitude(self):
+        # N = 4, rho = 0.25: the magnitude 1/sqrt(N rho) is 1, and an entry
+        # is kept from 0.5 on.
+        out = recover_gaussian_rule(np.array([0.5, 0.49, -0.5, -0.49]), 0.25)
+        assert np.array_equal(out, np.array([1.0, 0.0, -1.0, 0.0]))
+
+    def test_orthonormal_rule_threshold_is_half_the_peak(self):
+        out = recover_orthonormal_rule(np.array([2.0, 1.0, 0.98, -1.0]))
+        assert np.array_equal(out, np.array([1.0, 1.0, 0.0, -1.0]) / np.sqrt(3))
+
     def test_orthonormal_rule_small_entries_dropped(self):
         out = recover_orthonormal_rule(np.array([1.0, -1.0, 0.2]))
         assert np.allclose(out, np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
@@ -328,7 +337,7 @@ class TestStatisticalBehaviour:
         for t in range(20):
             obs, v = unit_rotated_instance(4000, 20, 0.02, SeedSpec(21, t))
             res = estimate_direction(obs)
-            signal = abs(np.sum(v**4) - 3.0 / 4000)
+            signal = abs(planted_signal(v))
             hits += 0.5 <= abs(res.leading_value) / signal <= 1.5
         assert hits >= 19
 
@@ -360,3 +369,17 @@ class TestStatisticalBehaviour:
         mean = Ms.mean(axis=0)[upper]
         standard_error = Ms.std(axis=0, ddof=1)[upper] / np.sqrt(K)
         assert np.max(np.abs(mean) / standard_error) <= 5
+
+    @pytest.mark.parametrize("N, n", [(4000, 20), (10000, 20), (40000, 50)])
+    def test_null_norm_matches_the_closed_form(self, N, n):
+        # Fixed in advance: 40 null draws per cell on SeedSpec(2024, t)
+        # through the sweep's path; the median of ||M|| over
+        # null_norm_scale(N, n) lies in [0.9, 1.1].
+        K = 40
+
+        def null_norm(seed):
+            M = estimator(N, n, 0.1, seed)("null")[0].statistic
+            return np.max(np.abs(np.linalg.eigvalsh(M)))
+
+        ratios = [null_norm(SeedSpec(2024, t)) / null_norm_scale(N, n) for t in range(K)]
+        assert 0.9 <= np.median(ratios) <= 1.1
