@@ -1,13 +1,12 @@
 """A trial's O(N n^2) products on two threads, and the BLAS thread count.
 
-`times` (Y @ R), `gram` (Y^T Y) and `build_statistic`'s kernels,
-`weighted_gram` ((Y * w)^T Y in column blocks) and `weighted_gram_by_rows`
-(that sum in `times`' row blocks), are cut into blocks fixed by the shape, and
+`times` (Y @ R), `gram` (Y^T Y) and `weighted_gram` (`build_statistic`'s
+sum of w_i y_i y_i^T) are cut into blocks fixed by the shape, and
 `_on_two_threads` runs the blocks as two pieces, on the calling thread and on
 one worker thread, under one BLAS thread.  Where a piece runs never moves a
-bit.  Every block of `times` and `weighted_gram` does at least MIN_PIECE
-multiply-adds, so they keep the bits of one full product; `gram` is the sum of
-two row halves, and `weighted_gram_by_rows` the sum of its two pieces' sums.
+bit.  Every block of `times` does at least MIN_PIECE multiply-adds, so it
+keeps the bits of one full product; `gram` is the sum of two row halves, and
+`weighted_gram` the sum of its two pieces' sums over `times`' row blocks.
 
 numpy's wheels bundle OpenBLAS in a `numpy.libs` directory next to the
 package; its exported `scipy_openblas_{get,set}_num_threads64_` are called
@@ -155,7 +154,7 @@ def _edges(length: int, size: int) -> list[int]:
 
 
 def _row_edges(N: int, n: int) -> list[int]:
-    """Edges of the row blocks of `times` and `weighted_gram_by_rows`."""
+    """Edges of the row blocks of `times` and `weighted_gram`."""
     return _edges(N, -(-MIN_PIECE // (1024 * n * n)) * 1024)
 
 
@@ -185,39 +184,13 @@ def gram(Y: np.ndarray) -> np.ndarray:
 
 
 def weighted_gram(Y: np.ndarray, weights) -> np.ndarray:
-    """(Y * w[:, None])^T Y for w = weights(Y), an N-vector, a block of its
-    rows at a time: M[a:c] = (Y[:, a:c] * w)^T Y, so no N x n weighted copy
-    of Y is made.  A block is about n/8 columns wide, at least two (numpy
-    multiplies a single column with gemv, not gemm) and at least MIN_PIECE
-    multiply-adds.
-
-    Each block packs all of Y again, so Y is read about n/width ~ 8 times:
-    at 40000 x 200 this took 106-112 ms, against 53-54 ms for the row blocks
-    of `weighted_gram_by_rows`, which read Y once (one BLAS thread, 2 cores,
-    medians of 9).  `build_statistic` takes it unless by_rows: a row-block
-    sum moves the `gaussian` and `null` statistics' bytes, which the
-    benchmark's references pin; once they are regenerated, both can go.
-    """
-    N, n = Y.shape
-    width = max(2, -(-n // 8), -(-MIN_PIECE // (N * n)))
-    w = weights(Y)
-    M = np.empty((n, n))
-
-    def rows(a: int, c: int) -> None:
-        M[a:c] = (Y[:, a:c] * w[:, None]).T @ Y
-
-    _on_two_threads(rows, _edges(n, width))
-    return M
-
-
-def weighted_gram_by_rows(Y: np.ndarray, weights) -> np.ndarray:
     """sum_i w_i y_i y_i^T over Y's rows, where weights(rows) gives the w_i
-    of a block of rows: `weighted_gram`'s sum over the row blocks of
-    `times`, so Y is read once.  The weights are made a block at a time:
-    at 200000 x 10 an N-vector of them took an `orth` trial's usual peak
-    from 1.68-1.75 to 1.79-1.83 N x n.  Each piece sums its own blocks in order,
-    and the result is the first piece's sum plus the second's, on one
-    thread or two."""
+    of a block of rows, summed over the row blocks of `times`: Y is read
+    once, and no N x n weighted copy of it is made.  The weights are made a
+    block at a time: at 200000 x 10 an N-vector of them took an `orth`
+    trial's usual peak from 1.68-1.75 to 1.79-1.83 N x n.  Each piece sums
+    its own blocks in order, and the result is the first piece's sum plus
+    the second's, on one thread or two."""
     N, n = Y.shape
     edges = _row_edges(N, n)
     split = edges[_middle(edges)]

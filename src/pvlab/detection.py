@@ -21,6 +21,7 @@ array per trial; only `spectral.build_statistic` builds M, from the sample.
 from __future__ import annotations
 
 import functools
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -96,6 +97,8 @@ def spectral_norm_outcome(
 ) -> DetectionOutcome:
     """Decision rule: planted iff the statistic exceeds c1/(6*N*rho)."""
     _check_c1(c1)
+    if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     if not np.isfinite(stat_value):
@@ -176,17 +179,14 @@ def estimate_instance(
     model: str, N: int, n: int, rho: float, seed: SeedSpec, centered: bool = True
 ) -> tuple[SpectralResult, np.ndarray | None]:
     """(result, v) for `model`'s instance on `seed`, for `pvlab estimate`
-    and the sweep alike: check the domain, sample, and estimate.  An "orth"
-    statistic is summed over the basis's row blocks (`build_statistic`'s
-    by_rows), reading it once; the other models keep its column blocks,
-    whose bytes the benchmark's references pin.
+    and the sweep alike: check the domain, sample, and estimate.
 
     The instance is sampled into this thread's buffer (`_sample_buffer`),
     which the next call on the thread overwrites; the returned arrays are
     fresh and never share its memory."""
     _check_instance_params(N, n, rho)  # before the buffer takes a shape no sampler accepts
     Y, v = sample_observation(model, N, n, rho, seed, out=_sample_buffer(N, n))
-    return estimate_direction(Y, centered, by_rows=model == "orth"), v
+    return estimate_direction(Y, centered), v
 
 
 def recover(

@@ -11,8 +11,8 @@ l4 norm differs from the Gaussian value 3/N.  The uncentered variant (without
 the -(3/N) I term) is kept for comparison; it loses the dense case rho = 1.
 
 M's one O(N n^2) product, sum_i w_i y_i y_i^T, is summed only in
-`build_statistic`, from Y: over `pvlab._blas.weighted_gram`'s column
-blocks, or over `weighted_gram_by_rows`' row blocks for an `orth` trial.
+`build_statistic`, from Y, over the row blocks of `pvlab._blas.weighted_gram`
+for every model.
 """
 
 from __future__ import annotations
@@ -61,23 +61,18 @@ def _row_weights(rows: np.ndarray, N: int) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows) - (rows.shape[1] - 1) / N
 
 
-def build_statistic(
-    Y_obs: np.ndarray, centered: bool = True, *, by_rows: bool = False
-) -> np.ndarray:
+def build_statistic(Y_obs: np.ndarray, centered: bool = True) -> np.ndarray:
     """Accumulate the degree-4 statistic M from the rows of the observation.
 
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
 
-    Neither kernel makes an N x n weighted copy of Y.  The column blocks of
-    `pvlab._blas.weighted_gram` are the default; by_rows=True takes the row
-    blocks of `weighted_gram_by_rows`, which read Y once.  `orth` trials take
-    the row blocks; the benchmark's references pin the others' bytes.
+    The weighted sum runs over the row blocks of `pvlab._blas.weighted_gram`,
+    which read Y once and make no N x n weighted copy of it.
     """
     Y = np.asarray(Y_obs, dtype=float)
     N, n = Y.shape
-    weighted_gram = _blas.weighted_gram_by_rows if by_rows else _blas.weighted_gram
-    M = weighted_gram(Y, functools.partial(_row_weights, N=N))
+    M = _blas.weighted_gram(Y, functools.partial(_row_weights, N=N))
     if centered:
         M -= (3.0 / N) * np.eye(n)
     return 0.5 * (M + M.T)
@@ -108,13 +103,11 @@ def _canonical_sign(u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0 else u
 
 
-def estimate_direction(
-    Y_obs: np.ndarray, centered: bool = True, *, by_rows: bool = False
-) -> SpectralResult:
-    """Build the statistic (over row blocks when by_rows), take its leading
-    eigenpair, and lift the eigenvector back to observation space via Y_obs @ u."""
+def estimate_direction(Y_obs: np.ndarray, centered: bool = True) -> SpectralResult:
+    """Build the statistic, take its leading eigenpair, and lift the
+    eigenvector back to observation space via Y_obs @ u."""
     Y = np.asarray(Y_obs, dtype=float)
-    M = build_statistic(Y, centered=centered, by_rows=by_rows)
+    M = build_statistic(Y, centered=centered)
     lam, u, gap = leading_eigenpair(M)
     return SpectralResult(M, lam, Y @ u, gap)
 

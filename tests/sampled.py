@@ -6,17 +6,14 @@ orthonormal basis of a sampled span build it here from the same lanes and
 private draws (`_br_from_rng`, `_basis_from_rng`, `_haar_from_rng`), so the
 arrays are the bytes those tests have always seen.  `planted_support` reads
 the vector lane itself, so it also sees the all-zero draws the samplers
-reject.  `row_block_statistic` is the statistic as an `orth` trial sums it,
-built from `pvlab._blas` directly, not through `build_statistic`.
+reject.  `row_block_statistic` is the statistic as every trial sums it,
+built in plain numpy, not through `pvlab`.
 """
-
-import functools
 
 import numpy as np
 
-from pvlab import _blas, model_gen
+from pvlab import model_gen
 from pvlab.model_gen import SeedSpec, apply_rotation
-from pvlab.spectral import _row_weights
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -74,16 +71,27 @@ def first_pass_error(Y: np.ndarray) -> float:
     return float(np.linalg.norm(half_sum_gram(Q1) - np.eye(Y.shape[1])))
 
 
+# The row-block rule of `pvlab._blas.weighted_gram`, restated: a block is
+# the fewest multiples of 1024 rows that make at least 2**22 multiply-adds,
+# a short remainder joins the last block, and the blocks are summed as two
+# pieces split at the inner edge nearest the middle.
+MIN_PIECE = 2**22
+
+
 def row_block_sum(Y: np.ndarray) -> np.ndarray:
-    """sum_i w_i y_i y_i^T over the row blocks of `pvlab._blas.times`, as
-    `detection.estimate_instance` sums it for an `orth` trial."""
-    return _blas.weighted_gram_by_rows(Y, functools.partial(_row_weights, N=len(Y)))
-
-
-def column_block_sum(Y: np.ndarray) -> np.ndarray:
-    """sum_i w_i y_i y_i^T over the column blocks of `pvlab._blas.weighted_gram`,
-    as `build_statistic` sums it for a `gaussian` or `null` trial."""
-    return _blas.weighted_gram(Y, functools.partial(_row_weights, N=len(Y)))
+    """sum_i w_i y_i y_i^T over Y's row blocks, block for block as
+    `build_statistic` sums it, in plain numpy: each piece's blocks in
+    order, then the first piece's sum plus the second's."""
+    N, n = Y.shape
+    size = -(-MIN_PIECE // (1024 * n * n)) * 1024
+    edges = [*range(0, N - size + 1, size), N] if N >= 2 * size else [0, N]
+    split = min(edges[1:-1], key=lambda edge: abs(2 * edge - N), default=0)
+    sums = np.zeros((2, n, n))
+    for a, b in zip(edges, edges[1:]):
+        rows = Y[a:b]
+        weights = np.einsum("ij,ij->i", rows, rows) - (n - 1) / N
+        sums[int(a >= split)] += (rows * weights[:, None]).T @ rows
+    return sums[0] + sums[1]
 
 
 def centered_statistic(T: np.ndarray, N: int, centered: bool = True) -> np.ndarray:
@@ -93,5 +101,5 @@ def centered_statistic(T: np.ndarray, N: int, centered: bool = True) -> np.ndarr
 
 
 def row_block_statistic(Y: np.ndarray, centered: bool = True) -> np.ndarray:
-    """The statistic of an `orth` trial, from the row-block sum itself."""
+    """The statistic of a trial, from the plain-numpy row-block sum."""
     return centered_statistic(row_block_sum(Y), len(Y), centered)

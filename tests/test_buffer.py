@@ -39,7 +39,7 @@ def this_threads_buffer():
 
 def fresh_estimate(model, N, n, rho, seed):
     """estimate_instance's (result, v) from a freshly allocated sample, an
-    `orth` statistic summed over row blocks by `_blas` directly."""
+    `orth` statistic from the plain-numpy row-block sum."""
     Y, v = sample_observation(model, N, n, rho, seed)
     if model != "orth":
         return estimate_direction(Y), v

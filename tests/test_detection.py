@@ -30,13 +30,7 @@ from pvlab.model_gen import (
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.spectral import SpectralResult, estimate_direction
 
-from sampled import (
-    centered_statistic,
-    column_block_sum,
-    first_pass_error,
-    row_block_sum,
-    unit_basis,
-)
+from sampled import centered_statistic, first_pass_error, row_block_statistic, unit_basis
 
 
 class TestSpectralNormTest:
@@ -253,6 +247,17 @@ class TestDispatch:
             with pytest.raises(ValueError, match=r"rho must be in \(0, 1\]"):
                 call()
 
+    @pytest.mark.parametrize("N", [0, -5, True, 1000.0, 2.5, "1000"])
+    def test_N_outside_the_domain_rejected(self, N):
+        # N = 0 divided by zero, and N = -5 gave a negative threshold and
+        # "planted".
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            spectral_norm_outcome(1e-3, N, 0.1)
+
+    def test_numpy_integer_N_accepted(self):
+        expected = spectral_norm_outcome(1e-3, 1000, 0.1)
+        assert spectral_norm_outcome(1e-3, np.int64(1000), 0.1) == expected
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_statistic_rejected(self, value):
         # A nan statistic was called "null".
@@ -274,32 +279,32 @@ class TestDispatch:
 
 
 class TestStatisticKernel:
-    # At 8000 x 40 the row blocks (3072 rows) and the column blocks (14
-    # columns) are two blocks each, and the two sums differ at roundoff; at
-    # 3000 x 40 each is one block and they agree bit for bit.
+    # At 8000 x 40 the row blocks are two, of 3072 and 4928 rows, and their
+    # sum differs from one product at roundoff; at 3000 x 40 there is one.
     N, n, rho = 8000, 40, 0.05
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_each_model_sums_over_its_own_blocks(self, model):
+        # Every model's statistic is summed over its basis's row blocks.
         N, n, rho, seed = self.N, self.n, self.rho, SeedSpec(23)
         with one_blas_thread():
             Y, _ = sample_observation(model, N, n, rho, seed)
-            by_rows = centered_statistic(row_block_sum(Y), N)
-            by_columns = centered_statistic(column_block_sum(Y), N)
+            reference = row_block_statistic(Y)
             M = estimate_instance(model, N, n, rho, seed)[0].statistic
-        assert by_rows.tobytes() != by_columns.tobytes()
-        expected = by_rows if model == "orth" else by_columns
-        assert M.tobytes() == expected.tobytes()
+        weights = np.einsum("ij,ij->i", Y, Y) - (n - 1) / N
+        one_product = centered_statistic((Y * weights[:, None]).T @ Y, N)
+        assert reference.tobytes() != one_product.tobytes()
+        assert M.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("model", ["gaussian", "orth"])
     def test_a_unit_builds_one_statistic_per_instance(self, model, monkeypatch):
         # The tier-1 stand-in for the benchmark's per-unit counts: one
         # build_statistic per distinct instance, and the row-block kernel
-        # only inside it, and only for "orth".
+        # once inside each, for every model.
         events = []
         depth = 0
         sample, build, rows = (
-            detection.sample_observation, spectral.build_statistic, _blas.weighted_gram_by_rows
+            detection.sample_observation, spectral.build_statistic, _blas.weighted_gram
         )
 
         def sample_recorder(model, *args, **kwargs):
@@ -321,7 +326,7 @@ class TestStatisticKernel:
 
         monkeypatch.setattr(detection, "sample_observation", sample_recorder)
         monkeypatch.setattr(spectral, "build_statistic", build_recorder)
-        monkeypatch.setattr(_blas, "weighted_gram_by_rows", rows_recorder)
+        monkeypatch.setattr(_blas, "weighted_gram", rows_recorder)
         tasks = ["recover", "detect_spectral", "detect_l1l2"]
         config = SweepConfig([self.N], [self.n], [self.rho], trials=1, model=model, tasks=tasks)
         run_sweep(config)
@@ -329,7 +334,7 @@ class TestStatisticKernel:
         assert sorted(sampled) == sorted({model, "null", "gaussian"})
         expected = []
         for m in sampled:
-            expected += [("sample", m), ("statistic",)] + ([("rows", 1)] if m == "orth" else [])
+            expected += [("sample", m), ("statistic",), ("rows", 1)]
         assert events == expected
 
 
@@ -355,21 +360,20 @@ def on_a_fresh_thread(fn):
 class TestMemoryBudget:
     N, n = 20000, 50
 
-    BOUND = {"gaussian": 1.5, "orth": 1.45, "null": 1.5}
+    BOUND = 1.45  # every model; a process's first trial read 1.29-1.42 (one BLAS thread)
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_trial_holds_at_most_two_observation_arrays(self, model):
         # A sweep trial samples and estimates one N x n observation and holds
         # one N x n float64 array, its thread's sample buffer, allocated here
         # on a fresh thread: the samplers write their products over the
-        # drawn basis, and the statistic weighs a block of columns at a time,
-        # or, for "orth", is summed over the returned basis a block of rows
-        # at a time.  The rest is n x n matrices, N-vectors and the blocks on
-        # two threads.
+        # drawn basis, and the statistic is summed over the returned basis a
+        # block of rows at a time.  The rest is n x n matrices, N-vectors and
+        # the blocks on two threads.
         N, n = self.N, self.n
         trial = lambda: estimator(N, n, 0.05, SeedSpec(19))(model)  # noqa: E731
         peak = on_a_fresh_thread(lambda: traced_peak(trial))
-        assert peak <= self.BOUND[model] * N * n * 8
+        assert peak <= self.BOUND * N * n * 8
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_second_trial_of_a_shape_reuses_the_buffer(self, model):
@@ -396,7 +400,7 @@ class TestMemoryBudget:
             estimator(N, n, 0.05, SeedSpec(20))(model)
 
         peak = on_a_fresh_thread(lambda: traced_peak(trials))
-        assert peak <= self.BOUND[model] * N * n * 8
+        assert peak <= self.BOUND * N * n * 8
 
     def test_orth_second_pass_holds_at_most_two_observation_arrays(self):
         # At 200000 x 10 this basis's first CholeskyQR pass is not orthonormal

@@ -1,9 +1,15 @@
-"""Byte identity of default-seed sweeps against the committed references.
+"""Byte identity of default-seed sweeps against pinned bytes.
 
 The benchmark's `advantage_table` and `gauss_all_tasks` grids are run at the
 reference seed through `python -m pvlab.cli sweep`, serially and on two
-worker threads, and the CSV each prints must equal its file in
-`bench/references/` byte for byte.  The sweep pins one BLAS thread (the
+worker threads.  The `advantage_table` CSV must equal its file in
+`bench/references/` byte for byte.  The `gauss_all_tasks` CSV must have one
+pinned sha256 and pass the benchmark's own output check against its file
+(`bench/outputs.py`: success bits exact, floats within 1e-6 relative).
+Summing the statistic over row blocks moved 82 of its 192 rows by at most
+6.7e-14 relative, and the file keeps the column-block bytes until the
+benchmark's references are regenerated (ROADMAP item 1); then this check
+goes back to byte identity.  The sweep pins one BLAS thread (the
 count the references were written with) in-process, so these runs inherit
 the caller's BLAS environment, and one run asks for two BLAS threads.
 `orth_recover_large` takes several seconds and is checked by the benchmark
@@ -27,15 +33,31 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+def _load_bench_module(name, filename):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / filename)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load_bench_module("bench_workloads", "workloads.py")
+outputs = _load_bench_module("bench_outputs", "outputs.py")
+
+# sha256 of the gauss_all_tasks CSV at the reference seed.
+GAUSS_DIGEST = "2e72b9e70c9647947f5f60414cc47d822a9c84f4372c43efd9aab171df3b5ff9"
+
+
+def assert_matches_reference(name, stdout):
+    """Byte identity with the committed reference, or for gauss_all_tasks
+    the pinned digest and the benchmark's output check against the file."""
+    reference = workloads.WORKLOADS[name].reference.read_bytes()
+    if name != "gauss_all_tasks":
+        assert stdout == reference
+        return
+    assert hashlib.sha256(stdout).hexdigest() == GAUSS_DIGEST
+    rows = outputs.parse_rows(stdout.decode())
+    assert outputs.compare_to_reference(rows, outputs.parse_rows(reference.decode())) == []
 
 
 @pytest.mark.parametrize(
@@ -50,14 +72,14 @@ def test_default_seed_sweep_matches_reference(name, workers, tmp_path):
     workload = workloads.WORKLOADS[name]
     config = workload.write_config(tmp_path / f"{name}.json", workloads.DEFAULT_SEED)
     done = _sweep(config, tmp_path, "--workers", str(workers))
-    assert done.stdout == workload.reference.read_bytes()
+    assert_matches_reference(name, done.stdout)
 
 
 def test_two_blas_threads_requested_still_match_reference(tmp_path):
     workload = workloads.WORKLOADS["gauss_all_tasks"]
     config = workload.write_config(tmp_path / "gauss.json", workloads.DEFAULT_SEED)
     done = _sweep(config, tmp_path, OPENBLAS_NUM_THREADS="2")
-    assert done.stdout == workload.reference.read_bytes()
+    assert_matches_reference("gauss_all_tasks", done.stdout)
 
 
 def _sweep(config, cwd, *args, **env_overrides):

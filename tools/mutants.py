@@ -91,15 +91,15 @@ MUTATIONS = {
         "        _this_thread.buffer = buffer = np.empty(N * n)",
         "        _this_thread.buffer = np.empty(N * n)",
     ),
-    "build_statistic ignores by_rows": (
-        "src/pvlab/spectral.py",
-        "_blas.weighted_gram_by_rows if by_rows else _blas.weighted_gram",
-        "_blas.weighted_gram",
+    "weighted_gram drops the second piece's sum": (
+        "src/pvlab/_blas.py",
+        "return sums[0] + sums[1]",
+        "return sums[0]",
     ),
-    "the gaussian trial sums by rows": (
-        "src/pvlab/detection.py",
-        'by_rows=model == "orth"',
-        'by_rows=model != "null"',
+    "weighted_gram sums both pieces into one accumulator": (
+        "src/pvlab/_blas.py",
+        "sums[int(a >= split)] +=",
+        "sums[0] +=",
     ),
 }
 
