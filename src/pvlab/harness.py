@@ -239,10 +239,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     cell order, independent of worker count.  A cell is the unit of work; with
     workers >= 2 cells run on that many threads of this process (numpy's
     generators, BLAS and LAPACK release the GIL, and every unit has its own
-    stream).  workers < 1 raises ValueError.  The sweep runs under one BLAS
-    thread, whatever the environment asks for, so its bytes do not depend on
-    the BLAS thread count and workers do not oversubscribe the cores; the
-    caller's count is restored on return.
+    stream).  A workers that is not an integer >= 1 (a bool included)
+    raises ValueError.  The sweep runs under one BLAS thread, whatever the
+    environment asks for, so its bytes do not depend on the BLAS thread
+    count and workers do not oversubscribe the cores; the caller's count is
+    restored on return.
 
     Each thread samples its units' instances into its own reused buffer
     (`detection.estimate_instance`).  The calling thread's outlives this
@@ -254,6 +255,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     and recorded with success=False and empty values; they never abort the
     sweep.
     """
+    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     cells = config.cells()
     with one_blas_thread():
         if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS

@@ -112,9 +112,7 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def _br_from_rng(
-    rng: np.random.Generator, N: int, rho: float, normalize: bool
-) -> np.ndarray:
+def _br_from_rng(rng: np.random.Generator, N: int, rho: float) -> np.ndarray:
     u = rng.random(N)
     magnitude = 1.0 / np.sqrt(N * rho)
     entries = np.zeros(N)
@@ -124,7 +122,7 @@ def _br_from_rng(
         raise DegenerateDrawError(
             f"all {N} planted entries are zero (rho={rho}): this stream plants no vector"
         )
-    return entries / np.linalg.norm(entries) if normalize else entries
+    return entries
 
 
 def _fill_normal(rng: np.random.Generator, Y: np.ndarray) -> None:
@@ -165,7 +163,7 @@ def sample_br_vector(N: int, rho: float, seed: SeedSpec) -> np.ndarray:
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     rng = seed.generator()
-    return _br_from_rng(rng, N, rho, normalize=False)
+    return _br_from_rng(rng, N, rho)
 
 
 def sample_gaussian_basis(v: np.ndarray, n: int, seed: SeedSpec) -> np.ndarray:
@@ -204,9 +202,9 @@ def orthonormalize(Y: np.ndarray) -> np.ndarray:
 
     Y is never written: Q is computed over a float64 copy of it, so with Y
     two N x n arrays are held, and the samplers, which orthonormalize their
-    own draw in place, hold one.  Gram matrices are the sum of the upper and
-    the lower row half's (see pvlab._blas.gram), and the products run on two
-    threads with the bits of one call.
+    own draw in place, hold one.  Gram matrices are summed over row blocks
+    (see pvlab._blas.gram), and the products run on two threads with the
+    bits of one call.
 
     Raises RankDeficientError (with the offending column index) when a
     diagonal entry of R falls below the rank tolerance, and ValueError when
@@ -218,8 +216,9 @@ def orthonormalize(Y: np.ndarray) -> np.ndarray:
 def _orthonormalize_over(Y: np.ndarray, original) -> np.ndarray:
     """orthonormalize(Y), with Q written over Y where CholeskyQR2 decides.
     Householder QR runs on original(), Y's values, since Y may already hold
-    the first pass."""
-    G = _blas.gram(Y)
+    the first pass.  An overflowing Gram matrix gives inf silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _blas.gram(Y)
     if not np.isfinite(G).all():
         bad = np.flatnonzero(~np.isfinite(Y).all(axis=0))
         if bad.size:
@@ -326,7 +325,7 @@ def sample_rotated_instance(
     rescaled, and Haar Q; Y @ Q is written over the drawn basis."""
     _check_instance_params(N, n, rho)
     _check_output("out", out, (N, n))
-    v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=False)
+    v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n, out)
     Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
     return _blas.times(Y, Q, out=Y), v
@@ -346,7 +345,8 @@ def sample_orthonormal_instance(
     DegenerateDrawError."""
     _check_instance_params(N, n, rho)
     _check_output("out", out, (N, n))
-    v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho, normalize=True)
+    v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho)
+    v /= np.linalg.norm(v)
     Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n, out)
 
     def redraw() -> np.ndarray:

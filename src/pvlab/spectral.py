@@ -11,8 +11,8 @@ l4 norm differs from the Gaussian value 3/N.  The uncentered variant (without
 the -(3/N) I term) is kept for comparison; it loses the dense case rho = 1.
 
 M's one O(N n^2) product, sum_i w_i y_i y_i^T, is summed only in
-`build_statistic`, from Y, over the row blocks of `pvlab._blas.weighted_gram`
-for every model.
+`build_statistic`, from Y, by `pvlab._blas.gram` for every model: over the
+row blocks that every product of a trial takes.
 """
 
 from __future__ import annotations
@@ -67,12 +67,12 @@ def build_statistic(Y_obs: np.ndarray, centered: bool = True) -> np.ndarray:
     With centered=False the -(3/N) I term is omitted (the earlier variant of
     the method); the two outputs differ by exactly (3/N) I.
 
-    The weighted sum runs over the row blocks of `pvlab._blas.weighted_gram`,
-    which read Y once and make no N x n weighted copy of it.
+    The weighted sum runs over the row blocks of `pvlab._blas.gram`, which
+    read Y once and make no N x n weighted copy of it.
     """
     Y = np.asarray(Y_obs, dtype=float)
     N, n = Y.shape
-    M = _blas.weighted_gram(Y, functools.partial(_row_weights, N=N))
+    M = _blas.gram(Y, functools.partial(_row_weights, N=N))
     if centered:
         M -= (3.0 / N) * np.eye(n)
     return 0.5 * (M + M.T)

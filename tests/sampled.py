@@ -41,7 +41,7 @@ def lane_rotation(n: int, seed: SeedSpec) -> np.ndarray:
 def unit_basis(N: int, n: int, rho: float, seed: SeedSpec) -> np.ndarray:
     """The Gaussian basis around a unit-norm planted vector in column 0: the
     input that sample_orthonormal_instance orthonormalizes."""
-    v = model_gen._br_from_rng(seed.generator(model_gen._LANE_VECTOR), N, rho, normalize=True)
+    v = unit(model_gen._br_from_rng(seed.generator(model_gen._LANE_VECTOR), N, rho))
     return basis_around(v, n, seed)
 
 
@@ -57,31 +57,18 @@ def haar_rotated(Yhat: np.ndarray, seed: SeedSpec) -> np.ndarray:
     return Yhat @ lane_rotation(Yhat.shape[1], seed)
 
 
-def half_sum_gram(A: np.ndarray) -> np.ndarray:
-    """A^T A as orthonormalize forms it: the upper row half's Gram plus the
-    lower half's."""
-    h = A.shape[0] // 2
-    return A[:h].T @ A[:h] + A[h:].T @ A[h:]
-
-
-def first_pass_error(Y: np.ndarray) -> float:
-    """||Q1^T Q1 - I||_F for the first CholeskyQR pass Q1 on Y; the second
-    pass runs where this exceeds n * eps."""
-    Q1 = Y @ np.linalg.inv(np.linalg.cholesky(half_sum_gram(Y)).T)
-    return float(np.linalg.norm(half_sum_gram(Q1) - np.eye(Y.shape[1])))
-
-
-# The row-block rule of `pvlab._blas.weighted_gram`, restated: a block is
-# the fewest multiples of 1024 rows that make at least 2**22 multiply-adds,
-# a short remainder joins the last block, and the blocks are summed as two
+# The row-block rule of `pvlab._blas.gram`, restated: a block is the
+# fewest multiples of 1024 rows that make at least 2**22 multiply-adds, a
+# short remainder joins the last block, and the blocks are summed as two
 # pieces split at the inner edge nearest the middle.
 MIN_PIECE = 2**22
 
 
-def row_block_sum(Y: np.ndarray) -> np.ndarray:
+def row_block_sum(Y: np.ndarray, weighted: bool = True) -> np.ndarray:
     """sum_i w_i y_i y_i^T over Y's row blocks, block for block as
     `build_statistic` sums it, in plain numpy: each piece's blocks in
-    order, then the first piece's sum plus the second's."""
+    order, then the first piece's sum plus the second's.  With
+    weighted=False every w_i is 1: Y^T Y as `orthonormalize` sums it."""
     N, n = Y.shape
     size = -(-MIN_PIECE // (1024 * n * n)) * 1024
     edges = [*range(0, N - size + 1, size), N] if N >= 2 * size else [0, N]
@@ -89,9 +76,19 @@ def row_block_sum(Y: np.ndarray) -> np.ndarray:
     sums = np.zeros((2, n, n))
     for a, b in zip(edges, edges[1:]):
         rows = Y[a:b]
-        weights = np.einsum("ij,ij->i", rows, rows) - (n - 1) / N
-        sums[int(a >= split)] += (rows * weights[:, None]).T @ rows
+        if weighted:
+            weights = np.einsum("ij,ij->i", rows, rows) - (n - 1) / N
+            sums[int(a >= split)] += (rows * weights[:, None]).T @ rows
+        else:
+            sums[int(a >= split)] += rows.T @ rows
     return sums[0] + sums[1]
+
+
+def first_pass_error(Y: np.ndarray) -> float:
+    """||Q1^T Q1 - I||_F for the first CholeskyQR pass Q1 on Y; the second
+    pass runs where this exceeds n * eps."""
+    Q1 = Y @ np.linalg.inv(np.linalg.cholesky(row_block_sum(Y, weighted=False)).T)
+    return float(np.linalg.norm(row_block_sum(Q1, weighted=False) - np.eye(Y.shape[1])))
 
 
 def centered_statistic(T: np.ndarray, N: int, centered: bool = True) -> np.ndarray:

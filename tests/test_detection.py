@@ -300,11 +300,12 @@ class TestStatisticKernel:
     def test_a_unit_builds_one_statistic_per_instance(self, model, monkeypatch):
         # The tier-1 stand-in for the benchmark's per-unit counts: one
         # build_statistic per distinct instance, and the row-block kernel
-        # once inside each, for every model.
+        # once inside each, weighted, for every model.  (The `orth` sampler
+        # calls the same kernel, unweighted, for its Gram matrices.)
         events = []
         depth = 0
         sample, build, rows = (
-            detection.sample_observation, spectral.build_statistic, _blas.weighted_gram
+            detection.sample_observation, spectral.build_statistic, _blas.gram
         )
 
         def sample_recorder(model, *args, **kwargs):
@@ -320,13 +321,14 @@ class TestStatisticKernel:
             finally:
                 depth -= 1
 
-        def rows_recorder(*args, **kwargs):
-            events.append(("rows", depth))
-            return rows(*args, **kwargs)
+        def rows_recorder(Y, weights=None):
+            if weights is not None:
+                events.append(("rows", depth))
+            return rows(Y, weights)
 
         monkeypatch.setattr(detection, "sample_observation", sample_recorder)
         monkeypatch.setattr(spectral, "build_statistic", build_recorder)
-        monkeypatch.setattr(_blas, "weighted_gram", rows_recorder)
+        monkeypatch.setattr(_blas, "gram", rows_recorder)
         tasks = ["recover", "detect_spectral", "detect_l1l2"]
         config = SweepConfig([self.N], [self.n], [self.rho], trials=1, model=model, tasks=tasks)
         run_sweep(config)
@@ -403,16 +405,19 @@ class TestMemoryBudget:
         assert peak <= self.BOUND * N * n * 8
 
     def test_orth_second_pass_holds_at_most_two_observation_arrays(self):
-        # At 200000 x 10 this basis's first CholeskyQR pass is not orthonormal
-        # to n * eps, so the second pass runs, in place on Q1, before the
-        # statistic's row-block sum.  (With the half-sum Gram matrices no
-        # stream of 100000 x 10 bases probed takes it.)  At n = 10 a block of
-        # at least MIN_PIECE multiply-adds is 41984 rows, a fifth of the basis.
-        N, n, seed = 200000, 10, SeedSpec(19, 1)
+        # At 200000 x 12 this basis's first CholeskyQR pass is not orthonormal
+        # to n * eps (3.2 n * eps, 1.6 under the Haswell kernels), so the
+        # second pass runs, in place on Q1, before the statistic's row-block
+        # sum.  (With row-block Gram matrices no stream of 200000 x 10 bases
+        # at rho = 0.05 probed takes it.)  At n = 12 the row blocks are five
+        # of 29696 rows and a last one of 51520, split after the third: the
+        # sample buffer, one block temporary of each piece and 0.2 of slack
+        # make the bound.
+        N, n, rho, seed = 200000, 12, 0.7, SeedSpec(19, 6)
         with one_blas_thread():
-            assert first_pass_error(unit_basis(N, n, 0.05, seed)) > n * np.finfo(np.float64).eps
-            peak = on_a_fresh_thread(lambda: traced_peak(lambda: estimator(N, n, 0.05, seed)("orth")))
-        assert peak <= 1.78 * N * n * 8
+            assert first_pass_error(unit_basis(N, n, rho, seed)) > n * np.finfo(np.float64).eps
+            peak = on_a_fresh_thread(lambda: traced_peak(lambda: estimator(N, n, rho, seed)("orth")))
+        assert peak <= (1 + (29696 + 51520) / N + 0.2) * N * n * 8
 
     def test_basis_fill_needs_no_full_size_temporary(self):
         N, n = self.N, self.n

@@ -6,6 +6,7 @@ import sys
 import types
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from pvlab import _blas, cli, detection, harness, lowdeg, model_gen, spectral
@@ -201,6 +202,21 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
         assert len(run_sweep(small_config(), workers=1)) == 3
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, 2.0, "2", True, None])
+    def test_rejects_a_worker_count_that_is_not_an_integer_of_at_least_one(
+        self, workers, monkeypatch
+    ):
+        # 1.5 ran a pool of up to two threads, and "2" raised TypeError.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no pool may start for a bad worker count")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            run_sweep(small_config(), workers=workers)
+
+    def test_accepts_a_numpy_integer_worker_count(self):
+        assert run_sweep(small_config(), workers=np.int64(2)) == run_sweep(small_config())
 
     def test_header(self):
         cfg = small_config(trials=1)

@@ -105,7 +105,7 @@ ORTH_CELL = ("--N", "4000", "--n", "100", "--rho", "0.05", "--model", "orth")
 def test_gen_under_two_blas_threads_matches_one_thread_digest(tmp_path):
     # The digest of this dump under OPENBLAS_NUM_THREADS=1.
     done = _pvlab(tmp_path, "gen", *ORTH_CELL, OPENBLAS_NUM_THREADS="2")
-    digest = "40ef7d2626631a9856d6d66b184aa963b4265c4fca03316209d8a0796cdea112"
+    digest = "7b4bf1c5f13ff94a8cb31a27d670dc286c0944b94e6e86de30058f00f05d37a8"
     assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
@@ -127,7 +127,7 @@ def test_sampler_inside_the_pin_matches_one_thread_digest(tmp_path):
         [sys.executable, "-c", code], capture_output=True, env=env, cwd=tmp_path, timeout=300
     )
     assert done.returncode == 0, done.stderr.decode()
-    digest = "1fb5b907c9cf2a0ee07ac0e4e80024d49d1b787f547be9b718a1000b09a0fdb4"
+    digest = "b14462ca95b43ebe02430553d40078c75ca7bcfedf5b18ffd5f75ae205ff08c0"
     assert done.stdout.decode().strip() == digest
 
 
@@ -143,10 +143,10 @@ def test_estimate_dump_independent_of_blas_threads(tmp_path):
 
 ORTH_SWEEP_CSV = """\
 N,n,rho,trial,task,success,l2_error,entrywise_err,statistic,adv,elapsed_ms
-3000,40,0.02,0,recover,1,0.020991311546147633,0.07500120405815665,0.01494242497377609,,
-3000,40,0.02,1,recover,1,0.029780297074128634,0.09652726027297773,0.014869985040661495,,
-3000,40,0.05,0,recover,1,0.044090011127807395,0.17170590896298804,0.00649719376192293,,
-3000,40,0.05,1,recover,1,0.06311815106483444,0.2747688976107741,0.005457076770397158,,
+3000,40,0.02,0,recover,1,0.020991311546147633,0.07500120405815662,0.01494242497377609,,
+3000,40,0.02,1,recover,1,0.029780297074128617,0.09652726027297774,0.01486998504066151,,
+3000,40,0.05,0,recover,1,0.0440900111278074,0.1717059089629881,0.0064971937619229285,,
+3000,40,0.05,1,recover,1,0.0631181510648344,0.27476889761077394,0.0054570767703971575,,
 """
 
 

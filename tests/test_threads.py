@@ -32,14 +32,14 @@ from pvlab.spectral import _row_weights, build_statistic
 from sampled import (
     basis_around,
     first_pass_error,
-    half_sum_gram,
     lane_rotation,
     row_block_statistic,
+    row_block_sum,
     unit_basis,
 )
 
 
-def in_order(block, edges, parallel=True):
+def in_order(block, edges):
     return [block(a, b) for a, b in zip(edges, edges[1:])]
 
 
@@ -73,8 +73,8 @@ def assert_row_block_statistic(Y):
 
 
 def kernel_sum(Y):
-    """The statistic's weighted sum by `pvlab._blas.weighted_gram`."""
-    return _blas.weighted_gram(Y, functools.partial(_row_weights, N=len(Y)))
+    """The statistic's weighted sum by `pvlab._blas.gram`."""
+    return _blas.gram(Y, functools.partial(_row_weights, N=len(Y)))
 
 
 def rotation(n):
@@ -159,11 +159,17 @@ PLACEMENTS = ["worker", "in_order"]
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("N", [1, 2, 3, 1025, 20001])
 def test_gram_is_the_half_sum(N, placement, worker_calls, monkeypatch):
-    # An empty upper half (N = 1), odd N, and halves split on two threads.
+    # The halves are the two pieces of the row blocks, each summed block by
+    # block: one block up to N = 4095 at n = 50, and for N = 20001 nine
+    # blocks (eight of 2048 rows, the last of 3617) split at row 10240 on
+    # two threads.
     Y = basis(N, 50)
     with _blas.one_blas_thread():
         placed(placement, monkeypatch)
-        assert _blas.gram(Y).tobytes() == half_sum_gram(Y).tobytes()
+        G = _blas.gram(Y)
+        assert G.tobytes() == row_block_sum(Y, weighted=False).tobytes()
+        one_product = Y.T @ Y
+    assert np.max(np.abs(G - one_product)) <= 1e-13 * np.max(np.abs(one_product))
     assert bool(worker_calls) == (placement == "worker" and N == 20001)
 
 
@@ -237,8 +243,8 @@ def test_second_pass_equals_one_full_product(N, n, placement, monkeypatch):
         assert first_pass_error(Y) > n * np.finfo(np.float64).eps
         placed(placement, monkeypatch)
         Q = orthonormalize(Y)
-        Q1 = Y @ np.linalg.inv(np.linalg.cholesky(half_sum_gram(Y)).T)
-        full = Q1 @ np.linalg.inv(np.linalg.cholesky(half_sum_gram(Q1)).T)
+        Q1 = Y @ np.linalg.inv(np.linalg.cholesky(row_block_sum(Y, weighted=False)).T)
+        full = Q1 @ np.linalg.inv(np.linalg.cholesky(row_block_sum(Q1, weighted=False)).T)
     assert Q.tobytes() == full.tobytes()
 
 
@@ -322,7 +328,7 @@ class TestWorkerFailures:
         with _blas.one_blas_thread():
             Q = _blas.times(Y, R)
             with pytest.raises(RuntimeError, match="worker piece failed"):
-                _blas.weighted_gram(Q, fails_on_the_worker)
+                _blas.gram(Q, fails_on_the_worker)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                 kernel_sum(large)
             assert worker_calls
@@ -334,13 +340,13 @@ class TestWorkerFailures:
         expected = run_sweep(config)
         real = _blas._on_two_threads
 
-        def failing_on_worker(block, edges, parallel=True):
+        def failing_on_worker(block, edges):
             def failing(a, b):
                 if threading.current_thread().name.startswith("pvlab-blas"):
                     raise FloatingPointError("overflow in the worker's piece")
                 return block(a, b)
 
-            return real(failing, edges, parallel)
+            return real(failing, edges)
 
         monkeypatch.setattr(_blas, "_on_two_threads", failing_on_worker)
         failed = run_sweep(config)

@@ -91,15 +91,20 @@ MUTATIONS = {
         "        _this_thread.buffer = buffer = np.empty(N * n)",
         "        _this_thread.buffer = np.empty(N * n)",
     ),
-    "weighted_gram drops the second piece's sum": (
+    "gram drops the second piece's sum": (
         "src/pvlab/_blas.py",
         "return sums[0] + sums[1]",
         "return sums[0]",
     ),
-    "weighted_gram sums both pieces into one accumulator": (
+    "gram sums both pieces into one accumulator": (
         "src/pvlab/_blas.py",
         "sums[int(a >= split)] +=",
         "sums[0] +=",
+    ),
+    "orth Gram overflow no longer silenced": (
+        "src/pvlab/model_gen.py",
+        '    with np.errstate(over="ignore", invalid="ignore"):\n        G = _blas.gram(Y)',
+        "    if True:\n        G = _blas.gram(Y)",
     ),
 }
 
