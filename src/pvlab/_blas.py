@@ -8,6 +8,13 @@ bit.  Every block of `times` does at least MIN_PIECE multiply-adds, so it
 keeps the bits of one full product; `gram` is the sum of its two pieces'
 sums over the blocks.
 
+A sweep trial (`detection.estimate_instance`) also draws behind its
+products: inside `draw_behind`, a sampler's Gaussian draw (`fill`) is left
+to the next `gram` of its array, which runs the draw on the worker thread
+and, on the calling thread, each row block's products as soon as the
+block's rows are drawn.  The blocks, their order and the two piece sums
+are the same, so no bit moves, and no second N x n array is made.
+
 numpy's wheels bundle OpenBLAS in a `numpy.libs` directory next to the
 package; its exported `scipy_openblas_{get,set}_num_threads64_` are called
 through ctypes.  The count is process-global, so `one_blas_thread` restores
@@ -110,17 +117,29 @@ def _middle(edges: list[int]) -> int:
     return min(range(1, len(edges) - 1), key=lambda i: abs(2 * edges[i] - edges[-1]), default=0)
 
 
+def _uses_worker(edges: list[int]) -> bool:
+    """Whether _on_two_threads runs its second piece on the worker: there
+    are two blocks or more, this thread is not kept in order, and the BLAS
+    count is 1."""
+    functions = _thread_functions()
+    return (
+        len(edges) > 2
+        and not getattr(_this_thread, "in_order", False)
+        and functions is not None
+        and functions[0]() == 1
+    )
+
+
 def _on_two_threads(block, edges: list[int]) -> list:
     """[block(a, b) for each pair of consecutive edges], as two pieces split
     at the inner edge nearest the middle.
 
-    When there are two blocks or more, the BLAS count is 1 and this thread
-    is not kept in order, the second piece runs on one lazily created worker
-    thread, in a copy of this thread's context (numpy's error state goes
-    with it), while the first runs here.  Otherwise both run here, in order.
-    The blocks are the same either way, and so is the result.  An exception
-    from either piece is raised here once both have finished.  A block must
-    not call this function: the one worker would wait on itself.
+    When `_uses_worker(edges)`, the second piece runs on one lazily created
+    worker thread, in a copy of this thread's context (numpy's error state
+    goes with it), while the first runs here.  Otherwise both run here, in
+    order.  The blocks are the same either way, and so is the result.  An
+    exception from either piece is raised here once both have finished.  A
+    block must not call this function: the one worker would wait on itself.
     """
     pairs = list(zip(edges, edges[1:]))
     middle = _middle(edges)
@@ -128,13 +147,7 @@ def _on_two_threads(block, edges: list[int]) -> list:
     def blocks(lo: int, hi: int) -> list:
         return [block(a, b) for a, b in pairs[lo:hi]]
 
-    functions = _thread_functions()
-    if (
-        middle == 0
-        or getattr(_this_thread, "in_order", False)
-        or functions is None
-        or functions[0]() != 1
-    ):
+    if not _uses_worker(edges):
         return blocks(0, len(pairs))
     pending = _worker_pool().submit(contextvars.copy_context().run, blocks, middle, len(pairs))
     try:
@@ -171,7 +184,9 @@ def gram(Y: np.ndarray, weights=None) -> np.ndarray:
     weights are made a block at a time: at 200000 x 10 an N-vector of them
     took an `orth` trial's usual peak from 1.68-1.75 to 1.79-1.83 N x n.
     Each piece sums its own blocks in order, and the result is the first
-    piece's sum plus the second's, on one thread or two."""
+    piece's sum plus the second's, on one thread or two.  When Y's rows are
+    still to be drawn (`fill`), both pieces' blocks are summed here, each as
+    soon as its rows are final, while the worker draws."""
     N, n = Y.shape
     edges = _row_edges(N, n)
     split = edges[_middle(edges)]
@@ -182,5 +197,100 @@ def gram(Y: np.ndarray, weights=None) -> np.ndarray:
         scaled = rows if weights is None else rows * weights(rows)[:, None]
         sums[int(a >= split)] += scaled.T @ rows
 
-    _on_two_threads(block, edges)
+    draw = getattr(_this_thread, "draw", None)
+    if isinstance(draw, _Draw) and draw.Y is Y:
+        _this_thread.draw = None
+        draw.behind(block)
+    else:
+        _on_two_threads(block, edges)
     return sums[0] + sums[1]
+
+
+class _Draw:
+    """Y's rows as the iterator `rows` writes them, in order, with Y @ R
+    written over each row block once its rows are final (see `fill`)."""
+
+    def __init__(self, Y: np.ndarray, rows, R: np.ndarray | None):
+        self.Y, self._rows, self._R = Y, rows, R
+        self._final = 0  # rows < _final are written
+        self._drawing = False  # a thread is running `rows`
+        self._error: BaseException | None = None
+        self._changed = threading.Condition()
+
+    def _wait(self, b: int) -> None:
+        """Return once rows < b are final, drawing them here if no thread
+        is drawing: one thread at a time runs `rows`, until its own rows
+        are final.  An exception from `rows` is raised again by every later
+        wait for rows that it left unwritten."""
+        with self._changed:
+            while self._drawing and self._final < b:
+                self._changed.wait()
+            if self._final >= b:
+                return
+            if self._error is not None:
+                raise self._error
+            self._drawing = True
+        final = self._final
+        try:
+            while final < b:
+                final = next(self._rows, len(self.Y))
+                with self._changed:
+                    self._final = final
+                    self._changed.notify_all()
+        except BaseException as exc:
+            self._error = exc
+            raise
+        finally:
+            with self._changed:
+                self._drawing = False
+                self._changed.notify_all()
+
+    def behind(self, block) -> None:
+        """block(a, b) for each row block of Y, in order on this thread, each
+        once its rows are drawn and multiplied by R, while the worker draws.
+        The draw and the products are _on_two_threads' two pieces, so this
+        returns or raises only once the worker has stopped writing Y; run in
+        order, the products draw the rows themselves."""
+        Y, R = self.Y, self._R
+        edges = _row_edges(*Y.shape)
+
+        def products() -> None:
+            for a, b in zip(edges, edges[1:]):
+                self._wait(b)
+                if R is not None:
+                    np.matmul(Y[a:b], R, out=Y[a:b])
+                block(a, b)
+
+        pieces = (products, lambda: self._wait(len(Y)))
+        _on_two_threads(lambda a, b: pieces[a](), [0, 1, 2])
+
+
+@contextlib.contextmanager
+def draw_behind():
+    """Let this thread's next `fill` leave its draw to the next `gram` of
+    its array, within the block.  A sampler called in the block may return
+    an array whose rows are not drawn yet; that gram must be the first to
+    read them."""
+    _this_thread.draw = True  # until a fill leaves its _Draw here for gram to take
+    try:
+        yield
+    finally:
+        _this_thread.draw = None
+
+
+def fill(Y: np.ndarray, rows, R: np.ndarray | None = None) -> None:
+    """Draw Y's rows by running `rows`, an iterator that writes them in
+    order and yields the count of rows written after each step, then write
+    Y @ R over Y (`times`) if R is given.
+
+    Inside `draw_behind`, when Y has two row blocks or more and the worker
+    would run a piece (`_uses_worker`), this returns at once, and the next
+    `gram` of Y draws the rows on the worker thread while it writes each
+    block's Y @ R and sums it on the calling thread."""
+    if getattr(_this_thread, "draw", None) is True and _uses_worker(_row_edges(*Y.shape)):
+        _this_thread.draw = _Draw(Y, rows, R)
+        return
+    for _ in rows:
+        pass
+    if R is not None:
+        times(Y, R, out=Y)

@@ -16,6 +16,10 @@ calls.
 `estimate_instance` samples into one reused float64 buffer per thread (see
 `_sample_buffer`), so a run of trials does not allocate and free an N x n
 array per trial; only `spectral.build_statistic` builds M, from the sample.
+It samples and estimates inside `pvlab._blas.draw_behind`, so the sample's
+Gaussian draw runs on the products' worker thread while the calling thread
+multiplies and sums each row block as soon as it is drawn, with the bytes
+of drawing first.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .model_gen import (
     SeedSpec,
     _check_instance_params,
@@ -183,10 +188,13 @@ def estimate_instance(
 
     The instance is sampled into this thread's buffer (`_sample_buffer`),
     which the next call on the thread overwrites; the returned arrays are
-    fresh and never share its memory."""
+    fresh and never share its memory.  The draw runs behind the products
+    (`pvlab._blas.draw_behind`): the sampler may return before its rows are
+    drawn, and the statistic's row-block sum draws them."""
     _check_instance_params(N, n, rho)  # before the buffer takes a shape no sampler accepts
-    Y, v = sample_observation(model, N, n, rho, seed, out=_sample_buffer(N, n))
-    return estimate_direction(Y, centered), v
+    with _blas.draw_behind():
+        Y, v = sample_observation(model, N, n, rho, seed, out=_sample_buffer(N, n))
+        return estimate_direction(Y, centered), v
 
 
 def recover(

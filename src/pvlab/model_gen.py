@@ -24,7 +24,14 @@ The products, Y @ Q and CholeskyQR2's Gram matrices and Y @ R^-1, are
 threads with unchanged bits.  The composite samplers draw into one N x n
 array, a fresh one or the caller's `out`, and write their products over it,
 so a sample needs no second N x n array; the public functions never write
-their input.
+their input.  The Gaussian entries are drawn through `pvlab._blas.fill`:
+inside `_blas.draw_behind` (a sweep trial's), the draw and the Haar
+product Y @ Q are left to the next Gram matrix of the array, which draws on
+the worker thread and multiplies each row block once it is drawn, so
+`sample_rotated_instance` and the null draw may return before their rows
+are final, and `sample_orthonormal_instance`'s first Gram matrix runs
+behind its own draw.  Called anywhere else, every sampler returns finished
+arrays.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ _LANE_VECTOR = 1
 _LANE_ROTATION = 2
 _LANE_BASIS = 3
 
-# Rows of Gaussian entries drawn per rng call by _fill_normal.
+# Rows of Gaussian entries drawn per rng call by _normal_rows.
 _FILL_ROWS = 1024
 
 
@@ -125,23 +132,30 @@ def _br_from_rng(rng: np.random.Generator, N: int, rho: float) -> np.ndarray:
     return entries
 
 
-def _fill_normal(rng: np.random.Generator, Y: np.ndarray) -> None:
-    """Fill Y, of N rows, with N(0, 1/N) entries.  Row blocks draw the same
-    stream in the same C order as one rng.normal call of Y's shape, without
-    a temporary of that shape."""
+def _normal_rows(rng: np.random.Generator, Y: np.ndarray):
+    """Fill Y, of N rows, with N(0, 1/N) entries, yielding the count of rows
+    filled after each block of _FILL_ROWS.  The blocks draw the same stream
+    in the same C order as one rng.normal call of Y's shape, without a
+    temporary of that shape."""
     scale = 1.0 / np.sqrt(len(Y))
     for start in range(0, len(Y), _FILL_ROWS):
         block = Y[start : start + _FILL_ROWS]
         block[...] = rng.normal(scale=scale, size=block.shape)
+        yield start + len(block)
 
 
 def _basis_from_rng(
-    rng: np.random.Generator, v: np.ndarray, n: int, out: np.ndarray | None = None
+    rng: np.random.Generator,
+    v: np.ndarray,
+    n: int,
+    out: np.ndarray | None = None,
+    R: np.ndarray | None = None,
 ) -> np.ndarray:
+    """v in column 0 and N(0, 1/N) entries after it, drawn into `out` (a
+    fresh array when None) and, if R is given, multiplied by R in place."""
     Y = np.empty((v.size, n)) if out is None else out
     Y[:, 0] = v
-    if n > 1:
-        _fill_normal(rng, Y[:, 1:])
+    _blas.fill(Y, _normal_rows(rng, Y[:, 1:]), R)
     return Y
 
 
@@ -308,7 +322,7 @@ def sample_detection_pair(
         _check_instance_params(N, n, rho)
         _check_output("out", out, (N, n))
         Y = np.empty((N, n)) if out is None else out
-        _fill_normal(seed.generator(_LANE_NULL), Y)
+        _blas.fill(Y, _normal_rows(seed.generator(_LANE_NULL), Y))
         return Y, None
     raise ValueError(f"which must be 'null' or 'planted', got {which!r}")
 
@@ -326,9 +340,8 @@ def sample_rotated_instance(
     _check_instance_params(N, n, rho)
     _check_output("out", out, (N, n))
     v = _br_from_rng(seed.generator(_LANE_VECTOR), N, rho)
-    Y = _basis_from_rng(seed.generator(_LANE_BASIS), v, n, out)
     Q = _haar_from_rng(seed.generator(_LANE_ROTATION), n)
-    return _blas.times(Y, Q, out=Y), v
+    return _basis_from_rng(seed.generator(_LANE_BASIS), v, n, out, Q), v
 
 
 def sample_orthonormal_instance(

@@ -363,6 +363,12 @@ class TestMemoryBudget:
     N, n = 20000, 50
 
     BOUND = 1.45  # every model; a process's first trial read 1.29-1.42 (one BLAS thread)
+    # `gaussian` and `null` trials multiply and sum every row block on the
+    # calling thread, behind the draw or in order, so they hold one block's
+    # temporaries at a time: 1.20-1.31 N x n in a first trial and 0.20-0.22
+    # in a second, against 1.23-1.42 and 0.30-0.33 with one per piece.
+    FIRST_TRIAL = {"gaussian": 1.35, "null": 1.35, "orth": BOUND}
+    SECOND_TRIAL = {"gaussian": 0.3, "null": 0.3, "orth": 0.5}
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_trial_holds_at_most_two_observation_arrays(self, model):
@@ -371,11 +377,11 @@ class TestMemoryBudget:
         # on a fresh thread: the samplers write their products over the
         # drawn basis, and the statistic is summed over the returned basis a
         # block of rows at a time.  The rest is n x n matrices, N-vectors and
-        # the blocks on two threads.
+        # the blocks on one thread or two.
         N, n = self.N, self.n
         trial = lambda: estimator(N, n, 0.05, SeedSpec(19))(model)  # noqa: E731
         peak = on_a_fresh_thread(lambda: traced_peak(trial))
-        assert peak <= self.BOUND * N * n * 8
+        assert peak <= self.FIRST_TRIAL[model] * N * n * 8
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_second_trial_of_a_shape_reuses_the_buffer(self, model):
@@ -387,7 +393,7 @@ class TestMemoryBudget:
             estimator(N, n, 0.05, SeedSpec(19))(model)
             return traced_peak(lambda: estimator(N, n, 0.05, SeedSpec(20))(model))
 
-        assert on_a_fresh_thread(trials) <= 0.5 * N * n * 8
+        assert on_a_fresh_thread(trials) <= self.SECOND_TRIAL[model] * N * n * 8
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_a_larger_trial_frees_the_smaller_buffer_first(self, model):

@@ -5,8 +5,9 @@ on the calling thread and one on pvlab's worker thread (`pvlab._blas`).
 These tests run each product with the worker and with the helper replaced
 by one that runs both pieces on the caller, and compare bytes; the
 statistic's bytes are also compared with its row-block sum in plain numpy
-(`tests/sampled.py`).  They also check that a failure in the worker's piece
-reaches the caller and leaves the worker usable.
+(`tests/sampled.py`).  They also check that a failure in the worker's piece,
+or in a trial's draw behind its products, reaches the caller and leaves the
+worker usable.
 """
 
 import functools
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvlab import _blas
+from pvlab import _blas, model_gen
+from pvlab.detection import estimate_instance
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.model_gen import (
     SeedSpec,
@@ -353,6 +355,59 @@ class TestWorkerFailures:
         assert [(r.success, r.l2_error, r.statistic_value) for r in failed] == [(False, None, None)] * 2
         monkeypatch.undo()
         assert run_sweep(config) == expected
+
+    def test_sweep_records_a_unit_whose_draw_raised(self, monkeypatch):
+        # The Gaussian draw runs behind the trial's products and raises
+        # after writing its third step of rows; the next sweep is clean.
+        config = SweepConfig(Ns=[4000], ns=[100], rhos=[0.05], trials=2, tasks=("recover",))
+        expected = run_sweep(config)
+        real, real_behind = model_gen._normal_rows, _blas._Draw.behind
+        behind = []
+
+        def failing(rng, Y):
+            for rows in real(rng, Y):
+                if rows > 2048:
+                    raise FloatingPointError("overflow in the draw")
+                yield rows
+
+        def counted(draw, block):
+            behind.append(True)
+            return real_behind(draw, block)
+
+        monkeypatch.setattr(model_gen, "_normal_rows", failing)
+        monkeypatch.setattr(_blas._Draw, "behind", counted)
+        failed = run_sweep(config)
+        assert behind == [True] * 2
+        assert [(r.success, r.l2_error, r.statistic_value) for r in failed] == [(False, None, None)] * 2
+        monkeypatch.undo()
+        assert run_sweep(config) == expected
+
+    def test_a_product_that_raises_waits_for_the_draw(self, monkeypatch):
+        # The statistic overflows in its fifth row block, under the caller's
+        # error state, while the draw still has five steps to write: the
+        # error reaches the caller only once the last rows are written.
+        N, n = 10000, 100
+        real = model_gen._normal_rows
+        written = []
+
+        def slow_and_large(rng, Y):
+            start = 0
+            for rows in real(rng, Y):
+                if start >= 4096:
+                    Y[start:rows] *= 1e90
+                written.append(rows)
+                start = rows
+                yield rows
+                time.sleep(0.002)
+
+        monkeypatch.setattr(model_gen, "_normal_rows", slow_and_large)
+        with _blas.one_blas_thread(), np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                estimate_instance("null", N, n, 0.05, SeedSpec(5))
+            assert written[-1] == N
+            monkeypatch.undo()
+            M = estimate_instance("null", N, n, 0.05, SeedSpec(5))[0].statistic
+        assert np.isfinite(M).all()
 
 
 def test_sweep_cell_threads_keep_their_pieces(worker_calls):

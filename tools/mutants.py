@@ -101,6 +101,11 @@ MUTATIONS = {
         "sums[int(a >= split)] +=",
         "sums[0] +=",
     ),
+    "a block behind the draw waits for its first row, not its last": (
+        "src/pvlab/_blas.py",
+        "self._wait(b)",
+        "self._wait(a + 1)",
+    ),
     "orth Gram overflow no longer silenced": (
         "src/pvlab/model_gen.py",
         '    with np.errstate(over="ignore", invalid="ignore"):\n        G = _blas.gram(Y)',
