@@ -10,10 +10,11 @@ sums over the blocks.
 
 A sweep trial (`detection.estimate_instance`) also draws behind its
 products: inside `draw_behind`, a sampler's Gaussian draw (`fill`) is left
-to the next `gram` of its array, which runs the draw on the worker thread
-and, on the calling thread, each row block's products as soon as the
-block's rows are drawn.  The blocks, their order and the two piece sums
-are the same, so no bit moves, and no second N x n array is made.
+to the next `gram` of its array, which runs the draw and the products as
+_on_two_threads' two pieces: the draw on the calling thread and, on the
+worker, each row block's products as soon as the block's rows are drawn.
+The blocks, their order and the two piece sums are the same, so no bit
+moves, and no second N x n array is made.
 
 numpy's wheels bundle OpenBLAS in a `numpy.libs` directory next to the
 package; its exported `scipy_openblas_{get,set}_num_threads64_` are called
@@ -30,6 +31,7 @@ import ctypes
 import functools
 import logging
 import os
+import queue
 import threading
 from concurrent import futures
 from pathlib import Path
@@ -185,8 +187,9 @@ def gram(Y: np.ndarray, weights=None) -> np.ndarray:
     took an `orth` trial's usual peak from 1.68-1.75 to 1.79-1.83 N x n.
     Each piece sums its own blocks in order, and the result is the first
     piece's sum plus the second's, on one thread or two.  When Y's rows are
-    still to be drawn (`fill`), both pieces' blocks are summed here, each as
-    soon as its rows are final, while the worker draws."""
+    still to be drawn (`fill`), both pieces' blocks are summed on the
+    worker, each as soon as its rows are drawn, while this thread draws
+    (`_behind`)."""
     N, n = Y.shape
     edges = _row_edges(N, n)
     split = edges[_middle(edges)]
@@ -198,71 +201,44 @@ def gram(Y: np.ndarray, weights=None) -> np.ndarray:
         sums[int(a >= split)] += scaled.T @ rows
 
     draw = getattr(_this_thread, "draw", None)
-    if isinstance(draw, _Draw) and draw.Y is Y:
+    if isinstance(draw, tuple) and draw[0] is Y:
         _this_thread.draw = None
-        draw.behind(block)
+        _behind(*draw, block, edges)
     else:
         _on_two_threads(block, edges)
     return sums[0] + sums[1]
 
 
-class _Draw:
-    """Y's rows as the iterator `rows` writes them, in order, with Y @ R
-    written over each row block once its rows are final (see `fill`)."""
+def _behind(Y: np.ndarray, rows, R: np.ndarray | None, block, edges: list[int]) -> None:
+    """Run `rows`, the iterator that writes Y's rows (see `fill`), and
+    block(a, b) for each row block in order, each once its rows are drawn
+    and multiplied by R, as _on_two_threads' two pieces: the draw here, the
+    products on the worker, or the draw first and the products after when
+    they run in order.  The draw hands its row counts to the products
+    through a queue, and an end mark once it stops, so a draw that raises
+    ends the products too."""
+    drawn = queue.SimpleQueue()
 
-    def __init__(self, Y: np.ndarray, rows, R: np.ndarray | None):
-        self.Y, self._rows, self._R = Y, rows, R
-        self._final = 0  # rows < _final are written
-        self._drawing = False  # a thread is running `rows`
-        self._error: BaseException | None = None
-        self._changed = threading.Condition()
-
-    def _wait(self, b: int) -> None:
-        """Return once rows < b are final, drawing them here if no thread
-        is drawing: one thread at a time runs `rows`, until its own rows
-        are final.  An exception from `rows` is raised again by every later
-        wait for rows that it left unwritten."""
-        with self._changed:
-            while self._drawing and self._final < b:
-                self._changed.wait()
-            if self._final >= b:
-                return
-            if self._error is not None:
-                raise self._error
-            self._drawing = True
-        final = self._final
+    def draw() -> None:
         try:
-            while final < b:
-                final = next(self._rows, len(self.Y))
-                with self._changed:
-                    self._final = final
-                    self._changed.notify_all()
-        except BaseException as exc:
-            self._error = exc
-            raise
+            for count in rows:
+                drawn.put(count)
         finally:
-            with self._changed:
-                self._drawing = False
-                self._changed.notify_all()
+            drawn.put(None)
 
-    def behind(self, block) -> None:
-        """block(a, b) for each row block of Y, in order on this thread, each
-        once its rows are drawn and multiplied by R, while the worker draws.
-        The draw and the products are _on_two_threads' two pieces, so this
-        returns or raises only once the worker has stopped writing Y; run in
-        order, the products draw the rows themselves."""
-        Y, R = self.Y, self._R
-        edges = _row_edges(*Y.shape)
+    def products() -> None:
+        final = 0
+        for a, b in zip(edges, edges[1:]):
+            while final < b:
+                final = drawn.get()
+                if final is None:
+                    return
+            if R is not None:
+                np.matmul(Y[a:b], R, out=Y[a:b])
+            block(a, b)
 
-        def products() -> None:
-            for a, b in zip(edges, edges[1:]):
-                self._wait(b)
-                if R is not None:
-                    np.matmul(Y[a:b], R, out=Y[a:b])
-                block(a, b)
-
-        pieces = (products, lambda: self._wait(len(Y)))
-        _on_two_threads(lambda a, b: pieces[a](), [0, 1, 2])
+    pieces = (draw, products)
+    _on_two_threads(lambda a, b: pieces[a](), [0, 1, 2])
 
 
 @contextlib.contextmanager
@@ -271,7 +247,7 @@ def draw_behind():
     its array, within the block.  A sampler called in the block may return
     an array whose rows are not drawn yet; that gram must be the first to
     read them."""
-    _this_thread.draw = True  # until a fill leaves its _Draw here for gram to take
+    _this_thread.draw = True  # until a fill leaves its (Y, rows, R) here for gram to take
     try:
         yield
     finally:
@@ -285,10 +261,10 @@ def fill(Y: np.ndarray, rows, R: np.ndarray | None = None) -> None:
 
     Inside `draw_behind`, when Y has two row blocks or more and the worker
     would run a piece (`_uses_worker`), this returns at once, and the next
-    `gram` of Y draws the rows on the worker thread while it writes each
-    block's Y @ R and sums it on the calling thread."""
+    `gram` of Y draws the rows on the calling thread while the worker
+    writes each block's Y @ R and sums it (`_behind`)."""
     if getattr(_this_thread, "draw", None) is True and _uses_worker(_row_edges(*Y.shape)):
-        _this_thread.draw = _Draw(Y, rows, R)
+        _this_thread.draw = (Y, rows, R)
         return
     for _ in rows:
         pass

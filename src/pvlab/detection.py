@@ -16,8 +16,8 @@ calls.
 `estimate_instance` samples into one reused float64 buffer per thread (see
 `_sample_buffer`), so a run of trials does not allocate and free an N x n
 array per trial; only `spectral.build_statistic` builds M, from the sample.
-It samples and estimates inside `pvlab._blas.draw_behind`, so the sample's
-Gaussian draw runs on the products' worker thread while the calling thread
+It samples and estimates inside `pvlab._blas.draw_behind`, so the calling
+thread draws the sample's Gaussian entries while the products' worker thread
 multiplies and sums each row block as soon as it is drawn, with the bytes
 of drawing first.
 """
@@ -190,7 +190,8 @@ def estimate_instance(
     which the next call on the thread overwrites; the returned arrays are
     fresh and never share its memory.  The draw runs behind the products
     (`pvlab._blas.draw_behind`): the sampler may return before its rows are
-    drawn, and the statistic's row-block sum draws them."""
+    drawn, and the statistic's row-block sum draws them while the worker
+    sums each block."""
     _check_instance_params(N, n, rho)  # before the buffer takes a shape no sampler accepts
     with _blas.draw_behind():
         Y, v = sample_observation(model, N, n, rho, seed, out=_sample_buffer(N, n))

@@ -27,11 +27,11 @@ so a sample needs no second N x n array; the public functions never write
 their input.  The Gaussian entries are drawn through `pvlab._blas.fill`:
 inside `_blas.draw_behind` (a sweep trial's), the draw and the Haar
 product Y @ Q are left to the next Gram matrix of the array, which draws on
-the worker thread and multiplies each row block once it is drawn, so
-`sample_rotated_instance` and the null draw may return before their rows
-are final, and `sample_orthonormal_instance`'s first Gram matrix runs
-behind its own draw.  Called anywhere else, every sampler returns finished
-arrays.
+the calling thread while the worker thread multiplies each row block once
+it is drawn, so `sample_rotated_instance` and the null draw may return
+before their rows are final, and `sample_orthonormal_instance`'s first
+Gram matrix runs behind its own draw.  Called anywhere else, every sampler
+returns finished arrays.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ the -(3/N) I term) is kept for comparison; it loses the dense case rho = 1.
 M's one O(N n^2) product, sum_i w_i y_i y_i^T, is summed only in
 `build_statistic`, from Y, by `pvlab._blas.gram` for every model: over the
 row blocks that every product of a trial takes.  In a sweep trial of the
-`gaussian` or `null` model, that sum takes each block as soon as the
-sampler's draw, running behind it on the worker thread, has written it
-(`pvlab._blas.draw_behind`).
+`gaussian` or `null` model, that sum runs on the worker thread and takes
+each block as soon as the sampler's draw, running on the calling thread,
+has written it (`pvlab._blas.draw_behind`).
 """
 
 from __future__ import annotations

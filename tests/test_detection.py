@@ -363,10 +363,11 @@ class TestMemoryBudget:
     N, n = 20000, 50
 
     BOUND = 1.45  # every model; a process's first trial read 1.29-1.42 (one BLAS thread)
-    # `gaussian` and `null` trials multiply and sum every row block on the
-    # calling thread, behind the draw or in order, so they hold one block's
-    # temporaries at a time: 1.20-1.31 N x n in a first trial and 0.20-0.22
-    # in a second, against 1.23-1.42 and 0.30-0.33 with one per piece.
+    # `gaussian` and `null` trials multiply and sum every row block on one
+    # thread, the worker behind the draw or the calling thread in order, so
+    # they hold one block's temporaries at a time: 1.20-1.31 N x n in a
+    # first trial and 0.20-0.22 in a second, against 1.23-1.42 and
+    # 0.30-0.33 with one per piece.
     FIRST_TRIAL = {"gaussian": 1.35, "null": 1.35, "orth": BOUND}
     SECOND_TRIAL = {"gaussian": 0.3, "null": 0.3, "orth": 0.5}
 

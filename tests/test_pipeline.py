@@ -1,10 +1,10 @@
 """A trial's draw behind its own products: the bytes of drawing first.
 
 Inside `detection.estimate_instance`, under one BLAS thread, the sampler's
-Gaussian draw runs on pvlab's worker thread while the calling thread
+Gaussian draw runs on the calling thread while pvlab's worker thread
 multiplies and sums each row block as soon as its rows are drawn
-(`pvlab._blas.fill` and `gram`).  These tests compare every trial output
-with an inline trial, one on a thread kept in order
+(`pvlab._blas.fill`, `gram` and `_behind`).  These tests compare every
+trial output with an inline trial, one on a thread kept in order
 (`keep_pieces_on_this_thread`), which draws first; they check that no block
 is read before its rows are drawn, and that a trial of one row block, or
 under two BLAS threads, draws inline.
@@ -39,13 +39,13 @@ ONE_BLOCK = {(4000, 20), (1025, 7)}
 def behind_calls(monkeypatch):
     """One entry per gram that summed its blocks behind a draw."""
     calls = []
-    real = _blas._Draw.behind
+    real = _blas._behind
 
-    def counted(self, block):
+    def counted(*args):
         calls.append(True)
-        return real(self, block)
+        return real(*args)
 
-    monkeypatch.setattr(_blas._Draw, "behind", counted)
+    monkeypatch.setattr(_blas, "_behind", counted)
     return calls
 
 
@@ -137,8 +137,9 @@ def test_no_block_is_read_before_its_rows_are_drawn(N, n, model, behind_calls, m
 
 def test_trials_on_many_threads_share_the_one_worker(behind_calls):
     # More calling threads than cores, switching often, each running trials
-    # behind their draws on the one worker: a draw queued behind another
-    # thread's is drawn by its own caller, and every trial keeps its bytes.
+    # behind their draws on the one worker: each caller draws its own rows
+    # while its products wait in the worker's queue behind another thread's,
+    # and every trial keeps its bytes.
     N, n = 4000, 100
     cases = [(model, SeedSpec(79, t)) for t in range(3) for model in MODELS]
     with blas_threads(1):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvlab import _blas, model_gen
+from pvlab import _blas, model_gen, spectral
 from pvlab.detection import estimate_instance
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.model_gen import (
@@ -361,7 +361,7 @@ class TestWorkerFailures:
         # after writing its third step of rows; the next sweep is clean.
         config = SweepConfig(Ns=[4000], ns=[100], rhos=[0.05], trials=2, tasks=("recover",))
         expected = run_sweep(config)
-        real, real_behind = model_gen._normal_rows, _blas._Draw.behind
+        real, real_behind = model_gen._normal_rows, _blas._behind
         behind = []
 
         def failing(rng, Y):
@@ -370,12 +370,12 @@ class TestWorkerFailures:
                     raise FloatingPointError("overflow in the draw")
                 yield rows
 
-        def counted(draw, block):
+        def counted(*args):
             behind.append(True)
-            return real_behind(draw, block)
+            return real_behind(*args)
 
         monkeypatch.setattr(model_gen, "_normal_rows", failing)
-        monkeypatch.setattr(_blas._Draw, "behind", counted)
+        monkeypatch.setattr(_blas, "_behind", counted)
         failed = run_sweep(config)
         assert behind == [True] * 2
         assert [(r.success, r.l2_error, r.statistic_value) for r in failed] == [(False, None, None)] * 2
@@ -408,6 +408,38 @@ class TestWorkerFailures:
             monkeypatch.undo()
             M = estimate_instance("null", N, n, 0.05, SeedSpec(5))[0].statistic
         assert np.isfinite(M).all()
+
+    def test_a_draw_that_raises_waits_for_the_products(self, monkeypatch):
+        # The draw raises after its second step of rows while the worker
+        # multiplies and sums a block of them, slowly: the error reaches the
+        # caller only once no block is busy, so the worker has stopped
+        # writing the thread's buffer.
+        real_rows, real_weights = model_gen._normal_rows, spectral._row_weights
+        busy, summing = [], threading.Event()
+
+        def slow_weights(rows, N):
+            busy.append(True)
+            try:
+                summing.set()
+                time.sleep(0.02)
+                return real_weights(rows, N)
+            finally:
+                busy.pop()
+
+        def failing(rng, Y):
+            for rows in real_rows(rng, Y):
+                yield rows
+                if rows >= 2048:
+                    summing.wait(timeout=10)
+                    raise FloatingPointError("overflow in the draw")
+
+        monkeypatch.setattr(spectral, "_row_weights", slow_weights)
+        monkeypatch.setattr(model_gen, "_normal_rows", failing)
+        with _blas.one_blas_thread():
+            with pytest.raises(FloatingPointError, match="overflow in the draw"):
+                estimate_instance("gaussian", 10000, 100, 0.05, SeedSpec(5))
+        assert summing.is_set()
+        assert not busy
 
 
 def test_sweep_cell_threads_keep_their_pieces(worker_calls):

@@ -103,8 +103,13 @@ MUTATIONS = {
     ),
     "a block behind the draw waits for its first row, not its last": (
         "src/pvlab/_blas.py",
-        "self._wait(b)",
-        "self._wait(a + 1)",
+        "while final < b:",
+        "while final < a + 1:",
+    ),
+    "_on_two_threads raises the caller's error without waiting for the worker piece": (
+        "src/pvlab/_blas.py",
+        "    except BaseException:\n        futures.wait([pending])\n        raise",
+        "    except BaseException:\n        raise",
     ),
     "orth Gram overflow no longer silenced": (
         "src/pvlab/model_gen.py",
