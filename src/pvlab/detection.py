@@ -35,6 +35,7 @@ from . import _blas
 from .model_gen import (
     SeedSpec,
     _check_instance_params,
+    _check_integer,
     sample_detection_pair,
     sample_orthonormal_instance,
     sample_rotated_instance,
@@ -252,6 +253,7 @@ def error_rates(
 ) -> ErrorRateReport:
     """Empirical error rates over `trials` null and `trials` planted
     instances; trial t uses stream index base+t of the given seed."""
+    _check_integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     false_planted = 0

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model_gen import _check_integer
+
 __all__ = [
     "DegreeContribution",
     "AdvantageBreakdown",
@@ -172,6 +174,8 @@ def advantage(N: int, n: int, rho: float, D: int) -> AdvantageBreakdown:
     sets the underflow flag, and a linear field that leaves double range
     saturates to inf and sets the overflow flag.
     """
+    for name, value in (("N", N), ("n", n), ("D", D)):
+        _check_integer(name, value)
     if N < 1 or n < 1 or D < 0:
         raise ValueError(f"need N, n >= 1 and D >= 0, got N={N}, n={n}, D={D}")
     if not MIN_RHO <= rho <= 1:

@@ -172,6 +172,7 @@ def sample_br_vector(N: int, rho: float, seed: SeedSpec) -> np.ndarray:
     probability 1-rho and +-1/sqrt(N*rho) with probability rho/2 each.  The
     vector is not rescaled, so its norm is 1 only in expectation.  A draw
     with no nonzero entry raises DegenerateDrawError."""
+    _check_integer("N", N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 0 < rho <= 1:
@@ -183,6 +184,7 @@ def sample_br_vector(N: int, rho: float, seed: SeedSpec) -> np.ndarray:
 def sample_gaussian_basis(v: np.ndarray, n: int, seed: SeedSpec) -> np.ndarray:
     """N x n matrix whose first column is v and whose other n-1 columns are
     i.i.d. N(0, I_N / N) vectors."""
+    _check_integer("n", n)
     if not 1 <= n <= v.size:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={v.size}")
     rng = seed.generator()
@@ -192,6 +194,7 @@ def sample_gaussian_basis(v: np.ndarray, n: int, seed: SeedSpec) -> np.ndarray:
 def sample_haar_rotation(n: int, seed: SeedSpec) -> np.ndarray:
     """Haar-distributed n x n orthogonal matrix via QR of a Gaussian matrix
     with the diagonal of R forced positive (the sign fix makes the measure exact)."""
+    _check_integer("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = seed.generator()
@@ -280,8 +283,17 @@ def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
     return Q * signs
 
 
+def _check_integer(name: str, value) -> None:
+    """A size must be an integer: a float or a bool is refused, not
+    truncated or counted; numpy integers pass."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_instance_params(N: int, n: int, rho: float) -> None:
-    """Domain of the composite samplers: 1 <= n <= N and rho in (0, 1]."""
+    """Domain of the composite samplers: integers 1 <= n <= N and rho in (0, 1]."""
+    _check_integer("N", N)
+    _check_integer("n", n)
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     if not 0 < rho <= 1:

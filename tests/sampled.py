@@ -7,7 +7,10 @@ private draws (`_br_from_rng`, `_basis_from_rng`, `_haar_from_rng`), so the
 arrays are the bytes those tests have always seen.  `planted_support` reads
 the vector lane itself, so it also sees the all-zero draws the samplers
 reject.  `row_block_statistic` is the statistic as every trial sums it,
-built in plain numpy, not through `pvlab`.
+built in plain numpy, not through `pvlab`: the one restatement of the
+row-block rule, which only the split-product property and the two-pass
+reference of `test_threads.py` compare with.  `one_call_statistic` sums it
+in one product instead.
 """
 
 import numpy as np
@@ -100,3 +103,10 @@ def centered_statistic(T: np.ndarray, N: int, centered: bool = True) -> np.ndarr
 def row_block_statistic(Y: np.ndarray, centered: bool = True) -> np.ndarray:
     """The statistic of a trial, from the plain-numpy row-block sum."""
     return centered_statistic(row_block_sum(Y), len(Y), centered)
+
+
+def one_call_statistic(Y: np.ndarray, centered: bool = True) -> np.ndarray:
+    """The statistic's arithmetic with its weighted sum as one product."""
+    N, n = Y.shape
+    weights = np.einsum("ij,ij->i", Y, Y) - (n - 1) / N
+    return centered_statistic((Y * weights[:, None]).T @ Y, N, centered)

@@ -23,9 +23,8 @@ from pvlab._blas import one_blas_thread
 from pvlab.detection import estimate_instance, sample_observation
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.model_gen import SeedSpec
-from pvlab.spectral import SpectralResult, estimate_direction, leading_eigenpair
+from pvlab.spectral import estimate_direction
 
-from sampled import row_block_statistic
 from test_detection import on_a_fresh_thread
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,14 +37,9 @@ def this_threads_buffer():
 
 
 def fresh_estimate(model, N, n, rho, seed):
-    """estimate_instance's (result, v) from a freshly allocated sample, an
-    `orth` statistic from the plain-numpy row-block sum."""
+    """estimate_instance's (result, v) from a freshly allocated sample."""
     Y, v = sample_observation(model, N, n, rho, seed)
-    if model != "orth":
-        return estimate_direction(Y), v
-    M = row_block_statistic(Y)
-    lam, u, gap = leading_eigenpair(M)
-    return SpectralResult(M, lam, Y @ u, gap), v
+    return estimate_direction(Y), v
 
 
 def returned_arrays(result, v):
@@ -138,7 +132,7 @@ def test_public_samplers_do_not_use_the_buffer():
 
 def test_out_of_domain_instance_leaves_the_buffer_alone():
     def trials():
-        for N, n, rho in [(5, 10, 0.5), (-5, 2, 0.5), (5, 2, 0.0)]:
+        for N, n, rho in [(5, 10, 0.5), (-5, 2, 0.5), (5, 2, 0.0), (4000.0, 20, 0.5)]:
             with pytest.raises(ValueError):
                 estimate_instance("gaussian", N, n, rho, SeedSpec(68))
         return this_threads_buffer()

@@ -1,6 +1,7 @@
 """Tests for the spectral-norm and l1/l2 detection tests and the error-rate
 harness."""
 
+import contextlib
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -30,7 +31,7 @@ from pvlab.model_gen import (
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.spectral import SpectralResult, estimate_direction
 
-from sampled import centered_statistic, first_pass_error, row_block_statistic, unit_basis
+from sampled import first_pass_error, one_call_statistic, unit_basis
 
 
 class TestSpectralNormTest:
@@ -192,6 +193,12 @@ class TestErrorRates:
         with pytest.raises(ValueError):
             error_rates(100, 5, 0.1, 0.05, 1, "oracle", SeedSpec(14))
 
+    @pytest.mark.parametrize("trials", [True, 2.0])
+    def test_non_integer_trials_rejected(self, trials):
+        # trials=True ran one trial.
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            error_rates(400, 5, 0.1, 0.05, trials, "spectral", SeedSpec(1))
+
 
 class TestDispatch:
     @pytest.mark.parametrize("which", ["null", "planted"])
@@ -279,56 +286,37 @@ class TestDispatch:
 
 
 class TestStatisticKernel:
-    # At 8000 x 40 the row blocks are two, of 3072 and 4928 rows, and their
-    # sum differs from one product at roundoff; at 3000 x 40 there is one.
     N, n, rho = 8000, 40, 0.05
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_each_model_sums_over_its_own_blocks(self, model):
-        # Every model's statistic is summed over its basis's row blocks.
+        # Every model's trial sums the statistic of its own observation:
+        # uncentered, within 1e-13 relative of that observation's one
+        # product.
         N, n, rho, seed = self.N, self.n, self.rho, SeedSpec(23)
         with one_blas_thread():
             Y, _ = sample_observation(model, N, n, rho, seed)
-            reference = row_block_statistic(Y)
-            M = estimate_instance(model, N, n, rho, seed)[0].statistic
-        weights = np.einsum("ij,ij->i", Y, Y) - (n - 1) / N
-        one_product = centered_statistic((Y * weights[:, None]).T @ Y, N)
-        assert reference.tobytes() != one_product.tobytes()
-        assert M.tobytes() == reference.tobytes()
+            M = estimate_instance(model, N, n, rho, seed, centered=False)[0].statistic
+        one_product = one_call_statistic(Y, centered=False)
+        assert np.max(np.abs(M - one_product)) <= 1e-13 * np.max(np.abs(one_product))
 
     @pytest.mark.parametrize("model", ["gaussian", "orth"])
     def test_a_unit_builds_one_statistic_per_instance(self, model, monkeypatch):
         # The tier-1 stand-in for the benchmark's per-unit counts: one
-        # build_statistic per distinct instance, and the row-block kernel
-        # once inside each, weighted, for every model.  (The `orth` sampler
-        # calls the same kernel, unweighted, for its Gram matrices.)
+        # build_statistic per distinct instance.
         events = []
-        depth = 0
-        sample, build, rows = (
-            detection.sample_observation, spectral.build_statistic, _blas.gram
-        )
+        sample, build = detection.sample_observation, spectral.build_statistic
 
         def sample_recorder(model, *args, **kwargs):
             events.append(("sample", model))
             return sample(model, *args, **kwargs)
 
         def build_recorder(*args, **kwargs):
-            nonlocal depth
             events.append(("statistic",))
-            depth += 1
-            try:
-                return build(*args, **kwargs)
-            finally:
-                depth -= 1
-
-        def rows_recorder(Y, weights=None):
-            if weights is not None:
-                events.append(("rows", depth))
-            return rows(Y, weights)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr(detection, "sample_observation", sample_recorder)
         monkeypatch.setattr(spectral, "build_statistic", build_recorder)
-        monkeypatch.setattr(_blas, "gram", rows_recorder)
         tasks = ["recover", "detect_spectral", "detect_l1l2"]
         config = SweepConfig([self.N], [self.n], [self.rho], trials=1, model=model, tasks=tasks)
         run_sweep(config)
@@ -336,7 +324,7 @@ class TestStatisticKernel:
         assert sorted(sampled) == sorted({model, "null", "gaussian"})
         expected = []
         for m in sampled:
-            expected += [("sample", m), ("statistic",), ("rows", 1)]
+            expected += [("sample", m), ("statistic",)]
         assert events == expected
 
 
@@ -359,6 +347,22 @@ def on_a_fresh_thread(fn):
         return pool.submit(fn).result()
 
 
+@contextlib.contextmanager
+def blas_threads(count):
+    """Run the block under `count` BLAS threads, set in-process, and restore
+    the previous count."""
+    functions = _blas._thread_functions()
+    if functions is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, set_ = functions
+    previous = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 class TestMemoryBudget:
     N, n = 20000, 50
 
@@ -370,6 +374,10 @@ class TestMemoryBudget:
     # 0.30-0.33 with one per piece.
     FIRST_TRIAL = {"gaussian": 1.35, "null": 1.35, "orth": BOUND}
     SECOND_TRIAL = {"gaussian": 0.3, "null": 0.3, "orth": 0.5}
+    # Each trial budget holds under one BLAS thread, where a trial draws
+    # behind its products, and under two, where it draws first, whatever
+    # count the process started with.
+    BLAS_COUNTS = (1, 2)
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_trial_holds_at_most_two_observation_arrays(self, model):
@@ -381,8 +389,10 @@ class TestMemoryBudget:
         # the blocks on one thread or two.
         N, n = self.N, self.n
         trial = lambda: estimator(N, n, 0.05, SeedSpec(19))(model)  # noqa: E731
-        peak = on_a_fresh_thread(lambda: traced_peak(trial))
-        assert peak <= self.FIRST_TRIAL[model] * N * n * 8
+        for count in self.BLAS_COUNTS:
+            with blas_threads(count):
+                peak = on_a_fresh_thread(lambda: traced_peak(trial))
+            assert peak <= self.FIRST_TRIAL[model] * N * n * 8, count
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_second_trial_of_a_shape_reuses_the_buffer(self, model):
@@ -394,7 +404,10 @@ class TestMemoryBudget:
             estimator(N, n, 0.05, SeedSpec(19))(model)
             return traced_peak(lambda: estimator(N, n, 0.05, SeedSpec(20))(model))
 
-        assert on_a_fresh_thread(trials) <= self.SECOND_TRIAL[model] * N * n * 8
+        for count in self.BLAS_COUNTS:
+            with blas_threads(count):
+                peak = on_a_fresh_thread(trials)
+            assert peak <= self.SECOND_TRIAL[model] * N * n * 8, count
 
     @pytest.mark.parametrize("model", ["gaussian", "orth", "null"])
     def test_a_larger_trial_frees_the_smaller_buffer_first(self, model):
@@ -408,8 +421,10 @@ class TestMemoryBudget:
             estimator(N, n // 2, 0.05, SeedSpec(19))(model)
             estimator(N, n, 0.05, SeedSpec(20))(model)
 
-        peak = on_a_fresh_thread(lambda: traced_peak(trials))
-        assert peak <= self.BOUND * N * n * 8
+        for count in self.BLAS_COUNTS:
+            with blas_threads(count):
+                peak = on_a_fresh_thread(lambda: traced_peak(trials))
+            assert peak <= self.BOUND * N * n * 8, count
 
     def test_orth_second_pass_holds_at_most_two_observation_arrays(self):
         # At 200000 x 12 this basis's first CholeskyQR pass is not orthonormal

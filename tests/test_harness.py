@@ -34,6 +34,7 @@ from pvlab.spectral import (
     score,
 )
 from sampled import planted_support
+from test_detection import blas_threads
 
 
 def small_config(**overrides):
@@ -281,18 +282,13 @@ class TestRunSweep:
 class TestBlasThreads:
     @pytest.mark.parametrize("workers", [1, 2, 0], ids=["serial", "threads", "bad_workers"])
     def test_sweep_runs_on_one_thread_and_restores_the_callers_count(self, workers, monkeypatch):
-        functions = _blas._thread_functions()
-        if functions is None:
-            pytest.skip("numpy has no bundled OpenBLAS")
-        get, set_ = functions
         seen = []
         real = detection.estimate_direction
-        monkeypatch.setattr(
-            detection, "estimate_direction", lambda Y, *a, **k: seen.append(get()) or real(Y, *a, **k)
-        )
-        previous = get()
-        set_(2)
-        try:
+        with blas_threads(2):
+            get = _blas._thread_functions()[0]
+            monkeypatch.setattr(
+                detection, "estimate_direction", lambda Y, *a, **k: seen.append(get()) or real(Y, *a, **k)
+            )
             if workers < 1:
                 with pytest.raises(ValueError):
                     run_sweep(small_config(), workers=workers)
@@ -300,8 +296,6 @@ class TestBlasThreads:
                 run_sweep(small_config(), workers=workers)
                 assert seen == [1] * 3
             assert get() == 2
-        finally:
-            set_(previous)
 
     def test_unknown_blas_warns_once_and_sweeps(self, monkeypatch, tmp_path, caplog):
         no_libs = types.SimpleNamespace(__file__=str(tmp_path / "numpy" / "__init__.py"))

@@ -249,6 +249,17 @@ class TestAdvantage:
         with pytest.raises(ValueError):
             advantage(10, 5, 1e-9, 4)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((10.5, 5, 0.1, 8), "N"), ((100, 5.5, 0.1, 8), "n"), ((100, 5, 0.1, 8.0), "D"),
+         ((True, 5, 0.1, 8), "N")],
+    )
+    def test_non_integer_sizes_rejected(self, args, name):
+        # A float N or n was computed with, and a float D raised TypeError.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            advantage(*args)
+        assert advantage(np.int64(100), np.int32(5), 0.1, np.int64(8)) == advantage(100, 5, 0.1, 8)
+
     def test_large_parameters_log_space(self):
         # far beyond linear-space range: C(10^4, 5) * rho^(2-k) terms
         b = advantage(10**4, 20, 0.01, 24)

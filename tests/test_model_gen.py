@@ -29,14 +29,7 @@ from pvlab.model_gen import (
 )
 from pvlab.spectral import build_statistic, estimate_direction
 
-from sampled import (
-    first_pass_error,
-    haar_rotated,
-    row_block_statistic,
-    row_block_sum,
-    unit,
-    unit_basis,
-)
+from sampled import first_pass_error, haar_rotated, one_call_statistic, unit, unit_basis
 
 
 class TestSeedSpec:
@@ -106,6 +99,31 @@ class TestSampleBrVector:
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
             sample_br_vector(bad["N"], bad["rho"], SeedSpec(0))
+
+
+# A size that is not an integer, or is a bool, is refused and named; a float
+# was truncated or failed inside numpy with a TypeError.
+NON_INTEGER_SIZES = {
+    "br_vector": ("N", lambda: sample_br_vector(10.5, 0.5, SeedSpec(0))),
+    "gaussian_basis": ("n", lambda: sample_gaussian_basis(np.ones(5), 2.0, SeedSpec(0))),
+    "haar_rotation": ("n", lambda: sample_haar_rotation(np.float64(3), SeedSpec(0))),
+    "rotated": ("n", lambda: sample_rotated_instance(100, True, 0.5, SeedSpec(0))),
+    "orthonormal": ("N", lambda: sample_orthonormal_instance(100.0, 5, 0.5, SeedSpec(0))),
+    "null_pair": ("n", lambda: sample_detection_pair(100, 2.5, 0.5, SeedSpec(0), "null")),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(NON_INTEGER_SIZES))
+def test_samplers_reject_non_integer_sizes(sampler):
+    name, call = NON_INTEGER_SIZES[sampler]
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_samplers_accept_numpy_integer_sizes():
+    Y, _ = sample_rotated_instance(np.int64(100), np.int32(5), 0.5, SeedSpec(0))
+    expected, _ = sample_rotated_instance(100, 5, 0.5, SeedSpec(0))
+    assert Y.tobytes() == expected.tobytes()
 
 
 class TestGaussianBasis:
@@ -415,8 +433,7 @@ class TestOrthonormalize:
 
     def test_householder_q_is_written_over_out(self, monkeypatch):
         # Householder's Q is a fresh array; a sampler given `out` copies it
-        # there, so the observation is always the caller's array, and the
-        # statistic an `orth` trial sums over it is Q's.
+        # there, so the observation is always the caller's array.
         monkeypatch.setattr(model_gen, "_cholesky_qr2", lambda Y, G: None)
         seed = SeedSpec(59)
         expected = householder_oracle(unit_basis(3000, 20, 0.05, seed))
@@ -424,8 +441,6 @@ class TestOrthonormalize:
         Yh, _ = sample_orthonormal_instance(3000, 20, 0.05, seed, out=out)
         assert Yh is out
         assert out.tobytes() == expected.tobytes()
-        T = row_block_sum(Yh)
-        assert np.allclose(T, build_statistic(expected, centered=False), rtol=0, atol=1e-15)
 
     def test_nearly_collinear_basis_takes_the_second_pass(self):
         Y = _nearly_collinear()
@@ -434,17 +449,13 @@ class TestOrthonormalize:
         assert np.max(np.abs(Q.T @ Q - np.eye(12))) <= 1e-12
 
     def test_blocked_second_pass_bytes_pinned(self):
-        # 40000 rows span 40 row blocks of the in-place second pass, which
-        # this basis takes; its bytes are those of one full-size product
-        # (the Gram matrices are row-block sums, as in production).
+        # This sampled basis takes the in-place second pass.  The sampler's
+        # bytes are orthonormalize's (test_threads.py's sampler test, on the
+        # same seed), whose second pass is the two-pass reference's.
         N, n, seed = 40000, 2, SeedSpec(57, 4)
         with one_blas_thread():  # the sampler's bytes under the CLI and sweep
-            Y = unit_basis(N, n, 0.05, seed)
-            assert first_pass_error(Y) > n * np.finfo(np.float64).eps
+            assert first_pass_error(unit_basis(N, n, 0.05, seed)) > n * np.finfo(np.float64).eps
             Q, _ = sample_orthonormal_instance(N, n, 0.05, seed)
-            Q1 = Y @ np.linalg.inv(np.linalg.cholesky(row_block_sum(Y, weighted=False)).T)
-            full = Q1 @ np.linalg.inv(np.linalg.cholesky(row_block_sum(Q1, weighted=False)).T)
-        assert Q.tobytes() == full.tobytes()
         digest = "b14462ca95b43ebe02430553d40078c75ca7bcfedf5b18ffd5f75ae205ff08c0"
         assert hashlib.sha256(Q.tobytes()).hexdigest() == digest
 
@@ -461,21 +472,17 @@ class TestOrthonormalize:
 
     @BRANCHES
     def test_weighted_sum_on_every_branch(self, make):
-        # An `orth` trial's path: the sampler writes Q over the drawn basis
-        # with orthonormalize's bytes, and the statistic summed over Q's row
-        # blocks is build_statistic's up to rounding.
+        # The statistic an `orth` trial sums over Q, whichever branch made
+        # Q, is within 1e-13 relative of one product.
         Y = make()
         try:
-            Q = model_gen._orthonormalize_over(Y.copy(), lambda: Y.copy())
+            Q = orthonormalize(Y)
         except ValueError:
-            with pytest.raises(ValueError):
-                orthonormalize(Y)
             return
-        assert Q.tobytes() == orthonormalize(Y).tobytes()
         for centered in (True, False):
             M = build_statistic(Q, centered)
-            summed = row_block_statistic(Q, centered)
-            assert np.max(np.abs(summed - M)) <= 1e-13 * np.max(np.abs(M))
+            one_call = one_call_statistic(Q, centered)
+            assert np.max(np.abs(one_call - M)) <= 1e-13 * np.max(np.abs(M))
 
     @pytest.mark.parametrize("layout", ["strided", "fortran", "readonly", "int"])
     def test_any_layout_matches_householder_and_stays_unwritten(self, layout):

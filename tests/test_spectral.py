@@ -29,7 +29,7 @@ from pvlab.spectral import (
 )
 
 from oracles import null_norm_scale, planted_signal, rank_one_bound_check
-from sampled import haar_rotated, row_block_statistic, unit, unit_rotated_instance
+from sampled import haar_rotated, unit, unit_rotated_instance
 
 
 class TestBuildStatistic:
@@ -348,7 +348,7 @@ class TestStatisticalBehaviour:
             hits += estimate_direction(obs).leading_value < 0
         assert hits == 10
 
-    @pytest.mark.parametrize("path", ["build_statistic", "row_blocks", "sweep"])
+    @pytest.mark.parametrize("path", ["build_statistic", "sweep"])
     def test_null_statistic_is_unbiased(self, path):
         # Under the null E[M] = 0 exactly: per row E[||y||^2 y y^T] is
         # (n+2)/N^2 I, which the weight's -(n-1)/N and the -(3/N) I cancel.
@@ -362,7 +362,7 @@ class TestStatisticalBehaviour:
             if path == "sweep":
                 return estimator(N, n, rho, seed)("null")[0].statistic
             Y, _ = sample_detection_pair(N, n, rho, seed, "null")
-            return build_statistic(Y) if path == "build_statistic" else row_block_statistic(Y)
+            return build_statistic(Y)
 
         Ms = np.array([null_statistic(SeedSpec(2022, t)) for t in range(K)])
         upper = np.triu_indices(n)
