@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
+from ._domain import _check_integer, _check_rho
 from .model_gen import (
     SeedSpec,
     _check_instance_params,
-    _check_integer,
     sample_detection_pair,
     sample_orthonormal_instance,
     sample_rotated_instance,
@@ -93,9 +93,9 @@ def _spectral_norm(M: np.ndarray) -> float:
 
 
 def _check_c1(c1: float) -> None:
-    # A threshold <= 0 (or NaN) would make every call trivial.
-    if not 0 < c1 < np.inf:
-        raise ValueError(f"c1 must be positive and finite, got {c1}")
+    # A threshold <= 0 (or NaN) would make every call trivial, and True ran at c1 = 1.
+    if not isinstance(c1, numbers.Real) or isinstance(c1, bool) or not 0 < c1 < np.inf:
+        raise ValueError(f"c1 must be positive and finite, got {c1!r}")
 
 
 def spectral_norm_outcome(
@@ -103,10 +103,8 @@ def spectral_norm_outcome(
 ) -> DetectionOutcome:
     """Decision rule: planted iff the statistic exceeds c1/(6*N*rho)."""
     _check_c1(c1)
-    if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N!r}")
-    if not 0 < rho <= 1:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    _check_integer("N", N, 1)
+    _check_rho(rho)
     if not np.isfinite(stat_value):
         raise ValueError(f"statistic must be finite, got {stat_value}")
     threshold = c1 / (6.0 * N * rho)
@@ -174,6 +172,7 @@ def _sample_buffer(N: int, n: int) -> np.ndarray:
     so the next array of that size comes from the heap and stays resident
     once freed.  A process alternating 40000 x 100 and 40000 x 200 `orth`
     trials held a freed 30.5 MiB basis beside the next 61 MiB one."""
+    N, n = int(N), int(n)  # N * n of numpy uint8 sizes would wrap
     buffer = getattr(_this_thread, "buffer", None)
     if buffer is None or buffer.size < N * n:
         _this_thread.buffer = buffer = None  # freed before the larger one is allocated
@@ -205,7 +204,12 @@ def recover(
     """Threshold the raw estimate with the model's rule (the orthonormal rule
     ignores rho) and score it against the planted vector."""
     raw = result.raw_estimate
-    rule = recover_orthonormal_rule(raw) if model == "orth" else recover_gaussian_rule(raw, rho)
+    if model == "gaussian":
+        rule = recover_gaussian_rule(raw, rho)
+    elif model == "orth":
+        rule = recover_orthonormal_rule(raw)
+    else:
+        raise ValueError(f"unknown model {model!r}")
     return score(raw, truth, rule)
 
 
@@ -253,9 +257,7 @@ def error_rates(
 ) -> ErrorRateReport:
     """Empirical error rates over `trials` null and `trials` planted
     instances; trial t uses stream index base+t of the given seed."""
-    _check_integer("trials", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_integer("trials", trials, 1)
     false_planted = 0
     missed = 0
     for t in range(trials):

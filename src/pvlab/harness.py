@@ -19,12 +19,12 @@ import hashlib
 import json
 import logging
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ._blas import keep_pieces_on_this_thread, one_blas_thread
+from ._domain import _check_integer, _check_rho
 from .model_gen import SeedSpec
 from .detection import detect, estimator, recover
 from .lowdeg import MIN_RHO, advantage
@@ -70,29 +70,19 @@ class SweepConfig:
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.Ns or not self.ns or not self.rhos:
             raise ValueError("Ns, ns, and rhos must all be nonempty")
-        for name in ("trials", "D", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_integer("trials", self.trials, 1)
+        _check_integer("D", self.D, 0)
+        _check_integer("seed", self.seed, 0)
         for name in ("Ns", "ns"):
             values = getattr(self, name)
-            if not all(_is_int(x) for x in values):
-                raise ValueError(f"{name} entries must be integers, got {values!r}")
+            for value in values:
+                _check_integer(f"{name} entry", value, 1)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} entries must be distinct, got {values!r}")
-        if not all(isinstance(r, numbers.Real) and not isinstance(r, bool) for r in self.rhos):
-            raise ValueError(f"rhos entries must be real numbers, got {self.rhos!r}")
-        if any(N < 1 for N in self.Ns) or any(n < 1 for n in self.ns):
-            raise ValueError("grid values must be positive")
-        if any(not 0 < r <= 1 for r in self.rhos):
-            raise ValueError("rho values must be in (0, 1]")
+        for rho in self.rhos:
+            _check_rho(rho, "rhos entry")
         if len({_rho_key(r) for r in self.rhos}) != len(self.rhos):
             raise ValueError("rhos must be distinct and differ by more than 1e-9")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.D < 0:
-            raise ValueError(f"D must be >= 0, got {self.D}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model not in ("gaussian", "orth"):
             raise ValueError(f"model must be 'gaussian' or 'orth', got {self.model!r}")
         unknown = [task for task in self.tasks if task not in TASKS]
@@ -151,10 +141,6 @@ class SweepRecord:
     statistic_value: float | None = None
     adv: float | None = None
     elapsed_ms: float | None = None
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _rho_key(rho: float) -> int:
@@ -255,8 +241,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     and recorded with success=False and empty values; they never abort the
     sweep.
     """
-    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    _check_integer("workers", workers, 1)
     cells = config.cells()
     with one_blas_thread():
         if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_gen import _check_integer
+from ._domain import _check_integer, _check_rho
 
 __all__ = [
     "DegreeContribution",
@@ -76,10 +76,8 @@ def _hermite_scaled(z: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 def log_sphere_moment(n: int, d: int) -> float:
     """log E[<u, u'>^d] for independent uniform unit vectors in R^n;
     -inf for odd d."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+    _check_integer("n", n, 1)
+    _check_integer("d", d, 0)
     if d % 2:
         return -math.inf
     return (
@@ -174,12 +172,12 @@ def advantage(N: int, n: int, rho: float, D: int) -> AdvantageBreakdown:
     sets the underflow flag, and a linear field that leaves double range
     saturates to inf and sets the overflow flag.
     """
-    for name, value in (("N", N), ("n", n), ("D", D)):
-        _check_integer(name, value)
-    if N < 1 or n < 1 or D < 0:
-        raise ValueError(f"need N, n >= 1 and D >= 0, got N={N}, n={n}, D={D}")
-    if not MIN_RHO <= rho <= 1:
-        raise ValueError(f"rho must be in [{MIN_RHO:g}, 1], got {rho}")
+    _check_integer("N", N, 1)
+    _check_integer("n", n, 1)
+    _check_integer("D", D)
+    _check_rho(rho)
+    if D < 0 or rho < MIN_RHO:
+        raise ValueError(f"need D >= 0 and rho >= {MIN_RHO:g}, got D={D}, rho={rho}")
     log_sq = _log_squared_moments(rho, D) if D >= 4 else None
     per_degree = [DegreeContribution(0, 1.0, 1.0, 1.0, 0.0)]
     log_contribs = [0.0]

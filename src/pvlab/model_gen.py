@@ -37,12 +37,12 @@ returns finished arrays.
 from __future__ import annotations
 
 import io
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _blas
+from ._domain import _check_integer, _check_rho
 
 __all__ = [
     "DegenerateDrawError",
@@ -106,9 +106,7 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            _check_integer(name, getattr(self, name), 0)
 
     def generator(self, *lane: int) -> np.random.Generator:
         """Generator for this stream; extra `lane` ints split off independent
@@ -172,11 +170,8 @@ def sample_br_vector(N: int, rho: float, seed: SeedSpec) -> np.ndarray:
     probability 1-rho and +-1/sqrt(N*rho) with probability rho/2 each.  The
     vector is not rescaled, so its norm is 1 only in expectation.  A draw
     with no nonzero entry raises DegenerateDrawError."""
-    _check_integer("N", N)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not 0 < rho <= 1:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    _check_integer("N", N, 1)
+    _check_rho(rho)
     rng = seed.generator()
     return _br_from_rng(rng, N, rho)
 
@@ -194,9 +189,7 @@ def sample_gaussian_basis(v: np.ndarray, n: int, seed: SeedSpec) -> np.ndarray:
 def sample_haar_rotation(n: int, seed: SeedSpec) -> np.ndarray:
     """Haar-distributed n x n orthogonal matrix via QR of a Gaussian matrix
     with the diagonal of R forced positive (the sign fix makes the measure exact)."""
-    _check_integer("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_integer("n", n, 1)
     rng = seed.generator()
     return _haar_from_rng(rng, n)
 
@@ -283,21 +276,13 @@ def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
     return Q * signs
 
 
-def _check_integer(name: str, value) -> None:
-    """A size must be an integer: a float or a bool is refused, not
-    truncated or counted; numpy integers pass."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_instance_params(N: int, n: int, rho: float) -> None:
     """Domain of the composite samplers: integers 1 <= n <= N and rho in (0, 1]."""
     _check_integer("N", N)
     _check_integer("n", n)
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-    if not 0 < rho <= 1:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    _check_rho(rho)
 
 
 def _check_output(name: str, array: np.ndarray | None, shape: tuple[int, int]) -> None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
+from ._domain import _check_rho
 
 __all__ = [
     "SpectralResult",
@@ -118,8 +119,7 @@ def estimate_direction(Y_obs: np.ndarray, centered: bool = True) -> SpectralResu
 def recover_gaussian_rule(raw: np.ndarray, rho: float) -> np.ndarray:
     """Threshold at 0.5/sqrt(N*rho) and snap surviving entries to
     +-1/sqrt(N*rho).  Needs the sparsity rho."""
-    if not 0 < rho <= 1:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    _check_rho(rho)
     raw = np.asarray(raw, dtype=float)
     magnitude = 1.0 / np.sqrt(raw.size * rho)
     return np.where(np.abs(raw) >= 0.5 * magnitude, np.sign(raw) * magnitude, 0.0)

@@ -17,19 +17,24 @@ from pvlab.detection import (
     estimate_instance,
     estimator,
     l1l2_test,
+    recover,
     sample_observation,
     spectral_norm_outcome,
     spectral_norm_test,
 )
+from pvlab.lowdeg import advantage
 from pvlab.model_gen import (
     SeedSpec,
     apply_rotation,
+    sample_br_vector,
     sample_detection_pair,
     sample_gaussian_basis,
     sample_haar_rotation,
+    sample_orthonormal_instance,
+    sample_rotated_instance,
 )
 from pvlab.harness import SweepConfig, run_sweep
-from pvlab.spectral import SpectralResult, estimate_direction
+from pvlab.spectral import SpectralResult, estimate_direction, recover_gaussian_rule
 
 from sampled import first_pass_error, one_call_statistic, unit_basis
 
@@ -226,8 +231,9 @@ class TestDispatch:
         with pytest.raises(ValueError, match="test kind"):
             decide(kind, estimate_direction(obs), 0.5)
 
-    @pytest.mark.parametrize("c1", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("c1", [0.0, -1.0, float("nan"), float("inf"), True, "0.05", None])
     def test_nonpositive_or_nonfinite_c1_rejected(self, c1):
+        # c1 = True ran at c1 = 1, and "0.05" or None raised TypeError.
         obs, _ = sample_observation("null", 50, 2, 0.5, SeedSpec(19))
         result = estimate_direction(obs)
         for call in (
@@ -253,6 +259,31 @@ class TestDispatch:
         ):
             with pytest.raises(ValueError, match=r"rho must be in \(0, 1\]"):
                 call()
+
+    @pytest.mark.parametrize("rho", [True, "0.5", None])
+    def test_bool_or_non_number_rho_rejected_at_every_door(self, rho):
+        # Outside SweepConfig, rho = True ran at rho = 1, and "0.5" or None
+        # raised TypeError.
+        for call in (
+            lambda: sample_br_vector(10, rho, SeedSpec(0)),
+            lambda: sample_rotated_instance(10, 2, rho, SeedSpec(0)),
+            lambda: sample_orthonormal_instance(10, 2, rho, SeedSpec(0)),
+            lambda: sample_detection_pair(10, 2, rho, SeedSpec(0), "null"),
+            lambda: estimate_instance("gaussian", 10, 2, rho, SeedSpec(0)),
+            lambda: recover_gaussian_rule(np.ones(10), rho),
+            lambda: spectral_norm_outcome(1.0, 100, rho),
+            lambda: advantage(100, 5, rho, 8),
+            lambda: SweepConfig(Ns=[100], ns=[5], rhos=[rho]),
+        ):
+            with pytest.raises(ValueError, match="rho"):
+                call()
+
+    @pytest.mark.parametrize("model", ["Orth", "null", "bogus"])
+    def test_recover_refuses_an_unknown_model(self, model):
+        # Any name but "orth" took the Gaussian rule.
+        result, v = estimate_instance("gaussian", 200, 3, 0.1, SeedSpec(20))
+        with pytest.raises(ValueError, match=f"unknown model '{model}'"):
+            recover(model, result, v, 0.1)
 
     @pytest.mark.parametrize("N", [0, -5, True, 1000.0, 2.5, "1000"])
     def test_N_outside_the_domain_rejected(self, N):

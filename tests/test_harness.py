@@ -219,6 +219,17 @@ class TestRunSweep:
     def test_accepts_a_numpy_integer_worker_count(self):
         assert run_sweep(small_config(), workers=np.int64(2)) == run_sweep(small_config())
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_grid_writes_the_plain_int_csv(self, dtype):
+        # Numpy integers were refused; taken as they are, np.uint8 sizes would
+        # wrap the sample buffer's N * n (200 * 4 -> 32).
+        def grid(t):
+            return small_config(
+                Ns=[t(200), t(250)], ns=[t(2), t(4)], trials=t(2), D=t(8), seed=t(5), tasks=ALL_TASKS
+            )
+
+        assert records_to_csv(run_sweep(grid(dtype))) == records_to_csv(run_sweep(grid(int)))
+
     def test_header(self):
         cfg = small_config(trials=1)
         text = records_to_csv(run_sweep(cfg))

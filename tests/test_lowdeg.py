@@ -129,6 +129,12 @@ class TestSphereMoment:
             assert sphere_moment(n, 7) == 0.0
             assert log_sphere_moment(n, 7) == -math.inf
 
+    @pytest.mark.parametrize("args, name", [((2.5, 4), "n"), ((True, 4), "n"), ((3, 4.0), "d")])
+    def test_non_integer_arguments_rejected(self, args, name):
+        # (2.5, 4) returned -1.32 and (True, 4) returned 3.3e-16.
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            log_sphere_moment(*args)
+
     def test_degree_zero_is_one(self):
         for n in (1, 2, 50):
             assert sphere_moment(n, 0) == pytest.approx(1.0, rel=1e-14)

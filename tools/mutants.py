@@ -161,6 +161,18 @@ MUTATIONS = {
         "** 2)) * 2048",
         "tests/test_threads.py",
     ),
+    "_check_integer accepts a bool": (
+        "src/pvlab/_domain.py",
+        "        or isinstance(value, bool)\n",
+        "",
+        "tests/test_model_gen.py",
+    ),
+    "_check_rho accepts 0": (
+        "src/pvlab/_domain.py",
+        "not 0 < rho <= 1",
+        "not 0 <= rho <= 1",
+        "tests/test_detection.py",
+    ),
 }
 
 # name: why tier-1 cannot catch it
