@@ -16,6 +16,14 @@ worker, each row block's products as soon as the block's rows are drawn.
 The blocks, their order and the two piece sums are the same, so no bit
 moves, and no second N x n array is made.
 
+A piece may itself call `times`, `gram` or `fill`: the worker keeps its
+pieces on itself (it is made under `keep_pieces_on_this_thread`), and the
+calling thread does too while the worker runs its sibling, so a nested
+call runs in order and never waits on the busy worker.  A sweep unit that
+asks for two instances samples and estimates them so (`side_by_side`, from
+`detection.estimator`), when its thread's sample buffer has room for both;
+each instance's products then run in order on its own thread.
+
 numpy's wheels bundle OpenBLAS in a `numpy.libs` directory next to the
 package; its exported `scipy_openblas_{get,set}_num_threads64_` are called
 through ctypes.  The count is process-global, so `one_blas_thread` restores
@@ -103,13 +111,16 @@ def _worker_pool() -> futures.ThreadPoolExecutor:
     global _worker
     with _worker_lock:
         if _worker is None:
-            _worker = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="pvlab-blas")
+            _worker = futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="pvlab-blas", initializer=keep_pieces_on_this_thread
+            )
         return _worker
 
 
 def keep_pieces_on_this_thread() -> None:
     """Make every later product of this thread run both pieces here: for
-    threads that already fill the cores, such as a sweep's cell threads."""
+    threads that already fill the cores, such as a sweep's cell threads,
+    and for the worker itself."""
     _this_thread.in_order = True
 
 
@@ -141,7 +152,10 @@ def _on_two_threads(block, edges: list[int]) -> list:
     goes with it), while the first runs here.  Otherwise both run here, in
     order.  The blocks are the same either way, and so is the result.  An
     exception from either piece is raised here once both have finished.  A
-    block must not call this function: the one worker would wait on itself.
+    block may call this function again: the worker keeps its pieces on
+    itself (`keep_pieces_on_this_thread`), and so does this thread while the
+    worker runs the second piece, so a nested call runs in order and never
+    waits on the busy worker.
     """
     pairs = list(zip(edges, edges[1:]))
     middle = _middle(edges)
@@ -152,12 +166,22 @@ def _on_two_threads(block, edges: list[int]) -> list:
     if not _uses_worker(edges):
         return blocks(0, len(pairs))
     pending = _worker_pool().submit(contextvars.copy_context().run, blocks, middle, len(pairs))
+    _this_thread.in_order = True
     try:
         done = blocks(0, middle)
     except BaseException:
         futures.wait([pending])
         raise
+    finally:
+        _this_thread.in_order = False  # _uses_worker held, so it was False
     return done + pending.result()
+
+
+def side_by_side(first, second) -> list:
+    """[first(), second()], run as _on_two_threads' two pieces: `second` on
+    the worker while `first` runs here, or both here in order."""
+    pieces = (first, second)
+    return _on_two_threads(lambda a, b: pieces[a](), [0, 1, 2])
 
 
 def _row_edges(N: int, n: int) -> list[int]:
@@ -237,8 +261,7 @@ def _behind(Y: np.ndarray, rows, R: np.ndarray | None, block, edges: list[int]) 
                 np.matmul(Y[a:b], R, out=Y[a:b])
             block(a, b)
 
-    pieces = (draw, products)
-    _on_two_threads(lambda a, b: pieces[a](), [0, 1, 2])
+    side_by_side(draw, products)
 
 
 @contextlib.contextmanager

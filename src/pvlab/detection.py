@@ -19,7 +19,9 @@ array per trial; only `spectral.build_statistic` builds M, from the sample.
 It samples and estimates inside `pvlab._blas.draw_behind`, so the calling
 thread draws the sample's Gaussian entries while the products' worker thread
 multiplies and sums each row block as soon as it is drawn, with the bytes
-of drawing first.
+of drawing first.  A trial whose two instances fit in the buffer at once
+samples and estimates them side by side instead, one per thread
+(`estimator`).
 """
 
 from __future__ import annotations
@@ -172,7 +174,6 @@ def _sample_buffer(N: int, n: int) -> np.ndarray:
     so the next array of that size comes from the heap and stays resident
     once freed.  A process alternating 40000 x 100 and 40000 x 200 `orth`
     trials held a freed 30.5 MiB basis beside the next 61 MiB one."""
-    N, n = int(N), int(n)  # N * n of numpy uint8 sizes would wrap
     buffer = getattr(_this_thread, "buffer", None)
     if buffer is None or buffer.size < N * n:
         _this_thread.buffer = buffer = None  # freed before the larger one is allocated
@@ -192,10 +193,35 @@ def estimate_instance(
     (`pvlab._blas.draw_behind`): the sampler may return before its rows are
     drawn, and the statistic's row-block sum draws them while the worker
     sums each block."""
-    _check_instance_params(N, n, rho)  # before the buffer takes a shape no sampler accepts
+    N, n = _check_instance_params(N, n, rho)  # before the buffer takes a shape no sampler accepts
+    return _estimate(model, N, n, rho, seed, _sample_buffer(N, n), centered)
+
+
+def _estimate(
+    model: str, N: int, n: int, rho: float, seed: SeedSpec, out: np.ndarray, centered: bool = True
+) -> tuple[SpectralResult, np.ndarray | None]:
+    """estimate_instance's (result, v), sampled into `out`."""
     with _blas.draw_behind():
-        Y, v = sample_observation(model, N, n, rho, seed, out=_sample_buffer(N, n))
+        Y, v = sample_observation(model, N, n, rho, seed, out=out)
         return estimate_direction(Y, centered), v
+
+
+def _halves(N: int, n: int, rho: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two N x n halves of this thread's sample buffer, or None when it
+    does not already hold 2 N n entries: it is never grown for them."""
+    N, n = _check_instance_params(N, n, rho)
+    buffer = getattr(_this_thread, "buffer", None)
+    if buffer is None or buffer.size < 2 * N * n:
+        return None
+    return buffer[: N * n].reshape(N, n), buffer[N * n : 2 * N * n].reshape(N, n)
+
+
+def _kept(fn, *args) -> tuple[bool, object]:
+    """(True, fn(*args)), or (False, the exception it raised)."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
 
 
 def recover(
@@ -226,16 +252,43 @@ def decide(
     raise ValueError(f"unknown test kind {test_kind!r}")
 
 
-def estimator(N: int, n: int, rho: float, seed: SeedSpec):
+def estimator(N: int, n: int, rho: float, seed: SeedSpec, models: tuple[str, ...] = ()):
     """One trial's `estimate(model)`: the spectral result and planted vector
     (result, v) of `model`'s instance on `seed`, sampled and estimated on the
-    first call for each model and cached; the N x n matrix is dropped."""
+    first call for each model and kept, or the exception that raised, raised
+    again at each call; the N x n matrix is dropped.
 
-    @functools.cache
+    `models` names the distinct instances the trial asks for, in the order
+    it asks.  When it names two and this thread's sample buffer already
+    holds two N x n samples (`run_sweep` sizes it so), the first call
+    samples and estimates both, each into its own half of the buffer, as
+    `pvlab._blas.side_by_side`'s two pieces: the first here and the second
+    on the worker, each with its products in order, or both here in order.
+    Either way each instance keeps the bytes of `estimate_instance`."""
+    kept: dict[str, tuple[bool, object]] = {}
+
     def estimate(model: str) -> tuple[SpectralResult, np.ndarray | None]:
-        return estimate_instance(model, N, n, rho, seed)
+        if model not in kept:
+            first = not kept and len(models) == 2 and model == models[0]
+            halves = _halves(N, n, rho) if first else None
+            if halves is None:
+                kept[model] = _kept(estimate_instance, model, N, n, rho, seed)
+            else:
+                pieces = [
+                    functools.partial(_kept, _estimate, m, N, n, rho, seed, out)
+                    for m, out in zip(models, halves)
+                ]
+                kept.update(zip(models, _blas.side_by_side(*pieces)))
+        done, value = kept[model]
+        if not done:
+            raise value
+        return value
 
     return estimate
+
+
+# The instances a detection trial asks for, in the order `detect` asks.
+_DETECTED = ("null", "gaussian")
 
 
 def detect(
@@ -243,7 +296,7 @@ def detect(
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
     """One detection trial: the (null, planted) outcomes of `test_kind` on an
     `estimator`'s null and gaussian instances."""
-    return tuple(decide(test_kind, estimate(model)[0], rho, c1) for model in ("null", "gaussian"))
+    return tuple(decide(test_kind, estimate(model)[0], rho, c1) for model in _DETECTED)
 
 
 def error_rates(
@@ -261,7 +314,7 @@ def error_rates(
     false_planted = 0
     missed = 0
     for t in range(trials):
-        estimate = estimator(N, n, rho, SeedSpec(seed.master_seed, seed.stream_index + t))
+        estimate = estimator(N, n, rho, SeedSpec(seed.master_seed, seed.stream_index + t), _DETECTED)
         null, planted = detect(test_kind, estimate, rho, c1)
         false_planted += null.decision == "planted"
         missed += planted.decision == "null"

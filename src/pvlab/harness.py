@@ -14,6 +14,7 @@ deterministic advantage is computed once per cell.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from ._blas import keep_pieces_on_this_thread, one_blas_thread
 from ._domain import _check_integer, _check_rho
 from .model_gen import SeedSpec
-from .detection import detect, estimator, recover
+from .detection import _DETECTED, _sample_buffer, detect, estimator, recover
 from .lowdeg import MIN_RHO, advantage
 
 __all__ = [
@@ -70,13 +71,11 @@ class SweepConfig:
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.Ns or not self.ns or not self.rhos:
             raise ValueError("Ns, ns, and rhos must all be nonempty")
-        _check_integer("trials", self.trials, 1)
-        _check_integer("D", self.D, 0)
-        _check_integer("seed", self.seed, 0)
+        for name, low in (("trials", 1), ("D", 0), ("seed", 0)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
         for name in ("Ns", "ns"):
-            values = getattr(self, name)
-            for value in values:
-                _check_integer(f"{name} entry", value, 1)
+            values = [_check_integer(f"{name} entry", value, 1) for value in getattr(self, name)]
+            object.__setattr__(self, name, values)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} entries must be distinct, got {values!r}")
         for rho in self.rhos:
@@ -158,6 +157,12 @@ def stream_for_cell(N: int, n: int, rho: float, trial: int) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
+def _instances(config: SweepConfig) -> tuple[str, ...]:
+    """The distinct instances a unit's tasks ask for, in the order they ask."""
+    asked = {"recover": (config.model,), "advantage": ()}
+    return tuple(dict.fromkeys(m for task in config.tasks for m in asked.get(task, _DETECTED)))
+
+
 def _run_cell(config: SweepConfig, N: int, n: int, rho: float) -> list[SweepRecord]:
     """Execute every trial of one cell, sharing the cell's advantage."""
     cell_advantage = functools.cache(lambda: advantage(N, n, rho, config.D))
@@ -176,7 +181,8 @@ def _run_unit(
     Shared work is done by the first task that needs it and is charged to that
     task's elapsed_ms, so a unit's rows sum to its wall time.
     """
-    estimate = estimator(N, n, rho, SeedSpec(config.seed, stream_for_cell(N, n, rho, trial)))
+    seed = SeedSpec(config.seed, stream_for_cell(N, n, rho, trial))
+    estimate = estimator(N, n, rho, seed, _instances(config))
 
     def run_task(task: str) -> dict:
         if task == "recover":
@@ -235,7 +241,12 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     (`detection.estimate_instance`).  The calling thread's outlives this
     call, so later sweeps in the process reuse it instead of freeing and
     reallocating N x n arrays; a pool thread's goes with the pool.  A sweep
-    whose tasks sample nothing (`advantage` only) allocates none.
+    whose tasks sample nothing (`advantage` only) allocates none.  With
+    workers=1, a sweep whose units ask for two distinct instances (see
+    `detection.estimator`) first sizes the buffer to its largest cell's
+    N x n, so each unit of a cell of at most half that size samples its two
+    instances side by side, one into each half, on this thread and the
+    products' worker; the largest cells sample one at a time.
 
     Per-unit failures (degenerate draws, or any other exception) are logged
     and recorded with success=False and empty values; they never abort the
@@ -245,6 +256,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     cells = config.cells()
     with one_blas_thread():
         if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS
+            if len(_instances(config)) == 2:  # room for the smaller cells' units to pair
+                with contextlib.suppress(MemoryError):  # the largest cell's units record it
+                    _sample_buffer(*max(cells, key=lambda cell: cell[0] * cell[1])[:2])
             batches = [_run_cell(config, *cell) for cell in cells]
         else:
             # Cell threads fill the cores, so their products stay on them.

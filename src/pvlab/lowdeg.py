@@ -76,8 +76,7 @@ def _hermite_scaled(z: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 def log_sphere_moment(n: int, d: int) -> float:
     """log E[<u, u'>^d] for independent uniform unit vectors in R^n;
     -inf for odd d."""
-    _check_integer("n", n, 1)
-    _check_integer("d", d, 0)
+    n, d = _check_integer("n", n, 1), _check_integer("d", d, 0)
     if d % 2:
         return -math.inf
     return (
@@ -172,9 +171,7 @@ def advantage(N: int, n: int, rho: float, D: int) -> AdvantageBreakdown:
     sets the underflow flag, and a linear field that leaves double range
     saturates to inf and sets the overflow flag.
     """
-    _check_integer("N", N, 1)
-    _check_integer("n", n, 1)
-    _check_integer("D", D)
+    N, n, D = _check_integer("N", N, 1), _check_integer("n", n, 1), _check_integer("D", D)
     _check_rho(rho)
     if D < 0 or rho < MIN_RHO:
         raise ValueError(f"need D >= 0 and rho >= {MIN_RHO:g}, got D={D}, rho={rho}")

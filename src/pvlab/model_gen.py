@@ -106,7 +106,7 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
-            _check_integer(name, getattr(self, name), 0)
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), 0))
 
     def generator(self, *lane: int) -> np.random.Generator:
         """Generator for this stream; extra `lane` ints split off independent
@@ -276,13 +276,14 @@ def _householder_orthonormalize(Y: np.ndarray) -> np.ndarray:
     return Q * signs
 
 
-def _check_instance_params(N: int, n: int, rho: float) -> None:
-    """Domain of the composite samplers: integers 1 <= n <= N and rho in (0, 1]."""
-    _check_integer("N", N)
-    _check_integer("n", n)
+def _check_instance_params(N: int, n: int, rho: float) -> tuple[int, int]:
+    """Domain of the composite samplers: integers 1 <= n <= N and rho in
+    (0, 1]; (N, n) as Python ints."""
+    N, n = _check_integer("N", N), _check_integer("n", n)
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     _check_rho(rho)
+    return N, n
 
 
 def _check_output(name: str, array: np.ndarray | None, shape: tuple[int, int]) -> None:

@@ -15,7 +15,9 @@ M's one O(N n^2) product, sum_i w_i y_i y_i^T, is summed only in
 row blocks that every product of a trial takes.  In a sweep trial of the
 `gaussian` or `null` model, that sum runs on the worker thread and takes
 each block as soon as the sampler's draw, running on the calling thread,
-has written it (`pvlab._blas.draw_behind`).
+has written it (`pvlab._blas.draw_behind`); in a unit whose two instances
+are sampled side by side, each instance's sum runs in order on its own
+thread (`pvlab.detection.estimator`).
 """
 
 from __future__ import annotations

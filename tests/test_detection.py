@@ -2,6 +2,7 @@
 harness."""
 
 import contextlib
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -198,6 +199,13 @@ class TestErrorRates:
         with pytest.raises(ValueError):
             error_rates(100, 5, 0.1, 0.05, 1, "oracle", SeedSpec(14))
 
+    def test_fixed_width_stream_index_does_not_wrap(self):
+        # The third trial of stream np.uint8(254) reused stream 0, not 256.
+        def rates(stream):
+            return error_rates(200, 3, 0.1, 0.05, 3, "spectral", SeedSpec(0, stream))
+
+        assert rates(np.uint8(254)) == rates(254)
+
     @pytest.mark.parametrize("trials", [True, 2.0])
     def test_non_integer_trials_rejected(self, trials):
         # trials=True ran one trial.
@@ -334,29 +342,42 @@ class TestStatisticKernel:
     @pytest.mark.parametrize("model", ["gaussian", "orth"])
     def test_a_unit_builds_one_statistic_per_instance(self, model, monkeypatch):
         # The tier-1 stand-in for the benchmark's per-unit counts: one
-        # build_statistic per distinct instance.
+        # sample and one build_statistic per distinct instance.  The
+        # `gaussian` sweep's smaller cell samples its two instances side by
+        # side, one per thread, so each instance's statistic must follow its
+        # own sample on its own thread, over its own array, whatever the
+        # interleaving of the two threads.
         events = []
         sample, build = detection.sample_observation, spectral.build_statistic
 
-        def sample_recorder(model, *args, **kwargs):
-            events.append(("sample", model))
-            return sample(model, *args, **kwargs)
+        def record(*event):
+            events.append((threading.current_thread().name, *event))
 
-        def build_recorder(*args, **kwargs):
-            events.append(("statistic",))
-            return build(*args, **kwargs)
+        def sample_recorder(model, *args, **kwargs):
+            Y, v = sample(model, *args, **kwargs)
+            record("sample", model, Y.ctypes.data)
+            return Y, v
+
+        def build_recorder(Y, *args, **kwargs):
+            record("statistic", Y.ctypes.data)
+            return build(Y, *args, **kwargs)
 
         monkeypatch.setattr(detection, "sample_observation", sample_recorder)
         monkeypatch.setattr(spectral, "build_statistic", build_recorder)
         tasks = ["recover", "detect_spectral", "detect_l1l2"]
-        config = SweepConfig([self.N], [self.n], [self.rho], trials=1, model=model, tasks=tasks)
-        run_sweep(config)
-        sampled = [event[1] for event in events if event[0] == "sample"]
-        assert sorted(sampled) == sorted({model, "null", "gaussian"})
-        expected = []
-        for m in sampled:
-            expected += [("sample", m), ("statistic",)]
-        assert events == expected
+        ns = [self.n, 2 * self.n]  # the smaller cell fits twice in the larger's buffer
+        config = SweepConfig([self.N], ns, [self.rho], trials=1, model=model, tasks=tasks)
+        with blas_threads(1):
+            on_a_fresh_thread(lambda: run_sweep(config))
+        sampled = [event[2] for event in events if event[1] == "sample"]
+        assert sorted(sampled) == sorted([*{model, "null", "gaussian"}] * len(ns))
+        assert len({event[0] for event in events}) == (2 if model == "gaussian" else 1)
+        for thread in {event[0] for event in events}:
+            mine = [event[1:] for event in events if event[0] == thread]
+            expected = []
+            for _, m, data in mine[::2]:
+                expected += [("sample", m, data), ("statistic", data)]
+            assert mine == expected
 
 
 def traced_peak(fn):

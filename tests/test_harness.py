@@ -229,6 +229,9 @@ class TestRunSweep:
             )
 
         assert records_to_csv(run_sweep(grid(dtype))) == records_to_csv(run_sweep(grid(int)))
+        config = grid(dtype)
+        sizes = [*config.Ns, *config.ns, config.trials, config.D, config.seed]
+        assert all(type(size) is int for size in sizes)
 
     def test_header(self):
         cfg = small_config(trials=1)

@@ -266,6 +266,11 @@ class TestAdvantage:
             advantage(*args)
         assert advantage(np.int64(100), np.int32(5), 0.1, np.int64(8)) == advantage(100, 5, 0.1, 8)
 
+    def test_fixed_width_sizes_do_not_wrap(self):
+        # _log_binomial's N + 1 wrapped np.uint8(255) to 0: an overflow
+        # warning and a math domain error, where 255 gives 64.37.
+        assert advantage(np.uint8(255), np.uint8(5), 0.1, np.uint8(8)) == advantage(255, 5, 0.1, 8)
+
     def test_large_parameters_log_space(self):
         # far beyond linear-space range: C(10^4, 5) * rho^(2-k) terms
         b = advantage(10**4, 20, 0.01, 24)

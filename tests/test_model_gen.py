@@ -53,6 +53,13 @@ class TestSeedSpec:
         a = SeedSpec(np.int64(3), np.uint8(5)).generator().random()
         assert a == SeedSpec(3, 5).generator().random()
 
+    def test_numpy_integers_are_kept_as_ints(self):
+        # stream_index + 2 wrapped np.uint8(254) to 0, so a caller stepping
+        # through streams reused stream 0.
+        seed = SeedSpec(np.int64(3), np.uint8(254))
+        assert seed.stream_index + 2 == 256
+        assert type(seed.master_seed) is int and type(seed.stream_index) is int
+
 
 class TestSampleBrVector:
     def test_rho_one_forces_magnitude(self):

@@ -25,7 +25,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 PYTEST = [sys.executable, "-m", "pytest", "-q"]
-PLACEMENT = ["tests/test_threads.py", "tests/test_buffer.py", "tests/test_pipeline.py"]
+PLACEMENT = [
+    "tests/test_threads.py", "tests/test_buffer.py", "tests/test_pipeline.py", "tests/test_pairs.py",
+]
 MEMORY = ["tests/test_detection.py::TestMemoryBudget", *PLACEMENT]
 
 # key: (description, command, environment variables unset, set, on CPU 0 only)

@@ -161,6 +161,18 @@ MUTATIONS = {
         "** 2)) * 2048",
         "tests/test_threads.py",
     ),
+    "a pair samples into a buffer without room for two": (
+        "src/pvlab/detection.py",
+        "    if buffer is None or buffer.size < 2 * N * n:",
+        "    if buffer is None:",
+        "tests/test_pairs.py",
+    ),
+    "both pieces of a pair sample into the same half": (
+        "src/pvlab/detection.py",
+        "buffer[N * n : 2 * N * n].reshape(N, n)",
+        "buffer[: N * n].reshape(N, n)",
+        "tests/test_pairs.py",
+    ),
     "_check_integer accepts a bool": (
         "src/pvlab/_domain.py",
         "        or isinstance(value, bool)\n",
