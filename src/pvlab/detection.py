@@ -15,13 +15,11 @@ calls.
 
 `estimate_instance` samples into one reused float64 buffer per thread (see
 `_sample_buffer`), so a run of trials does not allocate and free an N x n
-array per trial; only `spectral.build_statistic` builds M, from the sample.
-It samples and estimates inside `pvlab._blas.draw_behind`, so the calling
-thread draws the sample's Gaussian entries while the products' worker thread
-multiplies and sums each row block as soon as it is drawn, with the bytes
-of drawing first.  A trial whose two instances fit in the buffer at once
-samples and estimates them side by side instead, one per thread
-(`estimator`).
+array per trial.  It samples and estimates inside `pvlab._blas.draw_behind`,
+so `spectral.build_statistic` must be the first read of the sample.  A unit
+whose two instances fit in the buffer at once samples and estimates them
+side by side instead (`estimator`).  `pvlab._blas` says how either runs on
+two threads with the bytes of drawing first.
 """
 
 from __future__ import annotations

@@ -244,9 +244,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     whose tasks sample nothing (`advantage` only) allocates none.  With
     workers=1, a sweep whose units ask for two distinct instances (see
     `detection.estimator`) first sizes the buffer to its largest cell's
-    N x n, so each unit of a cell of at most half that size samples its two
-    instances side by side, one into each half, on this thread and the
-    products' worker; the largest cells sample one at a time.
+    N x n, so the units of every cell of at most half that size have room
+    to sample their two side by side.
 
     Per-unit failures (degenerate draws, or any other exception) are logged
     and recorded with success=False and empty values; they never abort the

@@ -20,17 +20,14 @@ A planted vector is checked where it is drawn, under both models: an
 all-zero draw raises DegenerateDrawError, so no sampler returns v = 0.
 
 The products, Y @ Q and CholeskyQR2's Gram matrices and Y @ R^-1, are
-`pvlab._blas`'s, which cuts them into blocks and may run them on two
-threads with unchanged bits.  The composite samplers draw into one N x n
-array, a fresh one or the caller's `out`, and write their products over it,
-so a sample needs no second N x n array; the public functions never write
-their input.  The Gaussian entries are drawn through `pvlab._blas.fill`:
-inside `_blas.draw_behind` (a sweep trial's), the draw and the Haar
-product Y @ Q are left to the next Gram matrix of the array, which draws on
-the calling thread while the worker thread multiplies each row block once
-it is drawn, so `sample_rotated_instance` and the null draw may return
-before their rows are final, and `sample_orthonormal_instance`'s first
-Gram matrix runs behind its own draw.  Called anywhere else, every sampler
+`pvlab._blas`'s, which places them on threads with unchanged bits.  The
+composite samplers draw into one N x n array, a fresh one or the caller's
+`out`, and write their products over it, so a sample needs no second N x n
+array; the public functions never write their input.  The Gaussian entries
+are drawn through `pvlab._blas.fill`.  Inside `_blas.draw_behind` (a sweep
+trial's) a sampler may return before its rows are drawn, and the next
+`gram` of that array must be the first read of it; `pvlab._blas` says how
+the draw runs behind that `gram`.  Called anywhere else, every sampler
 returns finished arrays.
 """
 

@@ -11,13 +11,10 @@ l4 norm differs from the Gaussian value 3/N.  The uncentered variant (without
 the -(3/N) I term) is kept for comparison; it loses the dense case rho = 1.
 
 M's one O(N n^2) product, sum_i w_i y_i y_i^T, is summed only in
-`build_statistic`, from Y, by `pvlab._blas.gram` for every model: over the
-row blocks that every product of a trial takes.  In a sweep trial of the
-`gaussian` or `null` model, that sum runs on the worker thread and takes
-each block as soon as the sampler's draw, running on the calling thread,
-has written it (`pvlab._blas.draw_behind`); in a unit whose two instances
-are sampled side by side, each instance's sum runs in order on its own
-thread (`pvlab.detection.estimator`).
+`build_statistic`, from Y, by `pvlab._blas.gram` for every model, which
+places its row blocks on threads without moving a bit.  Inside
+`pvlab._blas.draw_behind` the sample may not be drawn yet, so there
+`build_statistic` must be the first read of it (`pvlab._blas`).
 """
 
 from __future__ import annotations

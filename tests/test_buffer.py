@@ -18,42 +18,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvlab import detection
 from pvlab._blas import one_blas_thread
 from pvlab.detection import estimate_instance, sample_observation
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.model_gen import SeedSpec
-from pvlab.spectral import estimate_direction
 
-from test_detection import on_a_fresh_thread
+from placing import assert_same_bytes, on_a_fresh_thread, public_parts, this_threads_buffer
 
 ROOT = Path(__file__).resolve().parents[1]
 
 MODELS = ["gaussian", "orth", "null"]
 
 
-def this_threads_buffer():
-    return getattr(detection._this_thread, "buffer", None)
-
-
-def fresh_estimate(model, N, n, rho, seed):
-    """estimate_instance's (result, v) from a freshly allocated sample."""
-    Y, v = sample_observation(model, N, n, rho, seed)
-    return estimate_direction(Y), v
-
-
 def returned_arrays(result, v):
     arrays = [result.statistic, result.raw_estimate]
     return arrays if v is None else [*arrays, v]
-
-
-def assert_same_bytes(got, want):
-    (result, v), (expected, expected_v) = got, want
-    assert result.statistic.tobytes() == expected.statistic.tobytes()
-    assert result.leading_value == expected.leading_value
-    assert result.gap == expected.gap
-    assert result.raw_estimate.tobytes() == expected.raw_estimate.tobytes()
-    assert (v is None and expected_v is None) or v.tobytes() == expected_v.tobytes()
 
 
 # A grow (3000 x 40 -> 40000 x 200), then a shrink back into the larger buffer.
@@ -67,7 +46,7 @@ def test_buffered_trials_give_the_fresh_bytes(model):
             for t, (N, n) in enumerate(SHAPES):
                 seed = SeedSpec(62, t)
                 got = estimate_instance(model, N, n, 0.05, seed)
-                assert_same_bytes(got, fresh_estimate(model, N, n, 0.05, seed))
+                assert_same_bytes(got, public_parts(model, N, n, 0.05, seed))
                 buffer = this_threads_buffer()
                 assert buffer.size == max(N * n for N, n in SHAPES[: t + 1])
                 for array in returned_arrays(*got):

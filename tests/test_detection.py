@@ -1,15 +1,13 @@
 """Tests for the spectral-norm and l1/l2 detection tests and the error-rate
 harness."""
 
-import contextlib
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from pvlab import _blas, detection, spectral
+from pvlab import detection, spectral
 from pvlab._blas import one_blas_thread
 from pvlab.detection import (
     decide,
@@ -37,6 +35,7 @@ from pvlab.model_gen import (
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.spectral import SpectralResult, estimate_direction, recover_gaussian_rule
 
+from placing import blas_threads, on_a_fresh_thread, placed
 from sampled import first_pass_error, one_call_statistic, unit_basis
 
 
@@ -367,8 +366,7 @@ class TestStatisticKernel:
         tasks = ["recover", "detect_spectral", "detect_l1l2"]
         ns = [self.n, 2 * self.n]  # the smaller cell fits twice in the larger's buffer
         config = SweepConfig([self.N], ns, [self.rho], trials=1, model=model, tasks=tasks)
-        with blas_threads(1):
-            on_a_fresh_thread(lambda: run_sweep(config))
+        placed("worker", lambda: run_sweep(config))
         sampled = [event[2] for event in events if event[1] == "sample"]
         assert sorted(sampled) == sorted([*{model, "null", "gaussian"}] * len(ns))
         assert len({event[0] for event in events}) == (2 if model == "gaussian" else 1)
@@ -390,29 +388,6 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-
-
-def on_a_fresh_thread(fn):
-    """fn() on a new thread.  It starts without a sample buffer, so the first
-    trial it runs allocates one, and the buffer goes when the thread ends."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(fn).result()
-
-
-@contextlib.contextmanager
-def blas_threads(count):
-    """Run the block under `count` BLAS threads, set in-process, and restore
-    the previous count."""
-    functions = _blas._thread_functions()
-    if functions is None:
-        pytest.skip("numpy has no bundled OpenBLAS")
-    get, set_ = functions
-    previous = get()
-    set_(count)
-    try:
-        yield
-    finally:
-        set_(previous)
 
 
 class TestMemoryBudget:

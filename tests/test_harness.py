@@ -33,8 +33,8 @@ from pvlab.spectral import (
     recover_orthonormal_rule,
     score,
 )
+from placing import blas_threads
 from sampled import planted_support
-from test_detection import blas_threads
 
 
 def small_config(**overrides):

@@ -1,25 +1,25 @@
-"""Byte identity of default-seed sweeps against pinned bytes.
+"""Byte identity of whole runs against pinned bytes.
 
-The benchmark's `advantage_table` and `gauss_all_tasks` grids are run at the
-reference seed through `python -m pvlab.cli sweep`, serially and on two
-worker threads.  The `advantage_table` CSV must equal its file in
-`bench/references/` byte for byte.  The `gauss_all_tasks` CSV must have one
-pinned sha256 and pass the benchmark's own output check against its file
-(`bench/outputs.py`: success bits exact, floats within 1e-6 relative).
-Summing the statistic over row blocks moved 82 of its 192 rows by at most
-6.7e-14 relative, and the file keeps the column-block bytes until the
-benchmark's references are regenerated (ROADMAP item 1); then this check
-goes back to byte identity.  The sweep pins one BLAS thread (the
-count the references were written with) in-process, so these runs inherit
-the caller's BLAS environment, and one run asks for two BLAS threads.
-`orth_recover_large` takes several seconds and is checked by the benchmark
-instead; a small `orth` sweep whose basis spans several fill blocks is
-pinned here in its place, serially and on two worker threads.  Every other
-command runs under the same pin, so `gen` and `estimate` print the same
-bytes under one and two BLAS threads, and so does a library call of a
-sampler inside the pin.
+The benchmark's `advantage_table` and `gauss_all_tasks` grids run at the
+reference seed through `python -m pvlab.cli sweep`.  The `advantage_table`
+CSV must equal its file in `bench/references/`.  The `gauss_all_tasks` CSV
+must have one pinned sha256 and pass the benchmark's output check against
+its file (`bench/outputs.py`: success bits exact, floats within 1e-6
+relative), since row-block sums moved 82 of its 192 rows by at most 6.7e-14
+relative and the file waits for the references' regeneration (ROADMAP item
+1).  `orth_recover_large` is checked by the benchmark; a small `orth` sweep
+spanning several fill blocks is pinned here instead, and so is a `gen` dump.
+Commands pin one BLAS thread in-process, so these runs inherit the caller's
+BLAS environment.
+
+Each pinned literal is checked by one test, on one run (`baseline`): the
+serial sweeps and the one-thread `gen` dump.  Each variant (two workers,
+two BLAS threads, an `estimate` dump under one and two, a sampler inside
+the pin in another process) compares with the run it varies, so it holds
+whichever kernel rounded the pins.
 """
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -29,6 +29,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from pvlab._blas import one_blas_thread
+from pvlab.model_gen import SeedSpec, sample_orthonormal_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,44 +50,15 @@ outputs = _load_bench_module("bench_outputs", "outputs.py")
 # sha256 of the gauss_all_tasks CSV at the reference seed.
 GAUSS_DIGEST = "2e72b9e70c9647947f5f60414cc47d822a9c84f4372c43efd9aab171df3b5ff9"
 
+ORTH_CELL = ("--N", "4000", "--n", "100", "--rho", "0.05", "--model", "orth")
 
-def assert_matches_reference(name, stdout):
-    """Byte identity with the committed reference, or for gauss_all_tasks
-    the pinned digest and the benchmark's output check against the file."""
-    reference = workloads.WORKLOADS[name].reference.read_bytes()
-    if name != "gauss_all_tasks":
-        assert stdout == reference
-        return
-    assert hashlib.sha256(stdout).hexdigest() == GAUSS_DIGEST
-    rows = outputs.parse_rows(stdout.decode())
-    assert outputs.compare_to_reference(rows, outputs.parse_rows(reference.decode())) == []
-
-
-@pytest.mark.parametrize(
-    ("name", "workers"),
-    [
-        pytest.param(name, workers, id=name if workers == 1 else f"{name}-workers{workers}")
-        for name in ("advantage_table", "gauss_all_tasks")
-        for workers in (1, 2)
-    ],
-)
-def test_default_seed_sweep_matches_reference(name, workers, tmp_path):
-    workload = workloads.WORKLOADS[name]
-    config = workload.write_config(tmp_path / f"{name}.json", workloads.DEFAULT_SEED)
-    done = _sweep(config, tmp_path, "--workers", str(workers))
-    assert_matches_reference(name, done.stdout)
-
-
-def test_two_blas_threads_requested_still_match_reference(tmp_path):
-    workload = workloads.WORKLOADS["gauss_all_tasks"]
-    config = workload.write_config(tmp_path / "gauss.json", workloads.DEFAULT_SEED)
-    done = _sweep(config, tmp_path, OPENBLAS_NUM_THREADS="2")
-    assert_matches_reference("gauss_all_tasks", done.stdout)
-
-
-def _sweep(config, cwd, *args, **env_overrides):
-    """`pvlab sweep` on `config` in a subprocess; fails on a nonzero exit."""
-    return _pvlab(cwd, "sweep", "--config", str(config), *args, **env_overrides)
+ORTH_SWEEP_CSV = """\
+N,n,rho,trial,task,success,l2_error,entrywise_err,statistic,adv,elapsed_ms
+3000,40,0.02,0,recover,1,0.020991311546147633,0.07500120405815662,0.01494242497377609,,
+3000,40,0.02,1,recover,1,0.029780297074128617,0.09652726027297774,0.01486998504066151,,
+3000,40,0.05,0,recover,1,0.0440900111278074,0.1717059089629881,0.0064971937619229285,,
+3000,40,0.05,1,recover,1,0.0631181510648344,0.27476889761077394,0.0054570767703971575,,
+"""
 
 
 def _pvlab(cwd, *args, **env_overrides):
@@ -99,20 +73,81 @@ def _pvlab(cwd, *args, **env_overrides):
     return done
 
 
-ORTH_CELL = ("--N", "4000", "--n", "100", "--rho", "0.05", "--model", "orth")
+def _sweep(key, cwd, *args, **env_overrides):
+    """`pvlab sweep`'s CSV of a benchmark workload at the reference seed, or
+    of the small `orth` sweep (key "orth"), in a subprocess."""
+    config = cwd / f"{key}.json"
+    if key == "orth":
+        config.write_text(json.dumps(
+            {"Ns": [3000], "ns": [40], "rhos": [0.02, 0.05], "trials": 2, "model": "orth",
+             "tasks": ["recover"], "seed": 0}
+        ))
+    else:
+        workloads.WORKLOADS[key].write_config(config, workloads.DEFAULT_SEED)
+    return _pvlab(cwd, "sweep", "--config", str(config), *args, **env_overrides).stdout
 
 
-def test_gen_under_two_blas_threads_matches_one_thread_digest(tmp_path):
-    # The digest of this dump under OPENBLAS_NUM_THREADS=1.
-    done = _pvlab(tmp_path, "gen", *ORTH_CELL, OPENBLAS_NUM_THREADS="2")
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    """The output of each pinned run, made once: a serial sweep (a workload's
+    name, or "orth") or the one-thread `gen` dump ("gen").  Its pinned test
+    checks it against the literal, and each variant compares with it."""
+
+    @functools.cache
+    def run(key):
+        cwd = tmp_path_factory.mktemp(key)
+        if key == "gen":
+            return _pvlab(cwd, "gen", *ORTH_CELL, OPENBLAS_NUM_THREADS="1").stdout
+        return _sweep(key, cwd)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    ("name", "workers"),
+    [
+        pytest.param(name, workers, id=name if workers == 1 else f"{name}-workers{workers}")
+        for name in ("advantage_table", "gauss_all_tasks")
+        for workers in (1, 2)
+    ],
+)
+def test_default_seed_sweep_matches_reference(name, workers, baseline, tmp_path):
+    # The serial run matches the committed reference, or for gauss_all_tasks
+    # the pinned digest and the benchmark's output check against the file;
+    # two workers give the serial bytes.
+    if workers != 1:
+        assert _sweep(name, tmp_path, "--workers", str(workers)) == baseline(name)
+        return
+    stdout = baseline(name)
+    reference = workloads.WORKLOADS[name].reference.read_bytes()
+    if name != "gauss_all_tasks":
+        assert stdout == reference
+        return
+    assert hashlib.sha256(stdout).hexdigest() == GAUSS_DIGEST
+    rows = outputs.parse_rows(stdout.decode())
+    assert outputs.compare_to_reference(rows, outputs.parse_rows(reference.decode())) == []
+
+
+def test_two_blas_threads_requested_still_match_reference(baseline, tmp_path):
+    stdout = _sweep("gauss_all_tasks", tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert stdout == baseline("gauss_all_tasks")
+
+
+def test_gen_one_thread_digest_pinned(baseline):
     digest = "7b4bf1c5f13ff94a8cb31a27d670dc286c0944b94e6e86de30058f00f05d37a8"
-    assert hashlib.sha256(done.stdout).hexdigest() == digest
+    assert hashlib.sha256(baseline("gen")).hexdigest() == digest
+
+
+def test_gen_under_two_blas_threads_matches_one_thread_digest(baseline, tmp_path):
+    done = _pvlab(tmp_path, "gen", *ORTH_CELL, OPENBLAS_NUM_THREADS="2")
+    assert done.stdout == baseline("gen")
 
 
 def test_sampler_inside_the_pin_matches_one_thread_digest(tmp_path):
     # A library caller gets the one-thread bytes by sampling inside
-    # one_blas_thread, whatever OPENBLAS_NUM_THREADS asks for; the digest is
-    # test_blocked_second_pass_bytes_pinned's.
+    # one_blas_thread, whatever OPENBLAS_NUM_THREADS asks for: a process
+    # asking for two threads prints the digest of this process's sample
+    # under the pin (test_blocked_second_pass_bytes_pinned's basis).
     code = (
         "import hashlib\n"
         "from pvlab._blas import one_blas_thread\n"
@@ -127,8 +162,9 @@ def test_sampler_inside_the_pin_matches_one_thread_digest(tmp_path):
         [sys.executable, "-c", code], capture_output=True, env=env, cwd=tmp_path, timeout=300
     )
     assert done.returncode == 0, done.stderr.decode()
-    digest = "b14462ca95b43ebe02430553d40078c75ca7bcfedf5b18ffd5f75ae205ff08c0"
-    assert done.stdout.decode().strip() == digest
+    with one_blas_thread():
+        Q, _ = sample_orthonormal_instance(40000, 2, 0.05, SeedSpec(57, 4))
+    assert done.stdout.decode().strip() == hashlib.sha256(Q.tobytes()).hexdigest()
 
 
 def test_estimate_dump_independent_of_blas_threads(tmp_path):
@@ -141,29 +177,10 @@ def test_estimate_dump_independent_of_blas_threads(tmp_path):
     assert dumps[0] == dumps[1]
 
 
-ORTH_SWEEP_CSV = """\
-N,n,rho,trial,task,success,l2_error,entrywise_err,statistic,adv,elapsed_ms
-3000,40,0.02,0,recover,1,0.020991311546147633,0.07500120405815662,0.01494242497377609,,
-3000,40,0.02,1,recover,1,0.029780297074128617,0.09652726027297774,0.01486998504066151,,
-3000,40,0.05,0,recover,1,0.0440900111278074,0.1717059089629881,0.0064971937619229285,,
-3000,40,0.05,1,recover,1,0.0631181510648344,0.27476889761077394,0.0054570767703971575,,
-"""
+def test_small_orth_sweep_pinned(baseline):
+    assert baseline("orth").decode() == ORTH_SWEEP_CSV
 
 
-def _orth_sweep_config(tmp_path):
-    config = tmp_path / "orth.json"
-    config.write_text(json.dumps(
-        {"Ns": [3000], "ns": [40], "rhos": [0.02, 0.05], "trials": 2, "model": "orth",
-         "tasks": ["recover"], "seed": 0}
-    ))
-    return config
-
-
-def test_small_orth_sweep_pinned(tmp_path):
-    assert _sweep(_orth_sweep_config(tmp_path), tmp_path).stdout.decode() == ORTH_SWEEP_CSV
-
-
-def test_small_orth_sweep_pinned_on_two_workers(tmp_path):
+def test_small_orth_sweep_pinned_on_two_workers(baseline, tmp_path):
     # Each worker thread samples its cell's trials into its own buffer.
-    done = _sweep(_orth_sweep_config(tmp_path), tmp_path, "--workers", "2")
-    assert done.stdout.decode() == ORTH_SWEEP_CSV
+    assert _sweep("orth", tmp_path, "--workers", "2") == baseline("orth")

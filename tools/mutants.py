@@ -1,22 +1,23 @@
 """Mutation catalog: tier-1 must fail on every named one-line mutation.
 
 Each mutation is an exact anchor string in one file, its replacement, and
-the test file expected to catch it.  The script copies the repository to a
-temporary directory and first runs each named test file there, alone, on
-the unmutated code: every one must pass, so that a failure that comes only
-from running a file alone cannot count as a catch.  Then it applies one
-mutation at a time, runs the named file with `-x`, and only if that passes
-runs the whole tier-1 suite with `-x`; it restores the file after each and
-never writes to the checkout.  A mutant is caught when either run fails,
-and the named file is part of tier-1, so the verdict is tier-1's.  A mutant
-that survives must be listed, with the reason, in EXPECTED_SURVIVORS.
+the tests expected to catch it: a test file, or one test's node id.  The
+script copies the repository to a temporary directory and first runs each
+named test there, alone, on the unmutated code: every one must pass, so
+that a failure that comes only from running a test alone cannot count as a
+catch.  Then it applies one mutation at a time, runs the named test with
+`-x`, and only if that passes runs the whole tier-1 suite with `-x`; it
+restores the file after each and never writes to the checkout.  A mutant
+is caught when either run fails, and the named test is part of tier-1, so
+the verdict is tier-1's.  A mutant that survives must be listed, with the
+reason, in EXPECTED_SURVIVORS.
 
 Run from anywhere:
 
     python tools/mutants.py
 
-Exits 1 if an anchor does not occur exactly once, if a named test file
-fails on the unmutated code, if a mutant survives that is not listed, or if
+Exits 1 if an anchor does not occur exactly once, if a named test fails
+on the unmutated code, if a mutant survives that is not listed, or if
 a listed survivor is caught (the entry is stale).
 """
 
@@ -39,7 +40,7 @@ TIER1 = [
     "--continue-on-collection-errors",
 ]
 
-# name: (file, anchor, replacement, test file expected to catch it)
+# name: (file, anchor, replacement, test file or node id expected to catch it)
 MUTATIONS = {
     "drop the -(3/N) I centering": (
         "src/pvlab/spectral.py",
@@ -111,25 +112,25 @@ MUTATIONS = {
         "src/pvlab/_blas.py",
         "return sums[0] + sums[1]",
         "return sums[0]",
-        "tests/test_threads.py",
+        "tests/test_placement.py::test_statistic_equals_one_call",
     ),
     "gram sums both pieces into one accumulator": (
         "src/pvlab/_blas.py",
         "sums[int(a >= split)] +=",
         "sums[0] +=",
-        "tests/test_threads.py",
+        "tests/test_placement.py::test_split_products_equal_one_call",
     ),
     "a block behind the draw waits for its first row, not its last": (
         "src/pvlab/_blas.py",
         "while final < b:",
         "while final < a + 1:",
-        "tests/test_pipeline.py",
+        "tests/test_placement.py::test_no_block_is_read_before_its_rows_are_drawn",
     ),
     "_on_two_threads raises the caller's error without waiting for the worker piece": (
         "src/pvlab/_blas.py",
         "    except BaseException:\n        futures.wait([pending])\n        raise",
         "    except BaseException:\n        raise",
-        "tests/test_threads.py",
+        "tests/test_placement.py::TestWorkerFailures::test_caller_exception_waits_for_the_worker_piece",
     ),
     "orth Gram overflow no longer silenced": (
         "src/pvlab/model_gen.py",
@@ -141,37 +142,37 @@ MUTATIONS = {
         "src/pvlab/_blas.py",
         "submit(contextvars.copy_context().run, blocks, middle, len(pairs))",
         "submit(blocks, middle, len(pairs))",
-        "tests/test_threads.py",
+        "tests/test_placement.py::TestWorkerFailures::test_caller_error_state_applies_to_the_worker_piece",
     ),
     "cell threads hand their pieces to the worker": (
         "src/pvlab/_blas.py",
         'and not getattr(_this_thread, "in_order", False)',
         "and True",
-        "tests/test_threads.py",
+        "tests/test_placement.py::test_sweep_cell_threads_keep_their_pieces",
     ),
     "split at the first inner edge": (
         "src/pvlab/_blas.py",
         "    return min(range(1, len(edges) - 1), key=lambda i: abs(2 * edges[i] - edges[-1]), default=0)",
         "    return 1 if len(edges) > 2 else 0",
-        "tests/test_threads.py",
+        "tests/test_placement.py::test_split_products_equal_one_call",
     ),
     "row blocks of twice the rows": (
         "src/pvlab/_blas.py",
         "** 2)) * 1024",
         "** 2)) * 2048",
-        "tests/test_threads.py",
+        "tests/test_placement.py::test_split_products_equal_one_call",
     ),
     "a pair samples into a buffer without room for two": (
         "src/pvlab/detection.py",
         "    if buffer is None or buffer.size < 2 * N * n:",
         "    if buffer is None:",
-        "tests/test_pairs.py",
+        "tests/test_placement.py::test_pairing_never_grows_the_buffer",
     ),
     "both pieces of a pair sample into the same half": (
         "src/pvlab/detection.py",
         "buffer[N * n : 2 * N * n].reshape(N, n)",
         "buffer[: N * n].reshape(N, n)",
-        "tests/test_pairs.py",
+        "tests/test_placement.py::test_pairing_never_grows_the_buffer",
     ),
     "_check_integer accepts a bool": (
         "src/pvlab/_domain.py",
@@ -218,15 +219,15 @@ def run_suite(copy: Path, *args: str) -> tuple[bool, str]:
 
 def run_mutant(copy: Path, name: str) -> tuple[bool, float, str]:
     """(caught, seconds, which run caught it and its last line) for one
-    mutant: its named test file first, then tier-1 if that file passes."""
-    path, anchor, replacement, test_file = MUTATIONS[name]
+    mutant: its named test first, then tier-1 if that test passes."""
+    path, anchor, replacement, named = MUTATIONS[name]
     target = copy / path
     original = target.read_text()
     target.write_text(original.replace(anchor, replacement))
     start = time.perf_counter()
     try:
-        caught, last = run_suite(copy, test_file)
-        where = test_file
+        caught, last = run_suite(copy, named)
+        where = named
         if not caught:
             caught, last = run_suite(copy)
             where = "tier-1"
@@ -251,13 +252,13 @@ def main() -> int:
                 ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"
             ),
         )
-        for test_file in sorted({entry[3] for entry in MUTATIONS.values()}):
-            failed, last = run_suite(copy, test_file)
-            print(f"{'FAILS' if failed else 'passes':>9}  unmutated  {test_file}  [{last}]", flush=True)
+        for named in sorted({entry[3] for entry in MUTATIONS.values()}):
+            failed, last = run_suite(copy, named)
+            print(f"{'FAILS' if failed else 'passes':>9}  unmutated  {named}  [{last}]", flush=True)
             if failed:
-                failures.append(test_file)
+                failures.append(named)
         if failures:
-            print("a named test file fails on the unmutated code")
+            print("a named test fails on the unmutated code")
             return 1
         for name in MUTATIONS:
             caught, seconds, last = run_mutant(copy, name)
