@@ -9,7 +9,7 @@ the vector lane itself, so it also sees the all-zero draws the samplers
 reject.  `row_block_statistic` is the statistic as every trial sums it,
 built in plain numpy, not through `pvlab`: the one restatement of the
 row-block rule, which only the split-product property and the two-pass
-reference of `test_placement.py` compare with.  `one_call_statistic` sums it
+reference of `test_threads.py` compare with.  `one_call_statistic` sums it
 in one product instead.
 """
 

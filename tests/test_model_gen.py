@@ -457,7 +457,7 @@ class TestOrthonormalize:
 
     def test_blocked_second_pass_bytes_pinned(self):
         # This sampled basis takes the in-place second pass.  The sampler's
-        # bytes are orthonormalize's (test_placement.py's sampler test, on the
+        # bytes are orthonormalize's (test_threads.py's sampler test, on the
         # same seed), whose second pass is the two-pass reference's.
         N, n, seed = 40000, 2, SeedSpec(57, 4)
         with one_blas_thread():  # the sampler's bytes under the CLI and sweep

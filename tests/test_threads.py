@@ -156,12 +156,22 @@ STATISTIC_SHAPES = {(1, 50): False, (2, 50): False, (3, 50): False, (1025, 50): 
                     (200000, 10): True, (2_100_000, 2): True, (2_100_000, 3): True}
 
 
+BLOCKED_SHAPES = [shape for shape in STATISTIC_SHAPES if shape[1] != 50]
+
+
 @pytest.mark.parametrize("placement", PLACEMENTS)
-@pytest.mark.parametrize("N, n", STATISTIC_SHAPES, ids=ids(STATISTIC_SHAPES))
-def test_statistic_equals_one_call(N, n, placement, worker_calls):
+@pytest.mark.parametrize("N, n", BLOCKED_SHAPES, ids=ids(BLOCKED_SHAPES))
+def test_blocked_statistic_equals_one_call(N, n, placement, worker_calls):
     Y = basis(N, n)
     assert_near_one_call(placed(placement, lambda: build_statistic(Y, centered=False)), Y)
     assert bool(worker_calls) == (placement == "worker" and STATISTIC_SHAPES[N, n])
+
+
+# The same check at n = 50, under the name and ids (N alone) it has had.
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("N", [N for N, n in STATISTIC_SHAPES if n == 50])
+def test_gram_is_the_half_sum(N, placement, worker_calls):
+    test_blocked_statistic_equals_one_call(N, 50, placement, worker_calls)
 
 
 BLOCKED_STATISTIC = [(12345, 77), (7000, 150), (200000, 10)]

@@ -25,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 PYTEST = [sys.executable, "-m", "pytest", "-q"]
-PLACEMENT = ["tests/test_placement.py", "tests/test_buffer.py"]
+PLACEMENT = ["tests/test_threads.py", "tests/test_buffer.py"]
 MEMORY = ["tests/test_detection.py::TestMemoryBudget", *PLACEMENT]
 
 # key: (description, command, environment variables unset, set, on CPU 0 only)

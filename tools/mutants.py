@@ -112,25 +112,25 @@ MUTATIONS = {
         "src/pvlab/_blas.py",
         "return sums[0] + sums[1]",
         "return sums[0]",
-        "tests/test_placement.py::test_statistic_equals_one_call",
+        "tests/test_threads.py::test_blocked_statistic_equals_one_call",
     ),
     "gram sums both pieces into one accumulator": (
         "src/pvlab/_blas.py",
         "sums[int(a >= split)] +=",
         "sums[0] +=",
-        "tests/test_placement.py::test_split_products_equal_one_call",
+        "tests/test_threads.py::test_split_products_equal_one_call",
     ),
     "a block behind the draw waits for its first row, not its last": (
         "src/pvlab/_blas.py",
         "while final < b:",
         "while final < a + 1:",
-        "tests/test_placement.py::test_no_block_is_read_before_its_rows_are_drawn",
+        "tests/test_threads.py::test_no_block_is_read_before_its_rows_are_drawn",
     ),
     "_on_two_threads raises the caller's error without waiting for the worker piece": (
         "src/pvlab/_blas.py",
         "    except BaseException:\n        futures.wait([pending])\n        raise",
         "    except BaseException:\n        raise",
-        "tests/test_placement.py::TestWorkerFailures::test_caller_exception_waits_for_the_worker_piece",
+        "tests/test_threads.py::TestWorkerFailures::test_caller_exception_waits_for_the_worker_piece",
     ),
     "orth Gram overflow no longer silenced": (
         "src/pvlab/model_gen.py",
@@ -142,37 +142,37 @@ MUTATIONS = {
         "src/pvlab/_blas.py",
         "submit(contextvars.copy_context().run, blocks, middle, len(pairs))",
         "submit(blocks, middle, len(pairs))",
-        "tests/test_placement.py::TestWorkerFailures::test_caller_error_state_applies_to_the_worker_piece",
+        "tests/test_threads.py::TestWorkerFailures::test_caller_error_state_applies_to_the_worker_piece",
     ),
     "cell threads hand their pieces to the worker": (
         "src/pvlab/_blas.py",
         'and not getattr(_this_thread, "in_order", False)',
         "and True",
-        "tests/test_placement.py::test_sweep_cell_threads_keep_their_pieces",
+        "tests/test_threads.py::test_sweep_cell_threads_keep_their_pieces",
     ),
     "split at the first inner edge": (
         "src/pvlab/_blas.py",
         "    return min(range(1, len(edges) - 1), key=lambda i: abs(2 * edges[i] - edges[-1]), default=0)",
         "    return 1 if len(edges) > 2 else 0",
-        "tests/test_placement.py::test_split_products_equal_one_call",
+        "tests/test_threads.py::test_split_products_equal_one_call",
     ),
     "row blocks of twice the rows": (
         "src/pvlab/_blas.py",
         "** 2)) * 1024",
         "** 2)) * 2048",
-        "tests/test_placement.py::test_split_products_equal_one_call",
+        "tests/test_threads.py::test_split_products_equal_one_call",
     ),
     "a pair samples into a buffer without room for two": (
         "src/pvlab/detection.py",
         "    if buffer is None or buffer.size < 2 * N * n:",
         "    if buffer is None:",
-        "tests/test_placement.py::test_pairing_never_grows_the_buffer",
+        "tests/test_threads.py::test_pairing_never_grows_the_buffer",
     ),
     "both pieces of a pair sample into the same half": (
         "src/pvlab/detection.py",
         "buffer[N * n : 2 * N * n].reshape(N, n)",
         "buffer[: N * n].reshape(N, n)",
-        "tests/test_placement.py::test_pairing_never_grows_the_buffer",
+        "tests/test_threads.py::test_pairing_never_grows_the_buffer",
     ),
     "_check_integer accepts a bool": (
         "src/pvlab/_domain.py",
