@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+# hashlib.blake2b is this same object (hashlib never serves BLAKE2 from OpenSSL); hashlib maps libcrypto.
+from _blake2 import blake2b
 
 from ._blas import keep_pieces_on_this_thread, one_blas_thread
 from ._domain import _check_integer, _check_rho
@@ -154,7 +156,7 @@ def stream_for_cell(N: int, n: int, rho: float, trial: int) -> int:
     hash between platforms.
     """
     payload = f"{N},{n},{_rho_key(rho)},{trial}".encode()
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(payload, digest_size=8).digest(), "big")
 
 
 def _instances(config: SweepConfig) -> tuple[str, ...]:
@@ -256,7 +258,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     with one_blas_thread():
         if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS
             if len(_instances(config)) == 2:  # room for the smaller cells' units to pair
-                with contextlib.suppress(MemoryError):  # the largest cell's units record it
+                # A size numpy cannot address raises ValueError; the cell's units record either.
+                with contextlib.suppress(MemoryError, ValueError):
                     _sample_buffer(*max(cells, key=lambda cell: cell[0] * cell[1])[:2])
             batches = [_run_cell(config, *cell) for cell in cells]
         else:

@@ -103,8 +103,17 @@ def _logsumexp(values: list[float]) -> float:
 
 
 def _log_binomial(N: int, m: int) -> float:
+    """log C(N, m), from the exact integer above N = 2**21.
+
+    The lgamma difference cancels two values near N ln N, so its absolute
+    error grows like eps * N ln N; at N <= 2**21 it stays under 1e-8.  That
+    branch stays only because the committed advantage references (N = 1e4
+    and 1e6) were written with it, until they are re-pinned (ROADMAP item 18).
+    """
     if m < 0 or m > N:
         return -math.inf
+    if N > 2**21:
+        return math.log(math.comb(N, m))
     return math.lgamma(N + 1) - math.lgamma(m + 1) - math.lgamma(N - m + 1)
 
 

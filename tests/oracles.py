@@ -1,7 +1,8 @@
 """Independent oracles for the production arithmetic in pvlab.
 
 The brute-force enumeration of adv^2 checks the low-degree dynamic program
-(`pvlab.lowdeg.advantage`), the exact integer Hermite coefficients and their
+(`pvlab.lowdeg.advantage`), the same sum over exact integer binomials checks
+it at large N, the exact integer Hermite coefficients and their
 Gaussian integration check the Hermite recurrence, and the rank-one
 eigenvector perturbation bound is checked on explicit instances.  The
 statistic's two scales in closed form, the planted signal and the null
@@ -19,6 +20,7 @@ from pvlab.lowdeg import (
     _hermite_scaled,
     _log_composition_sum,
     _log_squared_moments,
+    _logsumexp,
     log_sphere_moment,
 )
 from pvlab.spectral import leading_eigenpair
@@ -135,6 +137,21 @@ def advantage_bruteforce(N: int, n: int, rho: float, D: int) -> float:
     keep = degrees <= D
     products = np.prod(sq[alphas[:, keep]], axis=0)
     return float(np.sum(sphere[degrees[keep]] * products))
+
+
+def log_advantage_exact_binomial(N: int, n: int, rho: float, D: int) -> float:
+    """log adv^2 as `advantage` sums it, with every log C(N, m) taken from
+    the exact integer `math.comb(N, m)`; the oracle for large N, where a
+    difference of lgammas near N ln N loses digits."""
+    log_sq = _log_squared_moments(rho, D)
+    log_contribs = [0.0]
+    for d in range(4, D + 1, 2):
+        terms = [
+            math.log(math.comb(N, m)) + _log_composition_sum(log_sq, d, m)
+            for m in range(1, min(d // 4, N) + 1)
+        ]
+        log_contribs.append(log_sphere_moment(n, d) + _logsumexp(terms))
+    return _logsumexp(log_contribs)
 
 
 def rank_one_bound_check(

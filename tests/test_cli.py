@@ -238,6 +238,19 @@ class TestSweep:
         main(["sweep", "--config", str(cfg)])
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("N", [2**62, 2**58])  # N x 4: beyond numpy's dimension, too big
+    @pytest.mark.parametrize("tasks", [["detect_spectral"], ["detect_spectral", "detect_l1l2"], ["recover"]])
+    def test_unaddressable_cell_writes_error_rows(self, N, tasks, tmp_path):
+        # numpy refuses such a size with ValueError before allocating
+        # anything; the detect sweep's pre-size must not abort on it
+        out = tmp_path / "records.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"Ns": [N], "ns": [4], "rhos": [0.5], "trials": 1,
+                                   "tasks": tasks, "out": str(out)}))
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows == [f"{N},4,0.5,0,{task},0,,,,," for task in tasks]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"Ns": [100]}))

@@ -2,9 +2,12 @@
 
 import functools
 import json
+import os
+import subprocess
 import sys
 import types
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +169,44 @@ class TestStreamDerivation:
     def test_fixed_point_rho(self):
         assert stream_for_cell(10, 2, 0.1, 0) == stream_for_cell(10, 2, 0.1 + 1e-12, 0)
         assert stream_for_cell(10, 2, 0.1, 0) != stream_for_cell(10, 2, 0.2, 0)
+
+    @pytest.mark.parametrize(
+        "unit, stream",
+        [
+            ((100, 5, 0.1, 0), 15726997624763673958),
+            ((10000, 100, 0.2, 7), 3158303982090623667),
+            ((40000, 200, 0.05, 0), 15975107324010853077),
+            ((1000000, 1000, 0.01, 1), 16589160779005914900),
+        ],
+    )
+    def test_pinned_values(self, unit, stream):
+        # BLAKE2b-8 of "N,n,rho_nano,trial", big-endian
+        assert stream_for_cell(*unit) == stream
+
+    def test_an_advantage_run_maps_no_openssl(self, tmp_path):
+        # hashlib imports _hashlib, OpenSSL's libcrypto; the stream hash
+        # needs only CPython's own _blake2, so `pvlab advantage` and an
+        # advantage-only sweep must not load it
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"Ns": [10000], "ns": [20], "rhos": [0.01], "trials": 2,
+                                      "D": 16, "tasks": ["advantage"],
+                                      "out": str(tmp_path / "r.csv")}))
+        code = (
+            "import sys\n"
+            "from pvlab import cli\n"
+            "assert cli.main(['advantage', '--N', '10000', '--n', '20', '--rho', '0.01', '--D', '16']) == 0\n"
+            f"assert cli.main(['sweep', '--config', {str(config)!r}]) == 0\n"
+            "print('_hashlib' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+        assert len((tmp_path / "r.csv").read_text().splitlines()) == 3
 
 
 class TestRunSweep:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pvlab.lowdeg import (
     _log_composition_sum,
@@ -23,6 +23,7 @@ from oracles import (
     hermite_eval,
     hermite_moment_br,
     hermite_values,
+    log_advantage_exact_binomial,
     monic_hermite_coefficients,
     sphere_moment,
 )
@@ -278,6 +279,15 @@ class TestAdvantage:
         assert b.adv >= 1.0
         assert not b.overflowed
 
+    @pytest.mark.parametrize("N", [10**8, 10**12, 10**15, 10**18])
+    def test_large_N_matches_the_exact_binomial_sum(self, N):
+        # lgamma(N + 1) - lgamma(N - m + 1) lost about eps * N ln N: at
+        # N = 1e18 log adv^2 read 33.15 where the exact sum gives 332.67
+        got = advantage(N, 100, 0.01, 32).log_adv_squared
+        assert got == pytest.approx(log_advantage_exact_binomial(N, 100, 0.01, 32), rel=1e-12)
+        if N == 10**18:
+            assert round(got, 7) == 332.6671423
+
     def test_overflow_saturates_linear_fields(self):
         # adv^2 ~ e^1353 leaves double range: the log fields stay finite and
         # authoritative, the linear fields beyond range read inf
@@ -326,6 +336,15 @@ class TestShapeLaws:
         # every added degree contributes a term >= 0
         low, high = sorted(degrees)
         assert advantage(N, n, rho, high).log_adv_squared >= advantage(N, n, rho, low).log_adv_squared
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 10**18), min_size=2, max_size=2), n=_ns, rho=_rhos, D=_Ds)
+    @example(sizes=[10**15, 10**18], n=100, rho=0.01, D=32)
+    def test_nondecreasing_in_N(self, sizes, n, rho, D):
+        # C(N, m) grows with N; the slack covers the final logsumexp's rounding
+        low, high = sorted(sizes)
+        below = advantage(low, n, rho, D).log_adv_squared
+        assert advantage(high, n, rho, D).log_adv_squared >= below - 1e-12 * abs(below)
 
     @settings(max_examples=200, deadline=None)
     @given(N=_Ns, n=_ns, rho=_rhos, D=_Ds)

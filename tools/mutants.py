@@ -86,9 +86,21 @@ MUTATIONS = {
     ),
     "stream hash key changed": (
         "src/pvlab/harness.py",
-        "hashlib.blake2b(payload, digest_size=8)",
-        'hashlib.blake2b(payload, digest_size=8, key=b"pvlab")',
+        "blake2b(payload, digest_size=8)",
+        'blake2b(payload, digest_size=8, key=b"pvlab")',
         "tests/test_harness.py",
+    ),
+    "stream hash through hashlib": (
+        "src/pvlab/harness.py",
+        "from _blake2 import blake2b",
+        "from hashlib import blake2b",
+        "tests/test_harness.py::TestStreamDerivation::test_an_advantage_run_maps_no_openssl",
+    ),
+    "lgamma log-binomial at every N": (
+        "src/pvlab/lowdeg.py",
+        "    if N > 2**21:\n        return math.log(math.comb(N, m))\n",
+        "",
+        "tests/test_lowdeg.py::TestAdvantage::test_large_N_matches_the_exact_binomial_sum",
     ),
     "Haar R-diagonal sign fix dropped": (
         "src/pvlab/model_gen.py",
