@@ -1,28 +1,32 @@
 """A trial's O(N n^2) products on two threads, and the BLAS thread count.
 
+One primitive places work on two threads: `side_by_side(first, second)`
+runs `second` on one worker thread while `first` runs on the calling
+thread, or both on the calling thread in order.  One rule chooses: a call
+hands `second` to the worker only under one BLAS thread and only when it
+takes the module lock `taken` without waiting, and it holds `taken` until
+both pieces are done.  So at most one piece is out on the worker at a
+time, and no call ever waits for it: a call made inside a piece, another
+thread's call, and the calls of a sweep's cell threads (`run_sweep` holds
+`taken` for its pool) run their pieces in order on their own thread.
+Where a piece runs never moves a bit.
+
 `times` (Y @ R) and `gram` (Y^T Y, or `build_statistic`'s sum of
 w_i y_i y_i^T) are cut into the same row blocks, fixed by the shape, and
-`_on_two_threads` runs the blocks as two pieces, on the calling thread and on
-one worker thread, under one BLAS thread.  Where a piece runs never moves a
-bit.  Every block of `times` does at least MIN_PIECE multiply-adds, so it
-keeps the bits of one full product; `gram` is the sum of its two pieces'
+`_on_two_threads` runs the blocks before and after the middle side by
+side.  Every block of `times` does at least MIN_PIECE multiply-adds, so it
+keeps the bits of one full product; `gram` is the sum of its two halves'
 sums over the blocks.
 
 A sweep trial (`detection.estimate_instance`) also draws behind its
-products: inside `draw_behind`, a sampler's Gaussian draw (`fill`) is left
-to the next `gram` of its array, which runs the draw and the products as
-_on_two_threads' two pieces: the draw on the calling thread and, on the
-worker, each row block's products as soon as the block's rows are drawn.
-The blocks, their order and the two piece sums are the same, so no bit
-moves, and no second N x n array is made.
-
-A piece may itself call `times`, `gram` or `fill`: the worker keeps its
-pieces on itself (it is made under `keep_pieces_on_this_thread`), and the
-calling thread does too while the worker runs its sibling, so a nested
-call runs in order and never waits on the busy worker.  A sweep unit that
-asks for two instances samples and estimates them so (`side_by_side`, from
-`detection.estimator`), when its thread's sample buffer has room for both;
-each instance's products then run in order on its own thread.
+products: inside `draw_behind`, a sampler's Gaussian draw (`fill`) of an
+array of two row blocks or more is left to the next `gram` of the array,
+which runs the draw and the products side by side (`_behind`): the draw
+here and, on the worker, each row block's products as soon as its rows are
+drawn.  The blocks, their order and the two half sums are the same, so no
+bit moves, and no second N x n array is made.  A sweep unit may sample and
+estimate its two instances side by side (`detection.estimator`); each
+instance's products then run in order on its own thread.
 
 numpy's wheels bundle OpenBLAS in a `numpy.libs` directory next to the
 package; its exported `scipy_openblas_{get,set}_num_threads64_` are called
@@ -95,33 +99,50 @@ def one_blas_thread():
 MIN_PIECE = 2**22
 
 _worker: futures.ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
+taken = threading.Lock()  # held while a piece is out on the worker
 _this_thread = threading.local()
 
 
 def _forget_worker() -> None:
-    global _worker
-    _worker = None  # a forked child inherits the executor but not its thread
+    """In a forked child: drop the executor, whose thread the child does not
+    have, and free `taken`, which the child inherits as it was at the fork."""
+    global _worker, taken
+    _worker = None
+    taken = threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _worker_pool() -> futures.ThreadPoolExecutor:
+    """The worker, made on first use; only the holder of `taken` calls this."""
     global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="pvlab-blas", initializer=keep_pieces_on_this_thread
-            )
-        return _worker
+    if _worker is None:
+        _worker = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="pvlab-blas")
+    return _worker
 
 
-def keep_pieces_on_this_thread() -> None:
-    """Make every later product of this thread run both pieces here: for
-    threads that already fill the cores, such as a sweep's cell threads,
-    and for the worker itself."""
-    _this_thread.in_order = True
+def side_by_side(first, second) -> list:
+    """[first(), second()]: `second` on the worker, in a copy of this
+    thread's context (numpy's error state goes with it), while `first` runs
+    here, when the BLAS count is 1 and `taken` is free; otherwise both here,
+    in order.  `taken` is held until both are done, so a call made inside
+    either, or on another thread meanwhile, runs in order and never waits
+    on the worker.  An exception from either is raised here once both have
+    finished."""
+    functions = _thread_functions()
+    if functions is None or functions[0]() != 1 or not taken.acquire(blocking=False):
+        return [first(), second()]
+    try:
+        pending = _worker_pool().submit(contextvars.copy_context().run, second)
+        try:
+            done = first()
+        except BaseException:
+            futures.wait([pending])
+            raise
+        return [done, pending.result()]
+    finally:
+        taken.release()
 
 
 def _middle(edges: list[int]) -> int:
@@ -130,58 +151,21 @@ def _middle(edges: list[int]) -> int:
     return min(range(1, len(edges) - 1), key=lambda i: abs(2 * edges[i] - edges[-1]), default=0)
 
 
-def _uses_worker(edges: list[int]) -> bool:
-    """Whether _on_two_threads runs its second piece on the worker: there
-    are two blocks or more, this thread is not kept in order, and the BLAS
-    count is 1."""
-    functions = _thread_functions()
-    return (
-        len(edges) > 2
-        and not getattr(_this_thread, "in_order", False)
-        and functions is not None
-        and functions[0]() == 1
-    )
-
-
-def _on_two_threads(block, edges: list[int]) -> list:
-    """[block(a, b) for each pair of consecutive edges], as two pieces split
-    at the inner edge nearest the middle.
-
-    When `_uses_worker(edges)`, the second piece runs on one lazily created
-    worker thread, in a copy of this thread's context (numpy's error state
-    goes with it), while the first runs here.  Otherwise both run here, in
-    order.  The blocks are the same either way, and so is the result.  An
-    exception from either piece is raised here once both have finished.  A
-    block may call this function again: the worker keeps its pieces on
-    itself (`keep_pieces_on_this_thread`), and so does this thread while the
-    worker runs the second piece, so a nested call runs in order and never
-    waits on the busy worker.
-    """
+def _on_two_threads(block, edges: list[int]) -> None:
+    """Run block(a, b) for each pair of consecutive edges: the blocks before
+    the inner edge nearest the middle and those after it as `side_by_side`'s
+    two pieces, or a single block here."""
     pairs = list(zip(edges, edges[1:]))
     middle = _middle(edges)
 
-    def blocks(lo: int, hi: int) -> list:
-        return [block(a, b) for a, b in pairs[lo:hi]]
+    def blocks(lo: int, hi: int) -> None:
+        for a, b in pairs[lo:hi]:
+            block(a, b)
 
-    if not _uses_worker(edges):
-        return blocks(0, len(pairs))
-    pending = _worker_pool().submit(contextvars.copy_context().run, blocks, middle, len(pairs))
-    _this_thread.in_order = True
-    try:
-        done = blocks(0, middle)
-    except BaseException:
-        futures.wait([pending])
-        raise
-    finally:
-        _this_thread.in_order = False  # _uses_worker held, so it was False
-    return done + pending.result()
-
-
-def side_by_side(first, second) -> list:
-    """[first(), second()], run as _on_two_threads' two pieces: `second` on
-    the worker while `first` runs here, or both here in order."""
-    pieces = (first, second)
-    return _on_two_threads(lambda a, b: pieces[a](), [0, 1, 2])
+    if middle:
+        side_by_side(lambda: blocks(0, middle), lambda: blocks(middle, len(pairs)))
+    else:
+        blocks(0, len(pairs))
 
 
 def _row_edges(N: int, n: int) -> list[int]:
@@ -209,11 +193,10 @@ def gram(Y: np.ndarray, weights=None) -> np.ndarray:
     blocks of `times`: Y is read once, and no N x n copy of it is made.  The
     weights are made a block at a time: at 200000 x 10 an N-vector of them
     took an `orth` trial's usual peak from 1.68-1.75 to 1.79-1.83 N x n.
-    Each piece sums its own blocks in order, and the result is the first
-    piece's sum plus the second's, on one thread or two.  When Y's rows are
-    still to be drawn (`fill`), both pieces' blocks are summed on the
-    worker, each as soon as its rows are drawn, while this thread draws
-    (`_behind`)."""
+    Each half of the blocks is summed in order, and the result is the first
+    half's sum plus the second's, on one thread or two.  When Y's rows are
+    still to be drawn (`fill`), both halves' blocks are summed behind the
+    draw, each as soon as its rows are drawn (`_behind`)."""
     N, n = Y.shape
     edges = _row_edges(N, n)
     split = edges[_middle(edges)]
@@ -236,9 +219,9 @@ def gram(Y: np.ndarray, weights=None) -> np.ndarray:
 def _behind(Y: np.ndarray, rows, R: np.ndarray | None, block, edges: list[int]) -> None:
     """Run `rows`, the iterator that writes Y's rows (see `fill`), and
     block(a, b) for each row block in order, each once its rows are drawn
-    and multiplied by R, as _on_two_threads' two pieces: the draw here, the
-    products on the worker, or the draw first and the products after when
-    they run in order.  The draw hands its row counts to the products
+    and multiplied by R, as `side_by_side`'s two pieces: the draw here and
+    the products on the worker, or the draw first and the products after
+    when the worker is taken.  The draw hands its row counts to the products
     through a queue, and an end mark once it stops, so a draw that raises
     ends the products too."""
     drawn = queue.SimpleQueue()
@@ -282,11 +265,10 @@ def fill(Y: np.ndarray, rows, R: np.ndarray | None = None) -> None:
     order and yields the count of rows written after each step, then write
     Y @ R over Y (`times`) if R is given.
 
-    Inside `draw_behind`, when Y has two row blocks or more and the worker
-    would run a piece (`_uses_worker`), this returns at once, and the next
-    `gram` of Y draws the rows on the calling thread while the worker
+    Inside `draw_behind`, when Y has two row blocks or more, this returns
+    at once, and the next `gram` of Y draws the rows and, behind the draw,
     writes each block's Y @ R and sums it (`_behind`)."""
-    if getattr(_this_thread, "draw", None) is True and _uses_worker(_row_edges(*Y.shape)):
+    if getattr(_this_thread, "draw", None) is True and len(_row_edges(*Y.shape)) > 2:
         _this_thread.draw = (Y, rows, R)
         return
     for _ in rows:

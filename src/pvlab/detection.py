@@ -16,8 +16,8 @@ calls.
 `estimate_instance` samples into one reused float64 buffer per thread (see
 `_sample_buffer`), so a run of trials does not allocate and free an N x n
 array per trial.  It samples and estimates inside `pvlab._blas.draw_behind`,
-so `spectral.build_statistic` must be the first read of the sample.  A unit
-whose two instances fit in the buffer at once samples and estimates them
+so `spectral.build_statistic` must be the first read of the sample.  A sweep
+unit whose two instances fit in the buffer at once samples and estimates them
 side by side instead (`estimator`).  `pvlab._blas` says how either runs on
 two threads with the bytes of drawing first.
 """
@@ -257,9 +257,11 @@ def estimator(N: int, n: int, rho: float, seed: SeedSpec, models: tuple[str, ...
     again at each call; the N x n matrix is dropped.
 
     `models` names the distinct instances the trial asks for, in the order
-    it asks.  When it names two and this thread's sample buffer already
-    holds two N x n samples (`run_sweep` sizes it so), the first call
-    samples and estimates both, each into its own half of the buffer, as
+    it asks; `run_sweep` is the one caller that names them, and it sizes
+    the buffer for them, so that a trial's placement never depends on what
+    the thread sampled before.  When it names two and this thread's sample
+    buffer already holds two N x n samples, the first call samples and
+    estimates both, each into its own half of the buffer, as
     `pvlab._blas.side_by_side`'s two pieces: the first here and the second
     on the worker, each with its products in order, or both here in order.
     Either way each instance keeps the bytes of `estimate_instance`."""
@@ -312,7 +314,7 @@ def error_rates(
     false_planted = 0
     missed = 0
     for t in range(trials):
-        estimate = estimator(N, n, rho, SeedSpec(seed.master_seed, seed.stream_index + t), _DETECTED)
+        estimate = estimator(N, n, rho, SeedSpec(seed.master_seed, seed.stream_index + t))
         null, planted = detect(test_kind, estimate, rho, c1)
         false_planted += null.decision == "planted"
         missed += planted.decision == "null"

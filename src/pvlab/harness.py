@@ -26,7 +26,7 @@ from dataclasses import dataclass
 # hashlib.blake2b is this same object (hashlib never serves BLAKE2 from OpenSSL); hashlib maps libcrypto.
 from _blake2 import blake2b
 
-from ._blas import keep_pieces_on_this_thread, one_blas_thread
+from . import _blas
 from ._domain import _check_integer, _check_rho
 from .model_gen import SeedSpec
 from .detection import _DETECTED, _sample_buffer, detect, estimator, recover
@@ -237,7 +237,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     raises ValueError.  The sweep runs under one BLAS thread, whatever the
     environment asks for, so its bytes do not depend on the BLAS thread
     count and workers do not oversubscribe the cores; the caller's count is
-    restored on return.
+    restored on return.  With workers >= 2 the sweep holds
+    `pvlab._blas.taken` while its pool runs, so no cell thread hands a piece
+    to the products' worker.  It takes the lock once any piece another
+    thread has out is done, and it is never called from inside a piece,
+    whose caller holds the lock.
 
     Each thread samples its units' instances into its own reused buffer
     (`detection.estimate_instance`).  The calling thread's outlives this
@@ -255,7 +259,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     """
     _check_integer("workers", workers, 1)
     cells = config.cells()
-    with one_blas_thread():
+    with _blas.one_blas_thread():
         if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS
             if len(_instances(config)) == 2:  # room for the smaller cells' units to pair
                 # A size numpy cannot address raises ValueError; the cell's units record either.
@@ -263,8 +267,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
                     _sample_buffer(*max(cells, key=lambda cell: cell[0] * cell[1])[:2])
             batches = [_run_cell(config, *cell) for cell in cells]
         else:
-            # Cell threads fill the cores, so their products stay on them.
-            with ThreadPoolExecutor(max_workers=workers, initializer=keep_pieces_on_this_thread) as pool:
+            # Cell threads fill the cores, so their pieces stay on them.
+            with _blas.taken, ThreadPoolExecutor(max_workers=workers) as pool:
                 batches = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
     return [record for batch in batches for record in batch]
 

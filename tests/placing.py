@@ -42,14 +42,13 @@ def blas_threads(count):
 def placed(placement, fn):
     """fn() on a fresh thread, with its pieces placed as `placement` says:
     "worker" (one BLAS thread, so the worker takes a piece), "in_order"
-    (kept on the thread by `keep_pieces_on_this_thread`, as a sweep's cell
-    threads are) or "two_blas" (two BLAS threads, so no piece goes to the
+    (one BLAS thread, with `_blas.taken` held, as it is for a sweep's cell
+    threads) or "two_blas" (two BLAS threads, so no piece goes to the
     worker)."""
 
     def run():
-        if placement == "in_order":
-            _blas.keep_pieces_on_this_thread()
-        return fn()
+        with _blas.taken if placement == "in_order" else contextlib.nullcontext():
+            return fn()
 
     with blas_threads(2 if placement == "two_blas" else 1):
         return on_a_fresh_thread(run)

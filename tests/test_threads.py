@@ -8,23 +8,28 @@ sweep's cell threads keep their pieces in order.  These tests place the
 work only as the program does (`placing.placed`; and `run_sweep(workers=2)`)
 and check, level by level, that every placement gives the bytes of the
 plain-numpy row-block rule (`sampled.py`) or of the public parts sampled
-first, that no block is read before its rows are drawn, that pairing keeps
-the error rows and log lines of units sampled one instance at a time and
-never grows the buffer, and that a failure on either thread reaches the
-caller once both have stopped.
+first, that no block is read before its rows are drawn, that no piece
+waits for the worker, that pairing keeps the error rows and log lines of
+units sampled one instance at a time and never grows the buffer, that a
+forked child hands its pieces to a worker of its own, and that a failure
+on either thread reaches the caller once both have stopped.
 """
 
 import logging
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pvlab import _blas, detection, harness, model_gen, spectral
-from pvlab.detection import estimate_instance, estimator
+from pvlab.detection import error_rates, estimate_instance, estimator
 from pvlab.harness import SweepConfig, run_sweep
 from pvlab.model_gen import (
     SeedSpec,
@@ -303,21 +308,39 @@ def test_no_block_is_read_before_its_rows_are_drawn(N, n, model, worker_calls, m
     assert_same_bytes(got, expected)
 
 
-def test_trials_on_many_threads_share_the_one_worker(worker_calls, monkeypatch):
+def test_trials_on_many_threads_never_wait_on_the_worker(worker_calls, monkeypatch):
     # More calling threads than cores, switching often, each running trials
-    # behind their draws on the one worker: each caller draws its own rows
-    # while its products wait in the worker's queue behind another thread's,
-    # and every trial keeps its bytes.
+    # behind their draws: a caller hands its products to the worker only
+    # when no other piece is out on it, and otherwise runs them in order
+    # itself, so no piece waits in the worker's queue, and every trial keeps
+    # its bytes.
     N, n = 4000, 100
     cases = [(model, SeedSpec(79, t)) for t in range(3) for model in MODELS]
     expected = placed("in_order", lambda: [public_parts(m, N, n, 0.05, seed) for m, seed in cases])
     real, summed_on = spectral._row_weights, set()
+    pool, out, out_at_submit = _blas._worker_pool, [], []
 
     def weights(rows, N):
         summed_on.add(threading.current_thread().name)
         return real(rows, N)
 
+    class Watched:
+        """The worker, noting how many pieces are out at each submission."""
+
+        def submit(self, fn, *args):
+            out_at_submit.append(len(out))
+            out.append(1)
+
+            def piece():
+                try:
+                    return fn(*args)
+                finally:
+                    out.pop()
+
+            return pool().submit(piece)
+
     monkeypatch.setattr(spectral, "_row_weights", weights)
+    monkeypatch.setattr(_blas, "_worker_pool", Watched)
     results, errors = {}, []
 
     def trials(i):
@@ -339,7 +362,8 @@ def test_trials_on_many_threads_share_the_one_worker(worker_calls, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    assert len(worker_calls) >= 4 * len(cases)
+    assert worker_calls
+    assert not any(out_at_submit)
     assert len({name for name in summed_on if name.startswith("pvlab-blas")}) == 1
     for got in results.values():
         for trial, want in zip(got, expected):
@@ -447,6 +471,19 @@ def test_pairing_never_grows_the_buffer(worker_calls, monkeypatch):
     assert null[2] == two + N * n * 8  # the second half, not the first
 
 
+def test_error_rates_samples_one_instance_at_a_time(worker_calls):
+    # A thread whose buffer an earlier, larger trial left with room for two
+    # 3000 x 20 samples: `pvlab detect`'s trials still sample their null and
+    # planted instances one after the other, and at one row block each hand
+    # nothing to the worker.
+    def trials():
+        estimate_instance("orth", 3000, 40, 0.05, SeedSpec(81))
+        return error_rates(3000, 20, 0.05, 0.05, 2, "spectral", SeedSpec(3))
+
+    assert placed("worker", trials) == error_rates(3000, 20, 0.05, 0.05, 2, "spectral", SeedSpec(3))
+    assert not worker_calls
+
+
 @pytest.mark.parametrize(
     "tasks, model, pairs",
     [
@@ -533,6 +570,66 @@ def test_sweep_cell_threads_keep_their_pieces(worker_calls):
     worker_calls.clear()
     assert run_sweep(config, workers=2) == serial
     assert not worker_calls
+
+
+# -- The worker across a fork ---------------------------------------------
+
+# A 10000 x 100 `gaussian` trial with a piece on the worker, then a child
+# forked with `taken` free and one forked with it held: each child runs the
+# trial again, and exits 0 only with the parent's bytes and a piece handed
+# to a worker of its own.  A child whose piece never runs dies by its alarm.
+FORK_SCRIPT = """
+import contextlib, os, signal, sys, warnings
+from pvlab import _blas
+from pvlab.detection import estimate_instance
+from pvlab.model_gen import SeedSpec
+
+warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a process with threads
+pieces, pool = [], _blas._worker_pool
+
+def counted():
+    pieces.append(1)
+    return pool()
+
+def trial():
+    result, v = estimate_instance("gaussian", 10000, 100, 0.05, SeedSpec(5))
+    return result.statistic.tobytes() + result.raw_estimate.tobytes() + v.tobytes()
+
+def forked(hold):
+    with _blas.taken if hold else contextlib.nullcontext():
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            pieces.clear()
+            os._exit(0 if trial() == expected and pieces else 1)
+    return os.waitpid(pid, 0)[1]
+
+_blas._worker_pool = counted
+with _blas.one_blas_thread():
+    expected = trial()
+    assert pieces
+    statuses = [forked(hold) for hold in (False, True)]
+print("child wait statuses:", statuses)
+sys.exit(any(statuses))
+"""
+
+
+def test_a_forked_child_hands_its_pieces_to_a_worker_of_its_own():
+    # The fork hook forgets the parent's worker, whose thread the child does
+    # not have, and frees `taken`.  The script runs in a session of its own,
+    # so a timeout kills its children too.
+    env = dict(os.environ)
+    src = str(Path(_blas.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = subprocess.Popen([sys.executable, "-c", FORK_SCRIPT], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True, start_new_session=True)
+    try:
+        output, _ = script.communicate(timeout=150)
+    finally:
+        if script.poll() is None:
+            os.killpg(script.pid, signal.SIGKILL)
+            script.communicate()
+    assert script.returncode == 0, output
 
 
 # -- Failures on either thread ---------------------------------------------

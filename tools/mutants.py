@@ -138,10 +138,10 @@ MUTATIONS = {
         "while final < a + 1:",
         "tests/test_threads.py::test_no_block_is_read_before_its_rows_are_drawn",
     ),
-    "_on_two_threads raises the caller's error without waiting for the worker piece": (
+    "side_by_side raises the caller's error without waiting for the worker piece": (
         "src/pvlab/_blas.py",
-        "    except BaseException:\n        futures.wait([pending])\n        raise",
-        "    except BaseException:\n        raise",
+        "        except BaseException:\n            futures.wait([pending])\n            raise",
+        "        except BaseException:\n            raise",
         "tests/test_threads.py::TestWorkerFailures::test_caller_exception_waits_for_the_worker_piece",
     ),
     "orth Gram overflow no longer silenced": (
@@ -152,15 +152,33 @@ MUTATIONS = {
     ),
     "worker piece runs without the caller's context": (
         "src/pvlab/_blas.py",
-        "submit(contextvars.copy_context().run, blocks, middle, len(pairs))",
-        "submit(blocks, middle, len(pairs))",
+        "submit(contextvars.copy_context().run, second)",
+        "submit(second)",
         "tests/test_threads.py::TestWorkerFailures::test_caller_error_state_applies_to_the_worker_piece",
     ),
     "cell threads hand their pieces to the worker": (
-        "src/pvlab/_blas.py",
-        'and not getattr(_this_thread, "in_order", False)',
-        "and True",
+        "src/pvlab/harness.py",
+        "with _blas.taken, ThreadPoolExecutor(",
+        "with ThreadPoolExecutor(",
         "tests/test_threads.py::test_sweep_cell_threads_keep_their_pieces",
+    ),
+    "side_by_side never releases taken": (
+        "src/pvlab/_blas.py",
+        "    finally:\n        taken.release()",
+        "    finally:\n        pass",
+        "tests/test_threads.py::TestWorkerFailures::test_worker_exception_reaches_the_caller_and_the_worker_recovers",
+    ),
+    "fork hook not registered": (
+        "src/pvlab/_blas.py",
+        "os.register_at_fork(after_in_child=_forget_worker)",
+        "",
+        "tests/test_threads.py::test_a_forked_child_hands_its_pieces_to_a_worker_of_its_own",
+    ),
+    "fork hook leaves taken held": (
+        "src/pvlab/_blas.py",
+        "    _worker = None\n    taken = threading.Lock()",
+        "    _worker = None",
+        "tests/test_threads.py::test_a_forked_child_hands_its_pieces_to_a_worker_of_its_own",
     ),
     "split at the first inner edge": (
         "src/pvlab/_blas.py",
