@@ -17,7 +17,7 @@ calls.
 `_sample_buffer`), so a run of trials does not allocate and free an N x n
 array per trial.  It samples and estimates inside `pvlab._blas.draw_behind`,
 so `spectral.build_statistic` must be the first read of the sample.  A sweep
-unit whose two instances fit in the buffer at once samples and estimates them
+unit that `run_sweep` asks to pair samples and estimates its two instances
 side by side instead (`estimator`).  `pvlab._blas` says how either runs on
 two threads with the bytes of drawing first.
 """
@@ -204,16 +204,6 @@ def _estimate(
         return estimate_direction(Y, centered), v
 
 
-def _halves(N: int, n: int, rho: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The two N x n halves of this thread's sample buffer, or None when it
-    does not already hold 2 N n entries: it is never grown for them."""
-    N, n = _check_instance_params(N, n, rho)
-    buffer = getattr(_this_thread, "buffer", None)
-    if buffer is None or buffer.size < 2 * N * n:
-        return None
-    return buffer[: N * n].reshape(N, n), buffer[N * n : 2 * N * n].reshape(N, n)
-
-
 def _kept(fn, *args) -> tuple[bool, object]:
     """(True, fn(*args)), or (False, the exception it raised)."""
     try:
@@ -250,35 +240,37 @@ def decide(
     raise ValueError(f"unknown test kind {test_kind!r}")
 
 
-def estimator(N: int, n: int, rho: float, seed: SeedSpec, models: tuple[str, ...] = ()):
+def estimator(N: int, n: int, rho: float, seed: SeedSpec, pair: tuple[str, ...] = ()):
     """One trial's `estimate(model)`: the spectral result and planted vector
     (result, v) of `model`'s instance on `seed`, sampled and estimated on the
     first call for each model and kept, or the exception that raised, raised
     again at each call; the N x n matrix is dropped.
 
-    `models` names the distinct instances the trial asks for, in the order
-    it asks; `run_sweep` is the one caller that names them, and it sizes
-    the buffer for them, so that a trial's placement never depends on what
-    the thread sampled before.  When it names two and this thread's sample
-    buffer already holds two N x n samples, the first call samples and
-    estimates both, each into its own half of the buffer, as
+    `pair` names two instances to sample side by side, or none.  `run_sweep`
+    is the one caller that names them, for the cells it has sized the
+    buffer to hold twice, so a trial's placement depends on its sweep's
+    config only, never on what the thread sampled before.  The first call
+    for either checks the domain here, then samples and estimates both,
+    each into its own half of `_sample_buffer(2 * N, n)`, as
     `pvlab._blas.side_by_side`'s two pieces: the first here and the second
     on the worker, each with its products in order, or both here in order.
-    Either way each instance keeps the bytes of `estimate_instance`."""
+    Any other instance is sampled alone (`estimate_instance`).  Either way
+    each instance keeps the bytes of `estimate_instance`."""
     kept: dict[str, tuple[bool, object]] = {}
 
     def estimate(model: str) -> tuple[SpectralResult, np.ndarray | None]:
         if model not in kept:
-            first = not kept and len(models) == 2 and model == models[0]
-            halves = _halves(N, n, rho) if first else None
-            if halves is None:
-                kept[model] = _kept(estimate_instance, model, N, n, rho, seed)
-            else:
+            if model in pair:
+                # Here, not in the pieces, so the unit's first call into model_gen is on this thread.
+                rows, cols = _check_instance_params(N, n, rho)
+                both = _sample_buffer(2 * rows, cols)
                 pieces = [
-                    functools.partial(_kept, _estimate, m, N, n, rho, seed, out)
-                    for m, out in zip(models, halves)
+                    functools.partial(_kept, _estimate, m, rows, cols, rho, seed, out)
+                    for m, out in zip(pair, (both[:rows], both[rows:]))
                 ]
-                kept.update(zip(models, _blas.side_by_side(*pieces)))
+                kept.update(zip(pair, _blas.side_by_side(*pieces)))
+            else:
+                kept[model] = _kept(estimate_instance, model, N, n, rho, seed)
         done, value = kept[model]
         if not done:
             raise value

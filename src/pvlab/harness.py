@@ -165,18 +165,18 @@ def _instances(config: SweepConfig) -> tuple[str, ...]:
     return tuple(dict.fromkeys(m for task in config.tasks for m in asked.get(task, _DETECTED)))
 
 
-def _run_cell(config: SweepConfig, N: int, n: int, rho: float) -> list[SweepRecord]:
+def _run_cell(config: SweepConfig, N: int, n: int, rho: float, pair) -> list[SweepRecord]:
     """Execute every trial of one cell, sharing the cell's advantage."""
     cell_advantage = functools.cache(lambda: advantage(N, n, rho, config.D))
     return [
         record
         for trial in range(config.trials)
-        for record in _run_unit(config, N, n, rho, trial, cell_advantage)
+        for record in _run_unit(config, N, n, rho, trial, cell_advantage, pair)
     ]
 
 
 def _run_unit(
-    config: SweepConfig, N: int, n: int, rho: float, trial: int, cell_advantage
+    config: SweepConfig, N: int, n: int, rho: float, trial: int, cell_advantage, pair
 ) -> list[SweepRecord]:
     """Execute all tasks for one (cell, trial) unit; never raises.
 
@@ -184,7 +184,7 @@ def _run_unit(
     task's elapsed_ms, so a unit's rows sum to its wall time.
     """
     seed = SeedSpec(config.seed, stream_for_cell(N, n, rho, trial))
-    estimate = estimator(N, n, rho, seed, _instances(config))
+    estimate = estimator(N, n, rho, seed, pair)
 
     def run_task(task: str) -> dict:
         if task == "recover":
@@ -247,11 +247,12 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     (`detection.estimate_instance`).  The calling thread's outlives this
     call, so later sweeps in the process reuse it instead of freeing and
     reallocating N x n arrays; a pool thread's goes with the pool.  A sweep
-    whose tasks sample nothing (`advantage` only) allocates none.  With
-    workers=1, a sweep whose units ask for two distinct instances (see
-    `detection.estimator`) first sizes the buffer to its largest cell's
-    N x n, so the units of every cell of at most half that size have room
-    to sample their two side by side.
+    whose tasks sample nothing (`advantage` only) allocates none.  Only
+    here is it decided, from the config alone, that a unit samples its two
+    instances side by side (`detection.estimator`'s `pair`): with
+    workers=1, a sweep whose units ask for exactly two first sizes the
+    buffer to its largest cell's N x n, and if that succeeds, the units of
+    each cell whose 2 N n is at most that size pair.
 
     Per-unit failures (degenerate draws, or any other exception) are logged
     and recorded with success=False and empty values; they never abort the
@@ -261,15 +262,19 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     cells = config.cells()
     with _blas.one_blas_thread():
         if workers == 1:  # on this thread: a pool thread's own malloc arena raises peak RSS
-            if len(_instances(config)) == 2:  # room for the smaller cells' units to pair
+            pair, room = _instances(config), 0
+            if len(pair) == 2:  # room for the smaller cells' units to pair
                 # A size numpy cannot address raises ValueError; the cell's units record either.
                 with contextlib.suppress(MemoryError, ValueError):
-                    _sample_buffer(*max(cells, key=lambda cell: cell[0] * cell[1])[:2])
-            batches = [_run_cell(config, *cell) for cell in cells]
+                    room = _sample_buffer(*max(cells, key=lambda cell: cell[0] * cell[1])[:2]).size
+            batches = [
+                _run_cell(config, N, n, rho, pair if 2 * N * n <= room else ())
+                for N, n, rho in cells
+            ]
         else:
             # Cell threads fill the cores, so their pieces stay on them.
             with _blas.taken, ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
+                batches = list(pool.map(lambda cell: _run_cell(config, *cell, ()), cells))
     return [record for batch in batches for record in batch]
 
 

@@ -2,7 +2,8 @@
 
 The brute-force enumeration of adv^2 checks the low-degree dynamic program
 (`pvlab.lowdeg.advantage`), the same sum over exact integer binomials checks
-it at large N, the exact integer Hermite coefficients and their
+it at large N, one bottom-up table of composition sums matches its
+recursion bit for bit, the exact integer Hermite coefficients and their
 Gaussian integration check the Hermite recurrence, and the rank-one
 eigenvector perturbation bound is checked on explicit instances.  The
 statistic's two scales in closed form, the planted signal and the null
@@ -118,6 +119,23 @@ def composition_sum(d: int, m: int, rho: float) -> float:
         return 0.0
     log_sq = _log_squared_moments(rho, d)
     return _exp(_log_composition_sum(log_sq, d, m))
+
+
+def composition_table(log_sq: list[float], d_max: int, m_max: int) -> list[list[float]]:
+    """L[m][d] = log g(d, m) for every d <= d_max and m <= m_max, as one
+    table built bottom-up (the shared table of ROADMAP item 2): L[0] is 0
+    at d = 0 and -inf above, and L[m][d] is `_logsumexp` over the even parts
+    a >= 4 that leave room for m - 1 more, in increasing a, of
+    log_sq[a] + L[m - 1][d - a], the terms of `_log_composition_sum`'s
+    recursion in its order."""
+    table = [[0.0] + [-math.inf] * d_max]
+    for m in range(1, m_max + 1):
+        below = table[-1]
+        table.append([
+            _logsumexp([log_sq[a] + below[d - a] for a in range(4, d - 4 * (m - 1) + 1, 2)])
+            for d in range(d_max + 1)
+        ])
+    return table
 
 
 def advantage_bruteforce(N: int, n: int, rho: float, D: int) -> float:

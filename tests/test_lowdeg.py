@@ -19,6 +19,7 @@ from pvlab.lowdeg import (
 from oracles import (
     advantage_bruteforce,
     composition_sum,
+    composition_table,
     gaussian_product_moment,
     hermite_eval,
     hermite_moment_br,
@@ -199,6 +200,20 @@ class TestCompositionSum:
                     for alpha in compositions
                 )
                 assert got == pytest.approx(expected, rel=1e-12), (d, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dm=st.integers(0, 48).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d // 4 + 1))),
+        even=st.lists(st.floats(-60.0, 60.0) | st.just(-math.inf), min_size=25, max_size=25),
+    )
+    @example(dm=(48, 13), even=[0.0] * 25)
+    def test_one_table_is_the_recursion_bit_for_bit(self, dm, even):
+        # log_sq as _log_squared_moments makes it: -inf at every odd order
+        d, m = dm
+        log_sq = [-math.inf] * (d + 1)
+        log_sq[::2] = even[: d // 2 + 1]
+        want = composition_table(log_sq, d, m)[m][d]
+        assert float.hex(_log_composition_sum(log_sq, d, m)) == float.hex(want)
 
 
 class TestAdvantage:

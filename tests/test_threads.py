@@ -10,11 +10,14 @@ and check, level by level, that every placement gives the bytes of the
 plain-numpy row-block rule (`sampled.py`) or of the public parts sampled
 first, that no block is read before its rows are drawn, that no piece
 waits for the worker, that pairing keeps the error rows and log lines of
-units sampled one instance at a time and never grows the buffer, that a
-forked child hands its pieces to a worker of its own, and that a failure
-on either thread reaches the caller once both have stopped.
+units sampled one instance at a time, follows the sweep's config alone and
+never grows the buffer, that a sweep's first call into the samplers stays
+on its own thread, that a forked child hands its pieces to a worker of its
+own, and that a failure on either thread reaches the caller once both have
+stopped.
 """
 
+import functools
 import logging
 import os
 import signal
@@ -28,9 +31,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pvlab import _blas, detection, harness, model_gen, spectral
+from pvlab import _blas, detection, harness, lowdeg, model_gen, spectral
 from pvlab.detection import error_rates, estimate_instance, estimator
-from pvlab.harness import SweepConfig, run_sweep
+from pvlab.harness import SweepConfig, run_sweep, stream_for_cell
 from pvlab.model_gen import (
     SeedSpec,
     apply_rotation,
@@ -377,8 +380,9 @@ PAIRED_TASKS = [ALL_DETECTION, ("detect_spectral",), ("detect_l1l2", "recover")]
 
 
 def cell_by_cell(config):
-    """run_sweep's records with each cell swept alone on a fresh thread,
-    whose buffer never has room for two of its instances."""
+    """run_sweep's records with each cell swept alone on a fresh thread:
+    a one-cell sweep's units never pair, since a cell's two instances
+    exceed its own N x n."""
     return [
         record
         for N, n, rho in config.cells()
@@ -438,37 +442,49 @@ def samples_into(monkeypatch):
 
 
 def test_pairing_never_grows_the_buffer(worker_calls, monkeypatch):
-    # With room for one sample, a pair's first ask samples one instance;
-    # with room for two, each instance goes into its own half, one of them
-    # on the worker, and the buffer stays the one it was.
-    N, n, rho, seed = 3000, 20, 0.05, SeedSpec(81)
-    models = ("gaussian", "null")
-    seen = samples_into(monkeypatch)
+    # An earlier 3000 x 40 trial left this thread's buffer room for two
+    # 3000 x 20 samples.  The sweep pairs by its config alone: its 3000 x 10
+    # cell pairs, each instance in its own half and one of them on the
+    # worker; its largest cell, 3000 x 20, samples one instance at a time
+    # despite the room; and the buffer stays the one it was.  At one row
+    # block an instance hands nothing to the worker, so the pair is the one
+    # submission.
+    rho = 0.05
+    config = SweepConfig(Ns=[3000], ns=[10, 20], rhos=[rho], trials=1, tasks=("detect_spectral",))
+    seen, got, real = samples_into(monkeypatch), {}, harness.estimator
 
-    def trials():
-        estimate_instance("orth", N, n, rho, seed)
-        one = this_threads_buffer()
-        single = estimator(N, n, rho, seed, models)
-        single("gaussian")
-        assert this_threads_buffer() is one and one.size == N * n
-        calls = len(worker_calls)
-        estimate_instance("orth", N, 2 * n, rho, seed)
-        two = this_threads_buffer()
-        paired = estimator(N, n, rho, seed, models)
-        got = [paired(model) for model in models]
-        assert this_threads_buffer() is two and two.size == 2 * N * n
-        assert len(worker_calls) == calls + 1
-        return one.ctypes.data, two.ctypes.data, got
+    def recording(N, n, rho, seed, *pair):
+        estimate = real(N, n, rho, seed, *pair)
 
-    one, two, got = placed("worker", trials)
-    for model, result in zip(models, got):
-        assert_same_bytes(result, placed("worker", lambda: estimate_instance(model, N, n, rho, seed)))
+        def recorded(model):
+            got[N, n, model] = estimate(model)
+            return got[N, n, model]
+
+        return recorded
+
+    monkeypatch.setattr(harness, "estimator", recording)
+
+    def sweep():
+        estimate_instance("orth", 3000, 40, rho, SeedSpec(81))
+        buffer = this_threads_buffer()
+        worker_calls.clear()
+        run_sweep(config)
+        assert this_threads_buffer() is buffer and buffer.size == 3000 * 40
+        assert len(worker_calls) == 1
+        return buffer.ctypes.data
+
+    start = placed("worker", sweep)
     caller = seen[0][1]
-    assert seen[:3] == [("orth", caller, one), ("gaussian", caller, one), ("orth", caller, two)]
-    (gaussian, null) = sorted(seen[3:5])  # the two pieces, in either order
-    assert gaussian == ("gaussian", caller, two)
-    assert null[0] == "null" and null[1].startswith("pvlab-blas")
-    assert null[2] == two + N * n * 8  # the second half, not the first
+    assert seen[0] == ("orth", caller, start)
+    (gaussian, null) = sorted(seen[1:3])  # the 3000 x 10 pair's two pieces, in either order
+    assert null == ("null", caller, start)
+    assert gaussian[0] == "gaussian" and gaussian[1].startswith("pvlab-blas")
+    assert gaussian[2] == start + 3000 * 10 * 8  # the second half, not the first
+    assert seen[3:] == [("null", caller, start), ("gaussian", caller, start)]
+    assert sorted(got) == [(3000, n, model) for n in (10, 20) for model in ("gaussian", "null")]
+    for (N, n, model), result in got.items():
+        seed = SeedSpec(config.seed, stream_for_cell(N, n, rho, 0))
+        assert_same_bytes(result, placed("worker", lambda: estimate_instance(model, N, n, rho, seed)))
 
 
 def test_error_rates_samples_one_instance_at_a_time(worker_calls):
@@ -520,7 +536,7 @@ def test_a_piece_runs_its_products_in_order(worker_calls, monkeypatch):
     # hand a piece to the worker; inside a pair each piece sums all its own
     # blocks on its own thread, and the pair is the one submission.
     N, n, rho, seed = 10000, 50, 0.05, SeedSpec(83)
-    models = ("null", "gaussian")
+    pair = ("null", "gaussian")
     real, summed_on = spectral._row_weights, []
 
     def weights(rows, N):
@@ -528,10 +544,9 @@ def test_a_piece_runs_its_products_in_order(worker_calls, monkeypatch):
         return real(rows, N)
 
     def trial():
-        detection._sample_buffer(N, 2 * n)
         worker_calls.clear()
-        estimate = estimator(N, n, rho, seed, models)
-        got = [estimate(model) for model in models]
+        estimate = estimator(N, n, rho, seed, pair)
+        got = [estimate(model) for model in pair]
         assert len(worker_calls) == 1
         return threading.current_thread().name, got
 
@@ -541,7 +556,7 @@ def test_a_piece_runs_its_products_in_order(worker_calls, monkeypatch):
     assert len(workers) == 1
     assert summed_on.count(caller) == summed_on.count(*workers) == 4
     monkeypatch.undo()
-    for model, result in zip(models, got):
+    for model, result in zip(pair, got):
         assert_same_bytes(result, placed("worker", lambda: estimate_instance(model, N, n, rho, seed)))
 
 
@@ -557,6 +572,55 @@ def test_a_buffer_too_large_to_size_first_leaves_the_sweep_to_its_units(monkeypa
 
     monkeypatch.setattr(harness, "_sample_buffer", out_of_memory)
     assert placed("worker", lambda: run_sweep(config)) == expected
+
+
+def first_calls_into(sources, monkeypatch, worker_calls):
+    """The (thread name, pieces submitted to the worker so far) of each call
+    of a function defined in one of `sources`, through any pvlab module's
+    name for it, while the test runs."""
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pvlab"]
+
+    def counted(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            calls.append((threading.current_thread().name, len(worker_calls)))
+            return fn(*args, **kwargs)
+
+        return call
+
+    for source in sources:
+        for fn in list(vars(source).values()):
+            defined_there = getattr(fn, "__module__", None) == source.__name__
+            if callable(fn) and not isinstance(fn, type) and defined_there:
+                replacement = counted(fn)
+                for module in modules:
+                    for key, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, key, replacement)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SweepConfig(Ns=[4000], ns=[20, 100], rhos=[0.1], trials=1, tasks=ALL_DETECTION),
+        SweepConfig(Ns=[10000], ns=[50], rhos=[0.1], trials=1, model="orth"),
+    ],
+    ids=["paired-gaussian", "orth-recover"],
+)
+def test_a_sweeps_first_call_into_the_samplers_is_on_the_calling_thread(
+    config, worker_calls, monkeypatch
+):
+    # `bench/measure.py` ends a sweep's setup time at its first call of a
+    # function defined in model_gen or lowdeg, and reads one timestamp: that
+    # call comes on the sweep's thread, before any piece goes to the worker,
+    # in a paired unit as in a lone trial.
+    calls = first_calls_into((model_gen, lowdeg), monkeypatch, worker_calls)
+    worker_calls.clear()
+    caller = placed("worker", lambda: (run_sweep(config), threading.current_thread().name)[1])
+    assert worker_calls  # the sweep did hand pieces to the worker
+    assert calls[0] == (caller, 0)
 
 
 # -- A sweep's cell threads ------------------------------------------------

@@ -193,16 +193,28 @@ MUTATIONS = {
         "tests/test_threads.py::test_split_products_equal_one_call",
     ),
     "a pair samples into a buffer without room for two": (
-        "src/pvlab/detection.py",
-        "    if buffer is None or buffer.size < 2 * N * n:",
-        "    if buffer is None:",
-        "tests/test_threads.py::test_pairing_never_grows_the_buffer",
+        "src/pvlab/harness.py",
+        "room = _sample_buffer(*max(cells, key=lambda cell: cell[0] * cell[1])[:2]).size",
+        "room = max(cell[0] * cell[1] for cell in cells)",
+        "tests/test_threads.py::test_a_sweep_sizes_the_buffer_first_only_when_its_units_pair",
     ),
     "both pieces of a pair sample into the same half": (
         "src/pvlab/detection.py",
-        "buffer[N * n : 2 * N * n].reshape(N, n)",
-        "buffer[: N * n].reshape(N, n)",
+        "(both[:rows], both[rows:])",
+        "(both[:rows], both[:rows])",
         "tests/test_threads.py::test_pairing_never_grows_the_buffer",
+    ),
+    "run_sweep asks a pair for a cell whose two instances exceed its largest cell": (
+        "src/pvlab/harness.py",
+        "pair if 2 * N * n <= room else ()",
+        "pair if N * n <= room else ()",
+        "tests/test_threads.py::test_pairing_never_grows_the_buffer",
+    ),
+    "the pair's domain check runs inside the pieces": (
+        "src/pvlab/detection.py",
+        "rows, cols = _check_instance_params(N, n, rho)",
+        "rows, cols = N, n",
+        "tests/test_threads.py::test_a_sweeps_first_call_into_the_samplers_is_on_the_calling_thread",
     ),
     "_check_integer accepts a bool": (
         "src/pvlab/_domain.py",
